@@ -68,23 +68,43 @@ def _load_inputs(args) -> tuple[Dataset, Schema]:
 
 
 def _read_predictions(path, n_expected: int) -> np.ndarray:
+    """Per-row predictions from a CSV with a header row.
+
+    A one-column file holds the predictions; a two-column file whose first
+    column is ``row`` (the layout this tool writes) holds them in the
+    second. Any other header is rejected rather than guessed at.
+    """
     p = Path(path)
     if not p.exists():
         raise DataError(f"predictions file not found: {p}")
     values = []
-    with p.open(newline="", encoding="utf-8") as fh:
+    with p.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{p}: empty predictions file")
+        names = [h.strip() for h in header]
+        if len(names) == 1:
+            column = 0
+        elif len(names) == 2 and names[0] == "row":
+            column = 1
+        else:
+            raise DataError(
+                f"{p}: cannot tell the predictions column from header {names}; "
+                "expected a single column, or 'row' plus one column"
+            )
         for rownum, row in enumerate(reader, start=2):
             if not row or row[0].startswith("#"):
                 continue
+            if len(row) != len(names):
+                raise DataError(
+                    f"{p}: row {rownum} has {len(row)} fields, expected {len(names)}"
+                )
             try:
-                values.append(float(row[-1]))
+                values.append(float(row[column]))
             except ValueError:
                 raise DataError(
-                    f"{p}: cannot parse prediction {row[-1]!r} at row {rownum}"
+                    f"{p}: cannot parse prediction {row[column]!r} at row {rownum}"
                 ) from None
     if len(values) != n_expected:
         raise DataError(

@@ -4,8 +4,11 @@ A Schema assigns each CSV column a role (response / sensitive / legitimate
 / suspect / blackbox / ignore) and a kind (numeric or categorical).
 ``encode`` turns a Dataset into centered numeric blocks S, X, W, B keyed by
 role, with one-hot expansion (first level dropped) and interaction
-products. Centering means are retained so the identical shift can be
-applied to prediction-time data.
+products. It is two steps: ``assemble`` builds the uncentered blocks and
+``center`` centers them. Centering means are retained so the identical
+shift can be applied to prediction-time data, and a row subset of an
+assembled design (``take_design``) is exactly the encoding of the same
+rows.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, SchemaError
+from .linalg import column_center
 
 
 class Role(enum.Enum):
@@ -133,7 +137,7 @@ def load_schema(path) -> Schema:
     p = Path(path)
     if not p.exists():
         raise DataError(f"schema file not found: {p}")
-    return parse_schema(p.read_text(encoding="utf-8"))
+    return parse_schema(p.read_text(encoding="utf-8-sig"))
 
 
 def format_schema(schema: Schema) -> str:
@@ -183,7 +187,12 @@ def make_dataset(columns: dict[str, object]) -> Dataset:
         if isinstance(col, np.ndarray) or (
             len(col) and isinstance(col[0], (int, float, np.floating, np.integer))
         ):
-            arr = np.asarray(col, dtype=float)
+            try:
+                arr = np.asarray(col, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise DataError(
+                    f"numeric column '{name}' holds a non-numeric value: {exc}"
+                ) from None
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"column '{name}' contains non-finite values")
             typed[name] = arr
@@ -238,7 +247,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     p = Path(path)
     if not p.exists():
         raise DataError(f"data file not found: {p}")
-    with p.open(newline="", encoding="utf-8") as fh:
+    with p.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -407,17 +416,16 @@ def _encode_source_column(data: Dataset, spec: ColumnSpec, levels_override):
     return arr.reshape(-1, 1), (spec.name,)
 
 
-def encode(
+def assemble(
     data: Dataset, schema: Schema, levels: dict[str, tuple[str, ...]] | None = None
 ) -> EncodedDesign:
-    """Expand a Dataset into centered S/X/W/B blocks.
+    """Expand a Dataset into uncentered S/X/W/B blocks with zero means.
 
     Categoricals are one-hot encoded with the first-appearance level
-    dropped. Interaction columns are products of the encoded (pre-
-    centering) parent columns and join the block implied by the parents'
-    roles. Every block is centered after assembly. Pass ``levels`` (from
-    ``collect_levels`` on a reference dataset) to fix the category
-    vocabulary when encoding row subsets.
+    dropped. Interaction columns are products of the encoded parent
+    columns and join the block implied by the parents' roles. Pass
+    ``levels`` (from ``collect_levels`` on a reference dataset) to fix the
+    category vocabulary when encoding row subsets.
     """
     for spec in schema.columns:
         if spec.role is Role.IGNORE:
@@ -455,20 +463,10 @@ def encode(
                 pre[block].append(mat_a[:, ja] * mat_b[:, jb])
                 labels[block].append(f"{labels_a[ja]}*{labels_b[jb]}")
 
-    blocks: dict[str, np.ndarray] = {}
-    means: dict[str, np.ndarray] = {}
-    n = data.n_rows
-    from .linalg import column_center
-
-    for key in ("s", "x", "w", "b"):
-        raw = (
-            np.column_stack(pre[key]) if pre[key] else np.zeros((n, 0))
-        )
-        centered, mu = column_center(raw)
-        blocks[key] = centered
-        means[key] = mu
-
-    group_labels = _group_labels(data, schema)
+    blocks = {
+        key: np.column_stack(cols) if cols else np.zeros((data.n_rows, 0))
+        for key, cols in pre.items()
+    }
     return EncodedDesign(
         y=y,
         s=blocks["s"],
@@ -479,36 +477,53 @@ def encode(
         x_labels=tuple(labels["x"]),
         w_labels=tuple(labels["w"]),
         b_labels=tuple(labels["b"]),
-        s_means=means["s"],
-        x_means=means["x"],
-        w_means=means["w"],
-        b_means=means["b"],
-        s_group_labels=group_labels,
+        s_means=np.zeros(blocks["s"].shape[1]),
+        x_means=np.zeros(blocks["x"].shape[1]),
+        w_means=np.zeros(blocks["w"].shape[1]),
+        b_means=np.zeros(blocks["b"].shape[1]),
+        s_group_labels=_group_labels(data, schema),
         response_name=resp.name,
     )
+
+
+def center(design: EncodedDesign) -> EncodedDesign:
+    """Center every block; the removed column means are added to ``*_means``."""
+    changes: dict = {}
+    for key in ("s", "x", "w", "b"):
+        centered, shift = column_center(design.block(key))
+        changes[key] = centered
+        changes[f"{key}_means"] = design.means(key) + shift
+    return design.replace(**changes)
+
+
+def encode(
+    data: Dataset, schema: Schema, levels: dict[str, tuple[str, ...]] | None = None
+) -> EncodedDesign:
+    """Expand a Dataset into centered S/X/W/B blocks.
+
+    ``center(assemble(data, schema, levels))``: see ``assemble`` for the
+    column rules and ``levels``.
+    """
+    return center(assemble(data, schema, levels))
 
 
 def take_design(design: EncodedDesign, indices) -> EncodedDesign:
     """Row subset of an EncodedDesign, re-centered within the subset.
 
     The recorded means are updated so they still equal the raw column
-    means of the retained rows.
+    means of the retained rows. On an ``assemble`` result this equals
+    ``encode(take(data, indices), schema, levels)`` bit for bit.
     """
     idx = np.asarray(indices, dtype=int)
     if idx.size < 1:
         raise DataError("design subset must keep at least one row")
-    changes: dict = {
-        "y": design.y[idx],
-        "s_group_labels": tuple(design.s_group_labels[i] for i in idx),
-    }
-    from .linalg import column_center
-
-    for key in ("s", "x", "w", "b"):
-        sub = design.block(key)[idx]
-        centered, shift = column_center(sub)
-        changes[key] = centered
-        changes[f"{key}_means"] = design.means(key) + shift
-    return design.replace(**changes)
+    return center(
+        design.replace(
+            y=design.y[idx],
+            s_group_labels=tuple(design.s_group_labels[i] for i in idx),
+            **{key: design.block(key)[idx] for key in ("s", "x", "w", "b")},
+        )
+    )
 
 
 def _group_labels(data: Dataset, schema: Schema) -> tuple[str, ...]:

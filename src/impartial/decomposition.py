@@ -119,65 +119,35 @@ def decompose(
 ) -> ComponentReport:
     """Per-row component columns for the requested mode.
 
-    The block compatibility rules mirror the estimator variants: FEO mode
-    needs empty suspect blocks, FSEO mode an empty legitimate block. The
-    black-box block counts as suspect throughout.
+    Every mode splits each block's contribution by projecting it on the
+    other blocks (the black-box block counts as suspect throughout): S on
+    [X|W|B], X on [S|W|B], [W|B] on [X|S]. FEO mode is this total split
+    with empty W and B, FSEO mode the total split with an empty X; each
+    raises ContractError when the design has the block it excludes.
     """
+    if not isinstance(mode, Mode):
+        raise ContractError(f"unknown decomposition mode {mode!r}")
     s, x, w, b = _aligned_blocks(fit, design)
     wb = np.hstack([w, b])
+    if mode is Mode.FEO and wb.shape[1]:
+        raise ContractError("FEO decomposition requires empty suspect blocks")
+    if mode is Mode.FSEO and x.shape[1]:
+        raise ContractError("FSEO decomposition requires an empty legitimate block")
+
     beta_wb = fit.beta_wb
-    n = design.n_rows
-    zero = np.zeros(n)
-    intercept = np.full(n, fit.beta0)
-
-    if mode is Mode.FEO:
-        if wb.shape[1]:
-            raise ContractError("FEO decomposition requires empty suspect blocks")
-        s_split = project(x, s)
-        x_split = project(s, x)
-        return ComponentReport(
-            mode=mode,
-            intercept=intercept,
-            di=s_split.projected @ fit.beta_s,
-            dt=s_split.orthogonal @ fit.beta_s,
-            sd_plus=x_split.projected @ fit.beta_x,
-            unique_x=x_split.orthogonal @ fit.beta_x,
-            sd_minus_mixed=zero,
-            unique_w=zero.copy(),
-        )
-
-    if mode is Mode.FSEO:
-        if x.shape[1]:
-            raise ContractError("FSEO decomposition requires an empty legitimate block")
-        s_split = project(wb, s)
-        w_split = project(s, wb)
-        return ComponentReport(
-            mode=mode,
-            intercept=intercept,
-            di=s_split.projected @ fit.beta_s,
-            dt=s_split.orthogonal @ fit.beta_s,
-            sd_minus_mixed=w_split.projected @ beta_wb,
-            unique_w=w_split.orthogonal @ beta_wb,
-            sd_plus=zero,
-            unique_x=zero.copy(),
-        )
-
-    if mode is Mode.TOTAL:
-        s_split = project(np.hstack([x, wb]), s)
-        x_split = project(np.hstack([s, wb]), x)
-        w_split = project(np.hstack([x, s]), wb)
-        return ComponentReport(
-            mode=mode,
-            intercept=intercept,
-            di=s_split.projected @ fit.beta_s,
-            dt=s_split.orthogonal @ fit.beta_s,
-            sd_plus=x_split.projected @ fit.beta_x,
-            unique_x=x_split.orthogonal @ fit.beta_x,
-            sd_minus_mixed=w_split.projected @ beta_wb,
-            unique_w=w_split.orthogonal @ beta_wb,
-        )
-
-    raise ContractError(f"unknown decomposition mode {mode!r}")
+    s_split = project(np.hstack([x, wb]), s)
+    x_split = project(np.hstack([s, wb]), x)
+    w_split = project(np.hstack([x, s]), wb)
+    return ComponentReport(
+        mode=mode,
+        intercept=np.full(design.n_rows, fit.beta0),
+        di=s_split.projected @ fit.beta_s,
+        dt=s_split.orthogonal @ fit.beta_s,
+        sd_plus=x_split.projected @ fit.beta_x,
+        unique_x=x_split.orthogonal @ fit.beta_x,
+        sd_minus_mixed=w_split.projected @ beta_wb,
+        unique_w=w_split.orthogonal @ beta_wb,
+    )
 
 
 def redlining_report(report: ComponentReport) -> RedliningSummary:

@@ -39,9 +39,8 @@ class TotalModelFit:
     The suspect and black-box blocks are fitted jointly; ``beta_w`` and
     ``beta_b`` are the two slices of that combined coefficient vector.
     ``lambda_sx_for_wb`` regresses each [W|B] column on [S|X] (rows: S
-    columns first, then X); ``lambda_s_for_wb`` regresses them on S alone;
-    ``lambda_x_for_s`` regresses each S column on X. ``marginal_coefs``
-    comes from the exclude-sensitive refit on [X|W|B].
+    columns first, then X); ``lambda_x_for_s`` regresses each S column on
+    X. ``marginal_coefs`` comes from the exclude-sensitive refit on [X|W|B].
     """
 
     beta0: float
@@ -50,7 +49,6 @@ class TotalModelFit:
     beta_w: np.ndarray
     beta_b: np.ndarray
     lambda_sx_for_wb: np.ndarray
-    lambda_s_for_wb: np.ndarray
     lambda_x_for_s: np.ndarray
     marginal_coefs: np.ndarray
     s_labels: tuple[str, ...]
@@ -62,7 +60,6 @@ class TotalModelFit:
     w_means: np.ndarray
     b_means: np.ndarray
     n: int
-    fingerprint: str
 
     @property
     def beta_wb(self) -> np.ndarray:
@@ -85,7 +82,6 @@ class TotalModelFit:
 class ImpartialPrediction:
     variant: Variant
     values: np.ndarray
-    training_fingerprint: str
 
 
 def fit_total(design: EncodedDesign) -> TotalModelFit:
@@ -115,7 +111,6 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
 
     sx = np.hstack([s, x])
     lambda_sx_for_wb = solve_least_squares_multi(sx, wb)
-    lambda_s_for_wb = solve_least_squares_multi(s, wb)
     lambda_x_for_s = solve_least_squares_multi(x, s)
     marginal = solve_least_squares_multi(
         np.hstack([x, wb]), y_centered.reshape(-1, 1)
@@ -128,7 +123,6 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
         beta_w=beta_wb[:p_w],
         beta_b=beta_wb[p_w:],
         lambda_sx_for_wb=lambda_sx_for_wb,
-        lambda_s_for_wb=lambda_s_for_wb,
         lambda_x_for_s=lambda_x_for_s,
         marginal_coefs=marginal,
         s_labels=design.s_labels,
@@ -140,7 +134,6 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
         w_means=design.w_means,
         b_means=design.b_means,
         n=n,
-        fingerprint=design.fingerprint(),
     )
 
 
@@ -165,25 +158,6 @@ def _aligned_blocks(fit: TotalModelFit, design: EncodedDesign):
     return out["s"], out["x"], out["w"], out["b"]
 
 
-def aligned_design(fit: TotalModelFit, design: EncodedDesign) -> EncodedDesign:
-    """Copy of ``design`` re-centered at the fit's training means.
-
-    Scoring out-of-sample predictions must use the frozen training
-    transforms; this produces the design predict() effectively sees.
-    """
-    s, x, w, b = _aligned_blocks(fit, design)
-    return design.replace(
-        s=s,
-        x=x,
-        w=w,
-        b=b,
-        s_means=fit.s_means.copy(),
-        x_means=fit.x_means.copy(),
-        w_means=fit.w_means.copy(),
-        b_means=fit.b_means.copy(),
-    )
-
-
 def predict(
     fit: TotalModelFit, design: EncodedDesign, variant: Variant
 ) -> ImpartialPrediction:
@@ -194,13 +168,15 @@ def predict(
     - FULL:       beta0 + S bs + X bx + W bw + B bb
     - EXCLUDE_S:  beta0 + [X|W|B] marginal_coefs   (frozen refit)
     - MARGINAL:   beta0
-    - FEO:        beta0 + X bx                      (requires empty W and B)
-    - FSEO:       beta0 + ([W|B] - S Ls) bwb        (requires empty X;
-                  Ls from the regression of [W|B] on S alone)
-    - TOTAL:      beta0 + X bx + ([W|B] - S Ls') bwb  (Ls' = S-rows of the
-                  joint [S|X] regression; algebraically equal to replacing
-                  [W|B] by its impartial estimate plus unique part)
+    - TOTAL:      beta0 + X bx + ([W|B] - S Ls) bwb  (Ls = S-rows of the
+                  joint [S|X] regression of [W|B]; algebraically equal to
+                  replacing [W|B] by its impartial estimate plus unique part)
+    - FEO:        the TOTAL rule with empty W and B, i.e. beta0 + X bx
+    - FSEO:       the TOTAL rule with an empty X, i.e. beta0 + ([W|B] - S Ls) bwb
     - BLACKBOX_CORRECTED: the TOTAL rule, requires a nonempty B block.
+
+    FEO, FSEO and BLACKBOX_CORRECTED are validated aliases of TOTAL: each
+    raises VariantError when the fit lacks the block shape it names.
     """
     if variant is Variant.CALDERS_BASELINE:
         raise VariantError(
@@ -208,42 +184,34 @@ def predict(
         )
     s, x, w, b = _aligned_blocks(fit, design)
     wb = np.hstack([w, b])
-    n = design.n_rows
-    p_s = fit.p_s
+
+    if variant is Variant.FEO and fit.p_wb:
+        raise VariantError(
+            "FEO requires empty suspect/black-box blocks; use the total variant"
+        )
+    if variant is Variant.FSEO and fit.p_x:
+        raise VariantError(
+            "FSEO requires an empty legitimate block; use the total variant"
+        )
+    if variant is Variant.BLACKBOX_CORRECTED and not fit.b_labels:
+        raise VariantError(
+            "blackbox_corrected requires external predictions in the B block"
+        )
 
     if variant is Variant.FULL:
         values = fit.beta0 + s @ fit.beta_s + x @ fit.beta_x + wb @ fit.beta_wb
     elif variant is Variant.EXCLUDE_S:
         values = fit.beta0 + np.hstack([x, wb]) @ fit.marginal_coefs
     elif variant is Variant.MARGINAL:
-        values = np.full(n, fit.beta0)
-    elif variant is Variant.FEO:
-        if fit.p_wb:
-            raise VariantError(
-                "FEO requires empty suspect/black-box blocks; use the total variant"
-            )
-        values = fit.beta0 + x @ fit.beta_x
-    elif variant is Variant.FSEO:
-        if fit.p_x:
-            raise VariantError(
-                "FSEO requires an empty legitimate block; use the total variant"
-            )
-        values = fit.beta0 + (wb - s @ fit.lambda_s_for_wb) @ fit.beta_wb
-    elif variant in (Variant.TOTAL, Variant.BLACKBOX_CORRECTED):
-        if variant is Variant.BLACKBOX_CORRECTED and not fit.b_labels:
-            raise VariantError(
-                "blackbox_corrected requires external predictions in the B block"
-            )
-        lambda_s_joint = fit.lambda_sx_for_wb[:p_s, :]
-        values = (
-            fit.beta0 + x @ fit.beta_x + (wb - s @ lambda_s_joint) @ fit.beta_wb
-        )
+        values = np.full(design.n_rows, fit.beta0)
+    elif variant in (
+        Variant.TOTAL, Variant.FEO, Variant.FSEO, Variant.BLACKBOX_CORRECTED
+    ):
+        lambda_s = fit.lambda_sx_for_wb[: fit.p_s, :]
+        values = fit.beta0 + x @ fit.beta_x + (wb - s @ lambda_s) @ fit.beta_wb
     else:
         raise VariantError(f"unknown variant {variant!r}")
-
-    return ImpartialPrediction(
-        variant=variant, values=values, training_fingerprint=fit.fingerprint
-    )
+    return ImpartialPrediction(variant=variant, values=values)
 
 
 def impartial_suspect_parts(

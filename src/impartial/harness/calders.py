@@ -36,7 +36,6 @@ class CaldersFit:
     covariate_means: np.ndarray  # training means of [X|W|B], frozen for scoring
     bin_edges: np.ndarray
     bin_fits: tuple  # per bin: TotalModelFit, or a float fallback mean
-    training_fingerprint: str
 
 
 def _check_design(design: EncodedDesign) -> None:
@@ -104,7 +103,6 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
         covariate_means=cov_means,
         bin_edges=edges,
         bin_fits=tuple(bin_fits),
-        training_fingerprint=design.fingerprint(),
     )
 
 
@@ -141,9 +139,6 @@ def calders_baseline(
     """In-sample stratified baseline predictions for a dataset."""
     design = encode(data, schema)
     fit = fit_calders(design, bins=bins)
-    values = predict_calders(fit, design)
     return ImpartialPrediction(
-        variant=Variant.CALDERS_BASELINE,
-        values=values,
-        training_fingerprint=fit.training_fingerprint,
+        variant=Variant.CALDERS_BASELINE, values=predict_calders(fit, design)
     )

@@ -11,7 +11,9 @@ responses; reported metrics are means over repetitions.
 Covariate roles are re-assigned per variant to match each estimator's
 worldview: the formal-equality variant treats every non-sensitive
 covariate as legitimate, the substantive-equality ones treat them all as
-suspect. All randomness derives from one master seed via a 64-bit mix,
+suspect. The dataset is assembled into design blocks once; every fold's
+training and test designs are row slices of it, re-centered within the
+fold. All randomness derives from one master seed via a 64-bit mix,
 so results are reproducible bit for bit; repetitions are independent and
 may run on a small thread pool (capped by the IMPARTIAL_THREADS
 environment variable), reduced in deterministic order.
@@ -26,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import Dataset, Schema, collect_levels, encode, take
+from ..data import Dataset, EncodedDesign, Schema, assemble, center, take_design
 from ..errors import ContractError, DataError
 from ..estimators import (
     Variant,
-    aligned_design,
     as_all_legitimate,
     as_all_suspect,
     fit_total,
@@ -175,6 +176,19 @@ def _natural_mode(variant: Variant) -> ScoreMode:
     return ScoreMode.FEO if variant is Variant.FEO else ScoreMode.SEO
 
 
+def _as_declared(design: EncodedDesign) -> EncodedDesign:
+    return design
+
+
+def _role_view(variant: Variant):
+    """The role re-assignment a variant is trained, predicted and scored under."""
+    if variant is Variant.FEO:
+        return as_all_legitimate
+    if variant in (Variant.FSEO, Variant.CALDERS_BASELINE, Variant.BLACKBOX_CORRECTED):
+        return as_all_suspect
+    return _as_declared
+
+
 def _ds_group_pair(
     config: ExperimentConfig, bias: BiasSpec | None, groups: dict[str, np.ndarray]
 ) -> tuple[str, str]:
@@ -198,14 +212,19 @@ def _fold_bounds(n: int, folds: int) -> np.ndarray:
 def _run_repetition(
     data: Dataset,
     schema: Schema,
+    raw: EncodedDesign,
     config: ExperimentConfig,
     bias: BiasSpec | None,
-    levels,
     rep: int,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray | None]:
     """One repetition: biased response, pooled held-out predictions per
-    variant, and (when configured) pooled black-box raw predictions."""
-    n = data.n_rows
+    variant, and (when configured) pooled black-box raw predictions.
+
+    ``raw`` is the whole dataset assembled once (``data.assemble``); each
+    fold's training and test designs are row slices of it, re-centered.
+    """
+    n = raw.n_rows
+    y_biased = raw.y
     if bias is not None:
         biased = inject_bias(
             data,
@@ -214,8 +233,8 @@ def _run_repetition(
                 bias, seed=derive_seed(config.master_seed, rep, _BIAS_SLOT)
             ),
         )
-    else:
-        biased = data
+        y_biased = np.asarray(biased.columns[schema.response.name], dtype=float)
+    raw_biased = raw.replace(y=y_biased)
     perm = np.random.default_rng(
         derive_seed(config.master_seed, rep, _PERM_SLOT)
     ).permutation(n)
@@ -231,32 +250,16 @@ def _run_repetition(
         train_idx = np.sort(
             np.concatenate([perm[: bounds[fold]], perm[bounds[fold + 1] :]])
         )
-        enc_train = encode(take(biased, train_idx), schema, levels=levels)
-        enc_test = encode(take(data, test_idx), schema, levels=levels)
+        enc_train = take_design(raw_biased, train_idx)
+        enc_test = take_design(raw, test_idx)
 
-        fits: dict = {}
-
-        def base_fit(key, transform):
-            if key not in fits:
-                fits[key] = fit_total(transform(enc_train))
-            return fits[key]
-
+        fits: dict = {}  # one total fit per role view, shared by its variants
         for variant in config.variants:
-            if variant is Variant.FEO:
-                fit = base_fit("x", as_all_legitimate)
-                values = predict(
-                    fit, aligned_design(fit, as_all_legitimate(enc_test)), variant
-                ).values
-            elif variant is Variant.FSEO:
-                fit = base_fit("w", as_all_suspect)
-                values = predict(
-                    fit, aligned_design(fit, as_all_suspect(enc_test)), variant
-                ).values
-            elif variant is Variant.CALDERS_BASELINE:
-                cfit = fit_calders(
-                    as_all_suspect(enc_train), bins=config.calders_bins
-                )
-                values = predict_calders(cfit, as_all_suspect(enc_test))
+            view = _role_view(variant)
+            test = view(enc_test)
+            if variant is Variant.CALDERS_BASELINE:
+                cfit = fit_calders(view(enc_train), bins=config.calders_bins)
+                values = predict_calders(cfit, test)
             elif variant is Variant.BLACKBOX_CORRECTED:
                 model = BaggedTrees(
                     n_trees=config.blackbox_trees,
@@ -265,19 +268,17 @@ def _run_repetition(
                     seed=derive_seed(config.master_seed, rep, fold),
                 ).fit(raw_features(enc_train), enc_train.y)
                 bb_test = model.predict(raw_features(enc_test))
-                train_aug = with_blackbox(
-                    as_all_suspect(enc_train), model.oob_train_predictions()
+                fit = fit_total(
+                    with_blackbox(view(enc_train), model.oob_train_predictions())
                 )
-                fit = fit_total(train_aug)
-                test_aug = with_blackbox(as_all_suspect(enc_test), bb_test)
-                values = predict(fit, aligned_design(fit, test_aug), variant).values
+                values = predict(fit, with_blackbox(test, bb_test), variant).values
                 bb_pooled[test_idx] = bb_test
             else:
-                fit = base_fit("declared", lambda d: d)
-                values = predict(fit, aligned_design(fit, enc_test), variant).values
+                if view not in fits:
+                    fits[view] = fit_total(view(enc_train))
+                values = predict(fits[view], test, variant).values
             pooled[variant.value][test_idx] = values
 
-    y_biased = np.asarray(biased.columns[schema.response.name], dtype=float)
     return y_biased, pooled, bb_pooled
 
 
@@ -299,22 +300,28 @@ def kfold_validate(
         raise ContractError(
             f"{config.folds} folds exceed the {data.n_rows} available rows"
         )
-    levels = collect_levels(data, schema)
+    threads_text = os.environ.get("IMPARTIAL_THREADS", "1") or "1"
+    try:
+        threads = int(threads_text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ContractError(
+            f"IMPARTIAL_THREADS must be an integer >= 1, got {threads_text!r}"
+        )
     groups = group_rows(data, schema)
     pos_group, neg_group = _ds_group_pair(config, bias, groups)
 
-    enc_full = encode(data, schema, levels=levels)
+    raw = assemble(data, schema)
+    enc_full = center(raw)
     roled = {
-        "x": as_all_legitimate(enc_full),
-        "w": as_all_suspect(enc_full),
-        "declared": enc_full,
+        view: view(enc_full) for view in set(map(_role_view, config.variants))
     }
     y_raw = enc_full.y
 
     def task(rep):
-        return _run_repetition(data, schema, config, bias, levels, rep)
+        return _run_repetition(data, schema, raw, config, bias, rep)
 
-    threads = int(os.environ.get("IMPARTIAL_THREADS", "1") or "1")
     reps = range(config.repetitions)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -326,16 +333,7 @@ def kfold_validate(
     for y_biased, pooled, bb_pooled in results:  # repetition order
         for variant in config.variants:
             values = pooled[variant.value]
-            if variant is Variant.FEO:
-                design = roled["x"]
-            elif variant in (
-                Variant.FSEO,
-                Variant.CALDERS_BASELINE,
-                Variant.BLACKBOX_CORRECTED,
-            ):
-                design = roled["w"]
-            else:
-                design = roled["declared"]
+            design = roled[_role_view(variant)]
             if variant is Variant.BLACKBOX_CORRECTED:
                 design = with_blackbox(design, bb_pooled)
             entry = sums[variant.value]

@@ -148,7 +148,8 @@ def project(basis, target) -> ProjectionPair:
     """Split target into H_basis @ target and (I - H_basis) @ target.
 
     Implemented through the QR factors of ``basis``; the n-by-n hat matrix
-    is never formed. A rank-0 basis projects everything to zero.
+    is never formed. A rank-0 basis projects everything to zero; a target
+    without columns needs no factorization.
     """
     b = _as_matrix(basis, "basis")
     t = _as_matrix(target, "target")
@@ -156,7 +157,7 @@ def project(basis, target) -> ProjectionPair:
         raise ContractError(
             f"basis has {b.shape[0]} rows but target has {t.shape[0]}"
         )
-    if b.shape[1] == 0:
+    if b.shape[1] == 0 or t.shape[1] == 0:
         return ProjectionPair(projected=np.zeros_like(t), orthogonal=t.copy())
     q, _, _, rank = _pivoted_qr(b)
     if rank == 0:

@@ -163,6 +163,50 @@ class TestAudit:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("header", ["prediction", "row,prediction"])
+    def test_predictions_column_accepted(self, loan_files, tmp_path, capsys, header):
+        data_path, schema_path = loan_files
+        y = load_csv(data_path, simple_example_schema()).columns["default"]
+        lines = [format(v, ".17g") for v in y]
+        if header.startswith("row,"):
+            lines = [f"{i},{v}" for i, v in enumerate(lines)]
+        preds = tmp_path / "preds.csv"
+        preds.write_text(header + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "audit",
+                "--data", str(data_path),
+                "--schema", str(schema_path),
+                "--predictions", str(preds),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        rmse_line = next(ln for ln in out.splitlines() if ln.startswith("rmse"))
+        assert float(rmse_line.split()[-1]) == 0.0
+
+    @pytest.mark.parametrize("header", ["row,prediction,note", "prediction,note"])
+    def test_ambiguous_predictions_header_exits_1(
+        self, loan_files, tmp_path, capsys, header
+    ):
+        data_path, schema_path = loan_files
+        width = header.count(",") + 1
+        preds = tmp_path / "preds.csv"
+        preds.write_text(
+            header + "\n" + "\n".join([",".join(["0.5"] * width)] * 1000) + "\n",
+            encoding="utf-8",
+        )
+        code = main(
+            [
+                "audit",
+                "--data", str(data_path),
+                "--schema", str(schema_path),
+                "--predictions", str(preds),
+            ]
+        )
+        assert code == 1
+        assert "note" in capsys.readouterr().err
+
     def test_needs_predictions_or_variant(self, loan_files):
         data_path, schema_path = loan_files
         code = main(
@@ -304,6 +348,12 @@ class TestValidate:
 
     def test_needs_data_or_simulate(self, capsys):
         assert main(["validate", "--reps", "1"]) == 2
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_thread_count_exits_2(self, monkeypatch, capsys, threads):
+        monkeypatch.setenv("IMPARTIAL_THREADS", threads)
+        assert main(["validate", "--simulate", "simple", "--reps", "1"]) == 2
+        assert "IMPARTIAL_THREADS" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -5,9 +5,11 @@ from impartial.data import (
     ColumnSpec,
     Role,
     Schema,
+    assemble,
     collect_levels,
     encode,
     load_csv,
+    load_schema,
     make_dataset,
     parse_schema,
     format_schema,
@@ -114,6 +116,23 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "nope.csv", parse_schema(SCHEMA_TEXT))
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "default,edu,group\n1,low,s-\n0,high,s+\n", encoding="utf-8-sig"
+        )
+        schema_path = tmp_path / "data.schema"
+        schema_path.write_text(SCHEMA_TEXT, encoding="utf-8-sig")
+        schema = load_schema(schema_path)
+        assert schema.columns[0].name == "default"
+        data = load_csv(path, schema)
+        assert data.names == ("default", "edu", "group")
+        np.testing.assert_array_equal(data.columns["default"], [1.0, 0.0])
+
+    def test_make_dataset_mixed_numeric_column(self):
+        with pytest.raises(DataError, match="'a'"):
+            make_dataset({"a": [1.0, "x", 2.0]})
 
     def test_loan_table_roundtrip(self, tmp_path, table1_data):
         path = tmp_path / "loan.csv"
@@ -297,3 +316,41 @@ class TestSubsets:
     def test_take_design_empty_rejected(self, table1_design):
         with pytest.raises(DataError):
             take_design(table1_design, [])
+
+    @pytest.mark.parametrize("subset", ["random", "without_first_level"])
+    def test_take_design_of_assembled_equals_encode_of_take(self, subset):
+        # Encode once, slice per fold: a row subset of the assembled design
+        # must be exactly the encoding of the same rows under frozen levels.
+        rng = np.random.default_rng(7)
+        n = 300
+        g = rng.choice(["a", "b", "c"], n)
+        data = make_dataset(
+            {
+                "y": rng.normal(size=n),
+                "g": list(g),
+                "h": list(rng.choice(["u", "v"], n)),
+                "k": rng.integers(0, 3, n).astype(float),
+                "x": rng.normal(size=n),
+                "w": rng.normal(size=n) + (g == "b"),
+                "bb": rng.normal(size=n),
+            }
+        )
+        schema = parse_schema(
+            "y = response\ng = sensitive,categorical\nh = legitimate,categorical\n"
+            "k = suspect,categorical\nx = legitimate\nw = suspect\nbb = blackbox\n"
+            "interact = g * x\ninteract = h * w\ninteract = g * bb\n"
+        )
+        if subset == "random":
+            idx = np.sort(rng.choice(n, size=n // 2, replace=False))
+        else:
+            idx = np.flatnonzero(g != g[0])
+        levels = collect_levels(data, schema)
+        sliced = take_design(assemble(data, schema), idx)
+        direct = encode(take(data, idx), schema, levels=levels)
+        assert sliced.y.tobytes() == direct.y.tobytes()
+        for key in ("s", "x", "w", "b"):
+            assert direct.block(key).shape[1] > 0
+            assert sliced.block(key).tobytes() == direct.block(key).tobytes()
+            assert sliced.means(key).tobytes() == direct.means(key).tobytes()
+            assert sliced.labels(key) == direct.labels(key)
+        assert sliced.s_group_labels == direct.s_group_labels

@@ -139,6 +139,16 @@ class TestDecompose:
         for name in COMPONENT_NAMES:
             assert report.component(name).shape == (1000,)
 
+    @pytest.mark.parametrize("mode, p_x, p_w", [(Mode.FEO, 2, 0), (Mode.FSEO, 0, 2)])
+    def test_feo_fseo_are_total_with_empty_blocks(self, mode, p_x, p_w):
+        rng = np.random.default_rng(48)
+        design = random_design(rng, n=100, p_s=2, p_x=p_x, p_w=p_w)
+        fit = fit_total(design)
+        alias = decompose(fit, design, mode)
+        total = decompose(fit, design, Mode.TOTAL)
+        for name in COMPONENT_NAMES:
+            assert alias.component(name).tobytes() == total.component(name).tobytes()
+
     def test_mode_block_compatibility(self, table1_design):
         fit = fit_total(table1_design)
         with pytest.raises(ContractError, match="legitimate"):

@@ -138,6 +138,17 @@ class TestPredictVariants:
         fseo = predict(fit, design, Variant.FSEO)
         np.testing.assert_allclose(total.values, fseo.values, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "variant, p_x, p_w", [(Variant.FEO, 3, 0), (Variant.FSEO, 0, 3)]
+    )
+    def test_feo_fseo_are_total_with_empty_blocks(self, variant, p_x, p_w):
+        rng = np.random.default_rng(16)
+        design = random_design(rng, n=100, p_s=2, p_x=p_x, p_w=p_w)
+        fit = fit_total(design)
+        alias = predict(fit, design, variant).values
+        total = predict(fit, design, Variant.TOTAL).values
+        assert alias.tobytes() == total.tobytes()
+
     def test_total_matches_stepwise_construction(self):
         rng = np.random.default_rng(15)
         design = random_design(rng, n=120, p_s=2, p_x=2, p_w=2)
