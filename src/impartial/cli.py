@@ -166,14 +166,8 @@ def cmd_fit(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["block", "column", "value"])
         writer.writerow(["intercept", "", _fmt(fit.beta0)])
-        for block, labels, betas in (
-            ("s", fit.s_labels, fit.beta_s),
-            ("x", fit.x_labels, fit.beta_x),
-            ("w", fit.w_labels, fit.beta_w),
-            ("b", fit.b_labels, fit.beta_b),
-        ):
-            for label, beta in zip(labels, betas):
-                writer.writerow([block, label, _fmt(beta)])
+        for block, label, beta in zip(fit.column_blocks, fit.columns, fit.coefficients):
+            writer.writerow([block, label, _fmt(beta)])
     print(f"wrote {out} and {coef_path}")
     return 0
 

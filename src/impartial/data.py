@@ -2,10 +2,14 @@
 
 A Schema assigns each CSV column a role (response / sensitive / legitimate
 / suspect / blackbox / ignore) and a kind (numeric or categorical).
-``encode`` turns a Dataset into centered numeric blocks S, X, W, B keyed by
-role, with one-hot expansion (first level dropped) and interaction
-products. It is two steps: ``assemble`` builds the uncentered blocks and
-``center`` centers them. Centering means are retained so the identical
+``encode`` turns a Dataset into one centered matrix Z = [S|X|W|B] whose
+blocks (sensitive, legitimate, suspect, black-box) are column ranges, with
+one-hot expansion (first level dropped) and interaction products. This
+module is the only one that knows how blocks map to columns: the others
+ask a design for a block or a block combination (``index``), and a role
+change moves block boundaries (``merged``) instead of copying columns.
+Encoding is two steps: ``assemble`` builds the uncentered matrix and
+``center`` centers it. Centering means are retained so the identical
 shift can be applied to prediction-time data, and a row subset of an
 assembled design (``take_design``) is exactly the encoding of the same
 rows.
@@ -14,14 +18,16 @@ rows.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import enum
 import hashlib
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import ContractError, DataError, SchemaError
 from .linalg import column_center
 
 
@@ -78,14 +84,6 @@ class Schema:
             if c.name == name:
                 return c
         raise SchemaError(f"no column '{name}' in schema")
-
-    def with_roles(self, mapping: dict[Role, Role]) -> "Schema":
-        """Copy of this schema with source roles rewritten (interactions kept)."""
-        cols = tuple(
-            ColumnSpec(c.name, mapping.get(c.role, c.role), c.categorical)
-            for c in self.columns
-        )
-        return Schema(columns=cols, interactions=self.interactions)
 
 
 _ROLE_SPELLINGS = {r.value: r for r in Role}
@@ -159,9 +157,6 @@ class Dataset:
     columns: dict
     n_rows: int
 
-    def column(self, name: str):
-        return self.columns[name]
-
     def replace_column(self, name: str, values) -> "Dataset":
         if name not in self.columns:
             raise DataError(f"no column '{name}' in dataset")
@@ -170,8 +165,15 @@ class Dataset:
         return Dataset(names=self.names, columns=cols, n_rows=self.n_rows)
 
 
+_NUMBER_TYPES = (int, float, np.floating, np.integer)
+
+
 def make_dataset(columns: dict[str, object]) -> Dataset:
-    """Build a Dataset from name -> column values, validating rectangularity."""
+    """Build a Dataset from name -> column values, validating rectangularity.
+
+    A column is numeric when it is an array or holds numbers, categorical
+    when it holds only non-numbers; a list mixing both is a DataError.
+    """
     names = tuple(columns)
     if not names:
         raise DataError("dataset must have at least one column")
@@ -184,9 +186,11 @@ def make_dataset(columns: dict[str, object]) -> Dataset:
     typed: dict[str, object] = {}
     for name in names:
         col = columns[name]
-        if isinstance(col, np.ndarray) or (
-            len(col) and isinstance(col[0], (int, float, np.floating, np.integer))
-        ):
+        kinds = set() if isinstance(col, np.ndarray) else set(map(type, col))
+        numbers = {k for k in kinds if issubclass(k, _NUMBER_TYPES)}
+        if numbers and numbers != kinds:
+            raise DataError(f"column '{name}' mixes numbers with non-numeric values")
+        if isinstance(col, np.ndarray) or numbers:
             try:
                 arr = np.asarray(col, dtype=float)
             except (TypeError, ValueError) as exc:
@@ -290,7 +294,10 @@ def load_csv(path, schema: Schema) -> Dataset:
                         ) from None
     if not raw or not next(iter(raw.values())):
         raise DataError(f"{p}: no data rows")
-    return make_dataset(raw)
+    # Numeric cells are parsed already; arrays skip make_dataset's type scan.
+    return make_dataset(
+        {c.name: raw[c.name] if c.categorical else np.array(raw[c.name]) for c in keep}
+    )
 
 
 def write_csv(path, data: Dataset) -> None:
@@ -307,57 +314,130 @@ def write_csv(path, data: Dataset) -> None:
             )
 
 
-@dataclass(frozen=True)
-class EncodedDesign:
-    """Centered numeric design blocks plus provenance.
+BLOCKS = "sxwb"
 
-    Blocks: s (sensitive), x (legitimate), w (suspect), b (black-box
-    estimates); any may have zero columns. ``*_means`` hold the raw column
-    means removed by centering. ``s_group_labels`` keeps the original
-    per-row sensitive label(s) for group metrics.
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """Column layout of a design matrix Z = [S|X|W|B].
+
+    The blocks s (sensitive), x (legitimate), w (suspect) and b (black-box
+    estimates) are consecutive column ranges of Z with sizes ``widths``;
+    any may be empty. ``columns`` labels every column and ``column_means``
+    holds the raw means removed by centering. The per-block ``*_labels``
+    and ``*_means`` are read-only views of them.
+    """
+
+    columns: tuple[str, ...]
+    column_means: np.ndarray
+    widths: tuple[int, int, int, int]
+
+    def index(self, keys: str):
+        """Columns of the named blocks (e.g. ``"xwb"``) in the order named:
+        a slice when they are adjacent in Z, else an index array."""
+        bounds = (0, *itertools.accumulate(self.widths))
+        spans = [range(bounds[k], bounds[k + 1]) for k in map(BLOCKS.index, keys)]
+        if keys in BLOCKS:
+            return slice(spans[0].start, spans[-1].stop)
+        return np.array([j for span in spans for j in span], dtype=int)
+
+    def width(self, keys: str) -> int:
+        """Number of columns of the named blocks (e.g. ``"wb"``)."""
+        return sum(self.widths[BLOCKS.index(key)] for key in keys)
+
+    @property
+    def column_blocks(self) -> tuple[str, ...]:
+        """The block key of every column."""
+        return tuple(key for key, w in zip(BLOCKS, self.widths) for _ in range(w))
+
+    def labels(self, key: str) -> tuple[str, ...]:
+        return self.columns[self.index(key)]
+
+    def means(self, key: str) -> np.ndarray:
+        return self.column_means[self.index(key)]
+
+    s_labels = property(lambda self: self.labels("s"))
+    x_labels = property(lambda self: self.labels("x"))
+    w_labels = property(lambda self: self.labels("w"))
+    b_labels = property(lambda self: self.labels("b"))
+    s_means = property(lambda self: self.means("s"))
+    x_means = property(lambda self: self.means("x"))
+    w_means = property(lambda self: self.means("w"))
+    b_means = property(lambda self: self.means("b"))
+
+    def replace(self, **changes):
+        return dataclasses.replace(self, **changes)
+
+    def merged(self, keys: str, into: str):
+        """Copy in which the adjacent blocks ``keys`` form the one block
+        ``into``: a role change moves block boundaries and copies no data."""
+        if keys not in BLOCKS or into not in keys:
+            raise ContractError(f"cannot merge blocks {keys!r} into {into!r}")
+        widths = [0 if key in keys else w for key, w in zip(BLOCKS, self.widths)]
+        widths[BLOCKS.index(into)] = self.width(keys)
+        return self.replace(widths=tuple(widths))
+
+
+@dataclass(frozen=True)
+class EncodedDesign(BlockLayout):
+    """Centered design matrix ``z`` = [S|X|W|B] plus provenance.
+
+    ``s``, ``x``, ``w`` and ``b`` are read-only column views of ``z``.
+    ``s_group_labels`` keeps the original per-row sensitive label(s) for
+    group metrics.
     """
 
     y: np.ndarray
-    s: np.ndarray
-    x: np.ndarray
-    w: np.ndarray
-    b: np.ndarray
-    s_labels: tuple[str, ...]
-    x_labels: tuple[str, ...]
-    w_labels: tuple[str, ...]
-    b_labels: tuple[str, ...]
-    s_means: np.ndarray
-    x_means: np.ndarray
-    w_means: np.ndarray
-    b_means: np.ndarray
+    z: np.ndarray
     s_group_labels: tuple[str, ...]
     response_name: str = "y"
+
+    s = property(lambda self: self.block("s"))
+    x = property(lambda self: self.block("x"))
+    w = property(lambda self: self.block("w"))
+    b = property(lambda self: self.block("b"))
+
+    @classmethod
+    def from_blocks(cls, y, blocks: dict, s_group_labels, response_name: str = "y"):
+        """Stack per-block ``(columns, labels, means)`` into one design.
+
+        ``blocks`` is keyed by "s", "x", "w", "b" (a missing key is an
+        empty block); ``columns`` is a list of 1-D column arrays.
+        """
+        parts = [blocks.get(key, ([], (), np.zeros(0))) for key in BLOCKS]
+        cols = [col for part_cols, _, _ in parts for col in part_cols]
+        return cls(
+            columns=tuple(label for _, labels, _ in parts for label in labels),
+            column_means=np.concatenate([means for _, _, means in parts]),
+            widths=tuple(len(labels) for _, labels, _ in parts),
+            y=y,
+            z=np.column_stack(cols) if cols else np.zeros((len(y), 0)),
+            s_group_labels=tuple(s_group_labels),
+            response_name=response_name,
+        )
 
     @property
     def n_rows(self) -> int:
         return self.y.shape[0]
 
     def block(self, key: str) -> np.ndarray:
-        return getattr(self, key)
+        return self.z[:, self.index(key)]
 
-    def labels(self, key: str) -> tuple[str, ...]:
-        return getattr(self, f"{key}_labels")
-
-    def means(self, key: str) -> np.ndarray:
-        return getattr(self, f"{key}_means")
+    def appended(self, values: np.ndarray, labels, means) -> "EncodedDesign":
+        """Copy with centered columns appended to Z, i.e. to the B block."""
+        return self.replace(
+            z=np.hstack([self.z, values]),
+            columns=self.columns + tuple(labels),
+            column_means=np.concatenate([self.column_means, means]),
+            widths=self.widths[:3] + (self.widths[3] + len(labels),),
+        )
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(self.y.tobytes())
-        for key in ("s", "x", "w", "b"):
-            h.update(self.block(key).tobytes())
-            h.update("|".join(self.labels(key)).encode())
+        h.update(self.z.tobytes())
+        h.update(repr((self.columns, self.widths)).encode())
         return h.hexdigest()[:16]
-
-    def replace(self, **changes) -> "EncodedDesign":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **changes)
 
 
 _ROLE_TO_BLOCK = {
@@ -419,7 +499,7 @@ def _encode_source_column(data: Dataset, spec: ColumnSpec, levels_override):
 def assemble(
     data: Dataset, schema: Schema, levels: dict[str, tuple[str, ...]] | None = None
 ) -> EncodedDesign:
-    """Expand a Dataset into uncentered S/X/W/B blocks with zero means.
+    """Expand a Dataset into an uncentered Z = [S|X|W|B] with zero means.
 
     Categoricals are one-hot encoded with the first-appearance level
     dropped. Interaction columns are products of the encoded parent
@@ -438,8 +518,8 @@ def assemble(
     if not np.all(np.isfinite(y)):
         raise DataError(f"response column '{resp.name}' contains non-finite values")
 
-    pre: dict[str, list[np.ndarray]] = {k: [] for k in ("s", "x", "w", "b")}
-    labels: dict[str, list[str]] = {k: [] for k in ("s", "x", "w", "b")}
+    pre: dict[str, list[np.ndarray]] = {k: [] for k in BLOCKS}
+    labels: dict[str, list[str]] = {k: [] for k in BLOCKS}
     encoded_cols: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
 
     for spec in schema.columns:
@@ -463,43 +543,24 @@ def assemble(
                 pre[block].append(mat_a[:, ja] * mat_b[:, jb])
                 labels[block].append(f"{labels_a[ja]}*{labels_b[jb]}")
 
-    blocks = {
-        key: np.column_stack(cols) if cols else np.zeros((data.n_rows, 0))
-        for key, cols in pre.items()
-    }
-    return EncodedDesign(
-        y=y,
-        s=blocks["s"],
-        x=blocks["x"],
-        w=blocks["w"],
-        b=blocks["b"],
-        s_labels=tuple(labels["s"]),
-        x_labels=tuple(labels["x"]),
-        w_labels=tuple(labels["w"]),
-        b_labels=tuple(labels["b"]),
-        s_means=np.zeros(blocks["s"].shape[1]),
-        x_means=np.zeros(blocks["x"].shape[1]),
-        w_means=np.zeros(blocks["w"].shape[1]),
-        b_means=np.zeros(blocks["b"].shape[1]),
-        s_group_labels=_group_labels(data, schema),
+    return EncodedDesign.from_blocks(
+        y,
+        {key: (pre[key], labels[key], np.zeros(len(pre[key]))) for key in BLOCKS},
+        _group_labels(data, schema),
         response_name=resp.name,
     )
 
 
 def center(design: EncodedDesign) -> EncodedDesign:
-    """Center every block; the removed column means are added to ``*_means``."""
-    changes: dict = {}
-    for key in ("s", "x", "w", "b"):
-        centered, shift = column_center(design.block(key))
-        changes[key] = centered
-        changes[f"{key}_means"] = design.means(key) + shift
-    return design.replace(**changes)
+    """Center every column of z; the removed means are added to ``column_means``."""
+    centered, shift = column_center(design.z)
+    return design.replace(z=centered, column_means=design.column_means + shift)
 
 
 def encode(
     data: Dataset, schema: Schema, levels: dict[str, tuple[str, ...]] | None = None
 ) -> EncodedDesign:
-    """Expand a Dataset into centered S/X/W/B blocks.
+    """Expand a Dataset into a centered Z = [S|X|W|B].
 
     ``center(assemble(data, schema, levels))``: see ``assemble`` for the
     column rules and ``levels``.
@@ -520,8 +581,8 @@ def take_design(design: EncodedDesign, indices) -> EncodedDesign:
     return center(
         design.replace(
             y=design.y[idx],
+            z=design.z[idx],
             s_group_labels=tuple(design.s_group_labels[i] for i in idx),
-            **{key: design.block(key)[idx] for key in ("s", "x", "w", "b")},
         )
     )
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import EncodedDesign
 from .errors import ContractError
-from .estimators import TotalModelFit, _aligned_blocks
+from .estimators import TotalModelFit, _aligned_z
 from .linalg import project
 
 
@@ -97,11 +97,11 @@ def decompose_coefficients(
     marginal coefficients come from the exclude-sensitive refit, the
     indirect part routes through the regression of S on X.
     """
-    if fit.p_wb:
+    if fit.width("wb"):
         raise ContractError(
             "coefficient decomposition requires empty suspect/black-box blocks"
         )
-    if fit.p_x == 0:
+    if fit.width("x") == 0:
         raise ContractError("no legitimate columns to decompose")
     del design  # only the fit's frozen regressions are needed
     direct = fit.beta_x
@@ -127,17 +127,16 @@ def decompose(
     """
     if not isinstance(mode, Mode):
         raise ContractError(f"unknown decomposition mode {mode!r}")
-    s, x, w, b = _aligned_blocks(fit, design)
-    wb = np.hstack([w, b])
-    if mode is Mode.FEO and wb.shape[1]:
+    z = _aligned_z(fit, design)
+    if mode is Mode.FEO and fit.width("wb"):
         raise ContractError("FEO decomposition requires empty suspect blocks")
-    if mode is Mode.FSEO and x.shape[1]:
+    if mode is Mode.FSEO and fit.width("x"):
         raise ContractError("FSEO decomposition requires an empty legitimate block")
 
     beta_wb = fit.beta_wb
-    s_split = project(np.hstack([x, wb]), s)
-    x_split = project(np.hstack([s, wb]), x)
-    w_split = project(np.hstack([x, s]), wb)
+    s_split = project(z[:, fit.index("xwb")], z[:, fit.index("s")])
+    x_split = project(z[:, fit.index("swb")], z[:, fit.index("x")])
+    w_split = project(z[:, fit.index("xs")], z[:, fit.index("wb")])
     return ComponentReport(
         mode=mode,
         intercept=np.full(design.n_rows, fit.beta0),

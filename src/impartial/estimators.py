@@ -1,7 +1,10 @@
 """Estimator variants derived from a single joint regression fit.
 
-``fit_total`` runs one least-squares fit of the response on all centered
-blocks [S|X|W|B] plus the auxiliary regressions needed by the variants.
+``fit_total`` runs one least-squares fit of the response on the whole
+centered design Z = [S|X|W|B] plus the auxiliary regressions needed by
+the variants. Blocks are column ranges of Z, so every regression and
+every rule slices Z by column range, and a role change (``as_all_*``,
+``residualize_suspect``) moves block boundaries instead of restacking.
 ``predict`` then produces any variant's predictions from that one fit;
 only the exclude-sensitive variant needs a refit, which is also computed
 (and frozen) at fit time. Prediction-time data is always re-centered with
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EncodedDesign
+from .data import BlockLayout, EncodedDesign
 from .errors import ContractError, DataError, VariantError
 from .linalg import project, solve_least_squares, solve_least_squares_multi
 
@@ -33,49 +36,30 @@ class Variant(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TotalModelFit:
+class TotalModelFit(BlockLayout):
     """Coefficients of the joint fit plus the auxiliary regressions.
 
-    The suspect and black-box blocks are fitted jointly; ``beta_w`` and
-    ``beta_b`` are the two slices of that combined coefficient vector.
-    ``lambda_sx_for_wb`` regresses each [W|B] column on [S|X] (rows: S
+    The fit keeps the training design's layout (columns, means, block
+    widths) once; ``coefficients`` is the joint coefficient vector over
+    Z = [S|X|W|B], and ``beta_s`` ... ``beta_b`` (with ``beta_wb``, the
+    suspect and black-box blocks fitted jointly) are read-only slices of
+    it. ``lambda_sx_for_wb`` regresses each [W|B] column on [S|X] (rows: S
     columns first, then X); ``lambda_x_for_s`` regresses each S column on
     X. ``marginal_coefs`` comes from the exclude-sensitive refit on [X|W|B].
     """
 
     beta0: float
-    beta_s: np.ndarray
-    beta_x: np.ndarray
-    beta_w: np.ndarray
-    beta_b: np.ndarray
+    coefficients: np.ndarray
     lambda_sx_for_wb: np.ndarray
     lambda_x_for_s: np.ndarray
     marginal_coefs: np.ndarray
-    s_labels: tuple[str, ...]
-    x_labels: tuple[str, ...]
-    w_labels: tuple[str, ...]
-    b_labels: tuple[str, ...]
-    s_means: np.ndarray
-    x_means: np.ndarray
-    w_means: np.ndarray
-    b_means: np.ndarray
     n: int
 
-    @property
-    def beta_wb(self) -> np.ndarray:
-        return np.concatenate([self.beta_w, self.beta_b])
-
-    @property
-    def p_s(self) -> int:
-        return len(self.s_labels)
-
-    @property
-    def p_x(self) -> int:
-        return len(self.x_labels)
-
-    @property
-    def p_wb(self) -> int:
-        return len(self.w_labels) + len(self.b_labels)
+    beta_s = property(lambda self: self.coefficients[self.index("s")])
+    beta_x = property(lambda self: self.coefficients[self.index("x")])
+    beta_w = property(lambda self: self.coefficients[self.index("w")])
+    beta_b = property(lambda self: self.coefficients[self.index("b")])
+    beta_wb = property(lambda self: self.coefficients[self.index("wb")])
 
 
 @dataclass(frozen=True)
@@ -89,9 +73,8 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
     n = design.n_rows
     if n < 1:
         raise ContractError("design has no rows")
-    s, x = design.s, design.x
-    wb = np.hstack([design.w, design.b])
-    p_total = s.shape[1] + x.shape[1] + wb.shape[1]
+    z = design.z
+    p_total = z.shape[1]
     if p_total == 0:
         raise ContractError("all covariate blocks are empty; nothing to fit")
     if n <= p_total + 1:
@@ -101,61 +84,37 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
         )
 
     y_centered = design.y - design.y.mean()
-    full = solve_least_squares(np.hstack([s, x, wb]), y_centered)
-    coef = full.coefficients
-    p_s, p_x = s.shape[1], x.shape[1]
-    p_w = design.w.shape[1]
-    beta_s = coef[:p_s]
-    beta_x = coef[p_s : p_s + p_x]
-    beta_wb = coef[p_s + p_x :]
-
-    sx = np.hstack([s, x])
-    lambda_sx_for_wb = solve_least_squares_multi(sx, wb)
-    lambda_x_for_s = solve_least_squares_multi(x, s)
-    marginal = solve_least_squares_multi(
-        np.hstack([x, wb]), y_centered.reshape(-1, 1)
-    )[:, 0]
-
+    wb = z[:, design.index("wb")]
     return TotalModelFit(
+        columns=design.columns,
+        column_means=design.column_means,
+        widths=design.widths,
         beta0=float(design.y.mean()),
-        beta_s=beta_s,
-        beta_x=beta_x,
-        beta_w=beta_wb[:p_w],
-        beta_b=beta_wb[p_w:],
-        lambda_sx_for_wb=lambda_sx_for_wb,
-        lambda_x_for_s=lambda_x_for_s,
-        marginal_coefs=marginal,
-        s_labels=design.s_labels,
-        x_labels=design.x_labels,
-        w_labels=design.w_labels,
-        b_labels=design.b_labels,
-        s_means=design.s_means,
-        x_means=design.x_means,
-        w_means=design.w_means,
-        b_means=design.b_means,
+        coefficients=solve_least_squares(z, y_centered).coefficients,
+        lambda_sx_for_wb=solve_least_squares_multi(z[:, design.index("sx")], wb),
+        lambda_x_for_s=solve_least_squares_multi(design.x, design.s),
+        marginal_coefs=solve_least_squares_multi(
+            z[:, design.index("xwb")], y_centered.reshape(-1, 1)
+        )[:, 0],
         n=n,
     )
 
 
-def _aligned_blocks(fit: TotalModelFit, design: EncodedDesign):
-    """Design blocks re-centered at the training means.
+def _aligned_z(fit: TotalModelFit, design: EncodedDesign) -> np.ndarray:
+    """The design's Z re-centered at the training means.
 
     The design's own centering is undone by adding back its means and the
     training means are removed instead; when the design *is* the training
-    design the adjustment is exactly zero.
+    design the adjustment is exactly zero. The design must have the fit's
+    columns in the fit's blocks.
     """
-    for key in ("s", "x", "w", "b"):
-        if design.labels(key) != getattr(fit, f"{key}_labels"):
-            raise ContractError(
-                f"design {key.upper()}-block columns {design.labels(key)} do not match "
-                f"the fit's training columns {getattr(fit, f'{key}_labels')}"
-            )
-    out = {}
-    for key in ("s", "x", "w", "b"):
-        block = design.block(key)
-        delta = design.means(key) - getattr(fit, f"{key}_means")
-        out[key] = block + delta if block.shape[1] else block
-    return out["s"], out["x"], out["w"], out["b"]
+    if (design.columns, design.widths) != (fit.columns, fit.widths):
+        raise ContractError(
+            f"design columns {design.columns} in blocks of {design.widths} do "
+            f"not match the fit's training columns {fit.columns} in blocks of "
+            f"{fit.widths}"
+        )
+    return design.z + (design.column_means - fit.column_means)
 
 
 def predict(
@@ -163,7 +122,8 @@ def predict(
 ) -> ImpartialPrediction:
     """Predictions for one estimator variant, on training or new rows.
 
-    Variant rules (all on blocks centered at the training means):
+    Variant rules (on the blocks of Z, re-centered at the training means;
+    the design must have the fit's columns and block widths):
 
     - FULL:       beta0 + S bs + X bx + W bw + B bb
     - EXCLUDE_S:  beta0 + [X|W|B] marginal_coefs   (frozen refit)
@@ -182,14 +142,14 @@ def predict(
         raise VariantError(
             "calders_baseline predictions are produced by harness.calders_baseline"
         )
-    s, x, w, b = _aligned_blocks(fit, design)
-    wb = np.hstack([w, b])
+    z = _aligned_z(fit, design)
+    s, x, wb = z[:, fit.index("s")], z[:, fit.index("x")], z[:, fit.index("wb")]
 
-    if variant is Variant.FEO and fit.p_wb:
+    if variant is Variant.FEO and fit.width("wb"):
         raise VariantError(
             "FEO requires empty suspect/black-box blocks; use the total variant"
         )
-    if variant is Variant.FSEO and fit.p_x:
+    if variant is Variant.FSEO and fit.width("x"):
         raise VariantError(
             "FSEO requires an empty legitimate block; use the total variant"
         )
@@ -201,13 +161,13 @@ def predict(
     if variant is Variant.FULL:
         values = fit.beta0 + s @ fit.beta_s + x @ fit.beta_x + wb @ fit.beta_wb
     elif variant is Variant.EXCLUDE_S:
-        values = fit.beta0 + np.hstack([x, wb]) @ fit.marginal_coefs
+        values = fit.beta0 + z[:, fit.index("xwb")] @ fit.marginal_coefs
     elif variant is Variant.MARGINAL:
         values = np.full(design.n_rows, fit.beta0)
     elif variant in (
         Variant.TOTAL, Variant.FEO, Variant.FSEO, Variant.BLACKBOX_CORRECTED
     ):
-        lambda_s = fit.lambda_sx_for_wb[: fit.p_s, :]
+        lambda_s = fit.lambda_sx_for_wb[: fit.width("s"), :]
         values = fit.beta0 + x @ fit.beta_x + (wb - s @ lambda_s) @ fit.beta_wb
     else:
         raise VariantError(f"unknown variant {variant!r}")
@@ -224,9 +184,9 @@ def impartial_suspect_parts(
     ``unique`` is [W|B] minus its full [S|X] fit. Exposed for tests and
     reports; predict() uses the algebraically reduced form.
     """
-    s, x, w, b = _aligned_blocks(fit, design)
-    wb = np.hstack([w, b])
-    p_s = fit.p_s
+    z = _aligned_z(fit, design)
+    s, x, wb = z[:, fit.index("s")], z[:, fit.index("x")], z[:, fit.index("wb")]
+    p_s = fit.width("s")
     lam_s = fit.lambda_sx_for_wb[:p_s, :]
     lam_x = fit.lambda_sx_for_wb[p_s:, :]
     what = x @ lam_x
@@ -244,23 +204,14 @@ def residualize_suspect(design: EncodedDesign) -> EncodedDesign:
     if design.s.shape[1] == 0:
         warnings.warn("no sensitive columns; residualize_suspect is a no-op", stacklevel=2)
         return design
-    wb = np.hstack([design.w, design.b])
-    if wb.shape[1] == 0:
+    if design.width("wb") == 0:
         return design
-    orth = project(design.s, wb).orthogonal
-    labels = tuple(f"resid_{name}" for name in design.w_labels + design.b_labels)
-    return design.replace(
-        x=np.hstack([design.x, orth]),
-        x_labels=design.x_labels + labels,
-        x_means=np.concatenate(
-            [design.x_means, design.w_means, design.b_means]
-        ),
-        w=np.zeros((design.n_rows, 0)),
-        b=np.zeros((design.n_rows, 0)),
-        w_labels=(),
-        b_labels=(),
-        w_means=np.zeros(0),
-        b_means=np.zeros(0),
+    wb = design.index("wb")
+    z = design.z.copy()
+    z[:, wb] = project(design.s, design.z[:, wb]).orthogonal
+    resid = tuple(f"resid_{name}" for name in design.columns[wb])
+    return design.replace(z=z, columns=design.columns[: wb.start] + resid).merged(
+        "xwb", "x"
     )
 
 
@@ -278,13 +229,9 @@ def with_blackbox(design: EncodedDesign, external_predictions) -> EncodedDesign:
     if not np.all(np.isfinite(ext)):
         raise DataError("external predictions contain non-finite values")
     means = ext.mean(axis=0)
-    start = len(design.b_labels)
+    start = design.width("b")
     labels = tuple(f"yhat_{start + j}" for j in range(ext.shape[1]))
-    return design.replace(
-        b=np.hstack([design.b, ext - means]),
-        b_labels=design.b_labels + labels,
-        b_means=np.concatenate([design.b_means, means]),
-    )
+    return design.appended(ext - means, labels, means)
 
 
 def correct_blackbox(
@@ -298,28 +245,16 @@ def correct_blackbox(
 
 
 def as_all_legitimate(design: EncodedDesign) -> EncodedDesign:
-    """Move every suspect column into the legitimate block (B untouched)."""
-    if design.w.shape[1] == 0:
-        return design
-    return design.replace(
-        x=np.hstack([design.x, design.w]),
-        x_labels=design.x_labels + design.w_labels,
-        x_means=np.concatenate([design.x_means, design.w_means]),
-        w=np.zeros((design.n_rows, 0)),
-        w_labels=(),
-        w_means=np.zeros(0),
-    )
+    """Move every suspect column into the legitimate block (B untouched).
+
+    Only the X/W boundary moves; the result shares ``z`` with ``design``.
+    """
+    return design.merged("xw", "x")
 
 
 def as_all_suspect(design: EncodedDesign) -> EncodedDesign:
-    """Move every legitimate column into the suspect block (B untouched)."""
-    if design.x.shape[1] == 0:
-        return design
-    return design.replace(
-        w=np.hstack([design.x, design.w]),
-        w_labels=design.x_labels + design.w_labels,
-        w_means=np.concatenate([design.x_means, design.w_means]),
-        x=np.zeros((design.n_rows, 0)),
-        x_labels=(),
-        x_means=np.zeros(0),
-    )
+    """Move every legitimate column into the suspect block (B untouched).
+
+    Only the X/W boundary moves; the result shares ``z`` with ``design``.
+    """
+    return design.merged("xw", "w")

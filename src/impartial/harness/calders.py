@@ -49,12 +49,8 @@ def _check_design(design: EncodedDesign) -> None:
 
 
 def _raw_covariates(design: EncodedDesign) -> np.ndarray:
-    parts = [
-        design.block(key) + design.means(key)
-        for key in ("x", "w", "b")
-        if design.block(key).shape[1]
-    ]
-    return np.hstack(parts) if parts else np.zeros((design.n_rows, 0))
+    cols = design.index("xwb")
+    return design.z[:, cols] + design.column_means[cols]
 
 
 def _propensity(fit_means, coefs, intercept, design: EncodedDesign) -> np.ndarray:
@@ -66,8 +62,8 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
     _check_design(design)
     if bins < 1:
         raise ContractError("need at least one bin")
-    covariates = np.hstack([design.x, design.w, design.b])
-    cov_means = np.concatenate([design.x_means, design.w_means, design.b_means])
+    covariates = design.z[:, design.index("xwb")]
+    cov_means = design.column_means[design.index("xwb")]
     indicator = design.s[:, 0] + design.s_means[0]
     prop_fit = solve_least_squares(covariates, indicator - indicator.mean())
     coefs = prop_fit.coefficients

@@ -11,7 +11,8 @@ responses; reported metrics are means over repetitions.
 Covariate roles are re-assigned per variant to match each estimator's
 worldview: the formal-equality variant treats every non-sensitive
 covariate as legitimate, the substantive-equality ones treat them all as
-suspect. The dataset is assembled into design blocks once; every fold's
+suspect; such a re-assignment only moves block boundaries of the design
+matrix. The dataset is assembled into that matrix once; every fold's
 training and test designs are row slices of it, re-centered within the
 fold. All randomness derives from one master seed via a 64-bit mix,
 so results are reproducible bit for bit; repetitions are independent and
@@ -151,11 +152,21 @@ def inject_bias(data: Dataset, schema: Schema, spec: BiasSpec) -> Dataset:
     Sampling is without replacement and deterministic under ``spec.seed``;
     fraction 0 returns the data unchanged.
     """
-    resp = schema.response
-    response = data.columns[resp.name]
+    name = schema.response.name
+    shifted = _biased_response(data, schema, spec, group_rows(data, schema))
+    if shifted is data.columns[name]:
+        return data
+    return data.replace_column(name, shifted)
+
+
+def _biased_response(
+    data: Dataset, schema: Schema, spec: BiasSpec, groups: dict[str, np.ndarray]
+) -> np.ndarray:
+    """The response shifted as ``inject_bias`` does, given ``group_rows(data,
+    schema)``; the unchanged column itself when nothing is shifted."""
+    response = data.columns[schema.response.name]
     if not isinstance(response, np.ndarray):
         raise ContractError("bias injection needs a numeric response")
-    groups = group_rows(data, schema)
     if spec.target_group_label not in groups:
         raise DataError(
             f"unknown bias target group {spec.target_group_label!r}; "
@@ -164,12 +175,12 @@ def inject_bias(data: Dataset, schema: Schema, spec: BiasSpec) -> Dataset:
     rows = groups[spec.target_group_label]
     count = int(np.floor(spec.fraction * rows.size + 0.5))
     if count == 0 or spec.shift == 0.0:
-        return data
+        return response
     rng = np.random.default_rng(spec.seed)
     chosen = rng.choice(rows, size=count, replace=False)
     shifted = response.copy()
     shifted[chosen] += spec.shift
-    return data.replace_column(resp.name, shifted)
+    return shifted
 
 
 def _natural_mode(variant: Variant) -> ScoreMode:
@@ -212,6 +223,7 @@ def _fold_bounds(n: int, folds: int) -> np.ndarray:
 def _run_repetition(
     data: Dataset,
     schema: Schema,
+    groups: dict[str, np.ndarray],
     raw: EncodedDesign,
     config: ExperimentConfig,
     bias: BiasSpec | None,
@@ -222,18 +234,17 @@ def _run_repetition(
 
     ``raw`` is the whole dataset assembled once (``data.assemble``); each
     fold's training and test designs are row slices of it, re-centered.
+    ``groups`` is ``group_rows(data, schema)``, computed once per protocol.
     """
     n = raw.n_rows
     y_biased = raw.y
     if bias is not None:
-        biased = inject_bias(
-            data,
-            schema,
-            dataclasses.replace(
-                bias, seed=derive_seed(config.master_seed, rep, _BIAS_SLOT)
-            ),
+        seeded = dataclasses.replace(
+            bias, seed=derive_seed(config.master_seed, rep, _BIAS_SLOT)
         )
-        y_biased = np.asarray(biased.columns[schema.response.name], dtype=float)
+        y_biased = np.asarray(
+            _biased_response(data, schema, seeded, groups), dtype=float
+        )
     raw_biased = raw.replace(y=y_biased)
     perm = np.random.default_rng(
         derive_seed(config.master_seed, rep, _PERM_SLOT)
@@ -320,7 +331,7 @@ def kfold_validate(
     y_raw = enc_full.y
 
     def task(rep):
-        return _run_repetition(data, schema, raw, config, bias, rep)
+        return _run_repetition(data, schema, groups, raw, config, bias, rep)
 
     reps = range(config.repetitions)
     if threads > 1:

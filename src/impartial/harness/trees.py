@@ -17,14 +17,7 @@ from ..errors import ContractError
 
 def raw_features(design: EncodedDesign) -> np.ndarray:
     """Un-centered [S|X|W|B] feature matrix (tree thresholds need raw units)."""
-    parts = []
-    for key in ("s", "x", "w", "b"):
-        block = design.block(key)
-        if block.shape[1]:
-            parts.append(block + design.means(key))
-    if not parts:
-        return np.zeros((design.n_rows, 0))
-    return np.hstack(parts)
+    return design.z + design.column_means
 
 
 class _Tree:

@@ -56,6 +56,13 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
+def _as_right_hand_side(a, name: str) -> np.ndarray:
+    """The matrix as a C-contiguous array, copied only when it is strided
+    (e.g. a column range of a design): a product with a strided operand may
+    round differently, and results must not depend on memory layout."""
+    return np.ascontiguousarray(_as_matrix(a, name))
+
+
 def _as_vector(v, name: str) -> np.ndarray:
     x = np.asarray(v, dtype=float)
     if x.ndim != 1:
@@ -127,7 +134,7 @@ def solve_least_squares_multi(design, responses) -> np.ndarray:
     needed.
     """
     x = _as_matrix(design, "design")
-    ys = _as_matrix(responses, "responses")
+    ys = _as_right_hand_side(responses, "responses")
     if ys.shape[0] != x.shape[0]:
         raise ContractError(
             f"design has {x.shape[0]} rows but responses has {ys.shape[0]}"
@@ -152,7 +159,7 @@ def project(basis, target) -> ProjectionPair:
     without columns needs no factorization.
     """
     b = _as_matrix(basis, "basis")
-    t = _as_matrix(target, "target")
+    t = _as_right_hand_side(target, "target")
     if b.shape[0] != t.shape[0]:
         raise ContractError(
             f"basis has {b.shape[0]} rows but target has {t.shape[0]}"

@@ -241,8 +241,8 @@ def impartiality_score(
     normalizer is 1 + (number of covariate columns), counting sensitive,
     legitimate, suspect, and black-box columns alike.
     """
-    non_sensitive = np.hstack([design.x, design.w, design.b])
-    empty = np.zeros((design.n_rows, 0))
+    non_sensitive = design.z[:, design.index("xwb")]
+    empty = non_sensitive[:, :0]
     if mode is ScoreMode.FEO:
         x_block, w_block = non_sensitive, empty
     elif mode is ScoreMode.SEO:

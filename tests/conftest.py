@@ -9,48 +9,33 @@ from impartial.linalg import column_center
 def build_design(y, s=None, x=None, w=None, b=None, group_labels=None) -> EncodedDesign:
     """Assemble an EncodedDesign directly from raw numpy blocks.
 
-    Blocks are centered here; labels are synthesized. Convenient for
+    Blocks are centered here, each on its own, and stacked into one design
+    with ``EncodedDesign.from_blocks``; labels are synthesized. Convenient for
     random-design tests that don't need the CSV/schema machinery.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
 
     def prep(block, prefix):
-        if block is None:
-            return np.zeros((n, 0)), (), np.zeros(0)
         block = np.asarray(block, dtype=float)
         if block.ndim == 1:
             block = block.reshape(-1, 1)
         centered, means = column_center(block)
         labels = tuple(f"{prefix}{j}" for j in range(block.shape[1]))
-        return centered, labels, means
+        return list(centered.T), labels, means
 
-    s_c, s_l, s_m = prep(s, "s")
-    x_c, x_l, x_m = prep(x, "x")
-    w_c, w_l, w_m = prep(w, "w")
-    b_c, b_l, b_m = prep(b, "b")
+    blocks = {
+        key: prep(block, key)
+        for key, block in zip("sxwb", (s, x, w, b))
+        if block is not None
+    }
     if group_labels is None:
-        if s is not None and s_c.shape[1] >= 1:
-            raw = s_c[:, 0] + s_m[0]
+        if s is not None and blocks["s"][1]:
+            raw = blocks["s"][0][0] + blocks["s"][2][0]
             group_labels = tuple("g1" if v > np.median(raw) else "g0" for v in raw)
         else:
             group_labels = tuple("" for _ in range(n))
-    return EncodedDesign(
-        y=y,
-        s=s_c,
-        x=x_c,
-        w=w_c,
-        b=b_c,
-        s_labels=s_l,
-        x_labels=x_l,
-        w_labels=w_l,
-        b_labels=b_l,
-        s_means=s_m,
-        x_means=x_m,
-        w_means=w_m,
-        b_means=b_m,
-        s_group_labels=tuple(group_labels),
-    )
+    return EncodedDesign.from_blocks(y, blocks, group_labels)
 
 
 def random_design(rng, n=200, p_s=2, p_x=3, p_w=2, correlated=True):

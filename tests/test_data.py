@@ -130,9 +130,14 @@ class TestLoadCsv:
         assert data.names == ("default", "edu", "group")
         np.testing.assert_array_equal(data.columns["default"], [1.0, 0.0])
 
-    def test_make_dataset_mixed_numeric_column(self):
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, "x", 2.0], ["x", 1.0, 2.0], [1.0, "3", 2.0]],
+        ids=["number_first", "string_first", "numeric_string"],
+    )
+    def test_make_dataset_mixed_numeric_column(self, values):
         with pytest.raises(DataError, match="'a'"):
-            make_dataset({"a": [1.0, "x", 2.0]})
+            make_dataset({"a": values})
 
     def test_loan_table_roundtrip(self, tmp_path, table1_data):
         path = tmp_path / "loan.csv"

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import build_design, cell_values, random_design
 from impartial.data import Role, encode, take_design
+from impartial.decomposition import Mode, decompose
 from impartial.errors import ContractError, DataError, VariantError
 from impartial.estimators import (
     Variant,
@@ -358,6 +359,52 @@ class TestRoleReassignment:
         aug = with_blackbox(design, rng.standard_normal(60))
         assert aug.b_labels == ("yhat_0",)
         assert abs(aug.b[:, 0].mean()) < 1e-12
+
+    @pytest.mark.parametrize(
+        "widths", [(1, 2, 2, 1), (1, 0, 3, 0), (2, 3, 0, 0), (1, 0, 0, 2), (0, 0, 0, 1)]
+    )
+    def test_blocks_are_column_ranges_of_z(self, widths):
+        rng = np.random.default_rng(30)
+        n = 40
+        blocks = {
+            key: rng.standard_normal((n, width)) + 3.0
+            for key, width in zip("sxwb", widths)
+            if width
+        }
+        design = build_design(rng.standard_normal(n), **blocks)
+        assert design.widths == widths
+        stacked = np.hstack([design.s, design.x, design.w, design.b])
+        assert stacked.tobytes() == design.z.tobytes()
+        assert design.columns == (
+            design.s_labels + design.x_labels + design.w_labels + design.b_labels
+        )
+        means = np.concatenate(
+            [design.s_means, design.x_means, design.w_means, design.b_means]
+        )
+        assert means.tobytes() == design.column_means.tobytes()
+        for key in "sxwb":
+            assert design.block(key).shape == (n, design.width(key))
+            assert len(design.labels(key)) == len(design.means(key)) == design.width(key)
+
+    @pytest.mark.parametrize("move", [as_all_legitimate, as_all_suspect])
+    def test_role_views_share_z(self, move):
+        rng = np.random.default_rng(31)
+        design = random_design(rng, n=60, p_s=1, p_x=2, p_w=2)
+        moved = move(design)
+        assert np.shares_memory(moved.z, design.z)
+        assert moved.columns == design.columns
+        assert moved.column_means is design.column_means
+
+    def test_predict_and_decompose_reject_other_widths(self):
+        rng = np.random.default_rng(32)
+        design = random_design(rng, n=60, p_s=1, p_x=2, p_w=2)
+        fit = fit_total(design)
+        moved = as_all_suspect(design)
+        assert moved.columns == fit.columns
+        with pytest.raises(ContractError, match="training columns"):
+            predict(fit, moved, Variant.FULL)
+        with pytest.raises(ContractError, match="training columns"):
+            decompose(fit, moved, Mode.TOTAL)
 
 
 class TestCoefficientIdentity:
