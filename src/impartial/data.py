@@ -582,7 +582,7 @@ def take_design(design: EncodedDesign, indices) -> EncodedDesign:
         design.replace(
             y=design.y[idx],
             z=design.z[idx],
-            s_group_labels=tuple(design.s_group_labels[i] for i in idx),
+            s_group_labels=tuple(map(design.s_group_labels.__getitem__, idx.tolist())),
         )
     )
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import build_design
-from impartial.errors import ContractError
+from impartial.errors import ContractError, DataError
 from impartial.harness import BaggedTrees, bagged_tree_predict
 from impartial.harness.trees import raw_features
 
@@ -49,6 +49,55 @@ class TestBaggedTrees:
             BaggedTrees(n_trees=0)
         with pytest.raises(ContractError):
             BaggedTrees(max_depth=0)
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            ("n_trees", 2.5),
+            ("max_depth", 6.0),
+            ("min_leaf", "5"),
+            ("n_bins", None),
+            ("n_trees", True),
+            ("seed", 2.5),
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, param, value):
+        with pytest.raises(ContractError, match=param):
+            BaggedTrees(**{param: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError):
+            BaggedTrees(seed=-1)
+
+    def test_numpy_integer_parameters_accepted(self):
+        model = BaggedTrees(n_trees=np.int64(2), max_depth=np.int32(3))
+        assert (model.n_trees, model.max_depth) == (2, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        rng = np.random.default_rng(87)
+        x = rng.standard_normal((30, 2))
+        x[4, 1] = bad
+        with pytest.raises(DataError, match="features"):
+            BaggedTrees(n_trees=2).fit(x, rng.standard_normal(30))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_response_rejected(self, bad):
+        rng = np.random.default_rng(88)
+        y = rng.standard_normal(30)
+        y[7] = bad
+        with pytest.raises(DataError, match="response"):
+            BaggedTrees(n_trees=2).fit(rng.standard_normal((30, 2)), y)
+
+    def test_non_finite_predict_rows_rejected(self):
+        rng = np.random.default_rng(89)
+        model = BaggedTrees(n_trees=2).fit(
+            rng.standard_normal((30, 2)), rng.standard_normal(30)
+        )
+        x = rng.standard_normal((5, 2))
+        x[2, 0] = np.nan
+        with pytest.raises(DataError, match="features"):
+            model.predict(x)
 
     def test_empty_training_rejected(self):
         with pytest.raises(ContractError):
