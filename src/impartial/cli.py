@@ -22,7 +22,9 @@ from .data import (
     format_schema,
     load_csv,
     load_schema,
+    read_table,
     write_csv,
+    write_rows,
 )
 from .decomposition import COMPONENT_NAMES, Mode, decompose
 from .errors import ContractError, DataError, ImpartialError
@@ -72,33 +74,75 @@ def _read_predictions(path, n_expected: int) -> np.ndarray:
 
     A one-column file holds the predictions; a two-column file whose first
     column is ``row`` (the layout this tool writes) holds them in the
-    second. Any other header is rejected rather than guessed at.
+    second. Any other header is rejected rather than guessed at. Rows whose
+    first cell starts with ``#`` are skipped. numpy's C reader parses the
+    file when it can; otherwise the row loop ``_read_prediction_rows``
+    reads it, which defines the result and every error message.
     """
     p = Path(path)
     if not p.exists():
         raise DataError(f"predictions file not found: {p}")
+    values = _parse_predictions(p)
+    if values is None:
+        values = _read_prediction_rows(p)
+    if len(values) != n_expected:
+        raise DataError(
+            f"{p}: {len(values)} predictions for {n_expected} data rows"
+        )
+    return values
+
+
+def _predictions_column(p: Path, header) -> int:
+    """Index of the predictions column in a predictions file's header."""
+    if header is None:
+        raise DataError(f"{p}: empty predictions file")
+    names = [h.strip() for h in header]
+    if len(names) == 1:
+        return 0
+    if len(names) == 2 and names[0] == "row":
+        return 1
+    raise DataError(
+        f"{p}: cannot tell the predictions column from header {names}; "
+        "expected a single column, or 'row' plus one column"
+    )
+
+
+def _row_cell(cell: str) -> float:
+    """The ``row`` column is not read, but a ``#`` row is one to skip."""
+    if cell.startswith("#"):
+        raise ValueError("comment row")
+    return 0.0
+
+
+def _parse_predictions(p: Path) -> np.ndarray | None:
+    """The predictions column parsed by numpy's C reader, or None where
+    the row loop must decide (a ``#`` row, no rows, or any cell numpy does
+    not parse exactly as ``float`` would). A bad header is a DataError."""
+    with p.open(newline="", encoding="utf-8-sig") as fh:
+        column = _predictions_column(p, next(csv.reader(fh), None))
+        try:
+            values = read_table(fh, {0: _row_cell} if column else {})
+        except ValueError:
+            return None
+    if values.shape[0] == 0 or values.shape[1] != column + 1:
+        return None
+    return values[:, column].copy()
+
+
+def _read_prediction_rows(p: Path) -> np.ndarray:
+    """``_read_predictions`` one row at a time: the reference reader."""
     values = []
     with p.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            raise DataError(f"{p}: empty predictions file")
-        names = [h.strip() for h in header]
-        if len(names) == 1:
-            column = 0
-        elif len(names) == 2 and names[0] == "row":
-            column = 1
-        else:
-            raise DataError(
-                f"{p}: cannot tell the predictions column from header {names}; "
-                "expected a single column, or 'row' plus one column"
-            )
+        column = _predictions_column(p, header)
+        width = len(header)
         for rownum, row in enumerate(reader, start=2):
             if not row or row[0].startswith("#"):
                 continue
-            if len(row) != len(names):
+            if len(row) != width:
                 raise DataError(
-                    f"{p}: row {rownum} has {len(row)} fields, expected {len(names)}"
+                    f"{p}: row {rownum} has {len(row)} fields, expected {width}"
                 )
             try:
                 values.append(float(row[column]))
@@ -106,19 +150,14 @@ def _read_predictions(path, n_expected: int) -> np.ndarray:
                 raise DataError(
                     f"{p}: cannot parse prediction {row[column]!r} at row {rownum}"
                 ) from None
-    if len(values) != n_expected:
-        raise DataError(
-            f"{p}: {len(values)} predictions for {n_expected} data rows"
-        )
     return np.asarray(values)
 
 
 def _write_predictions(path, values, header: str = "prediction") -> None:
+    values = np.asarray(values, dtype=float)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", header])
-        for i, v in enumerate(values):
-            writer.writerow([i, _fmt(v)])
+        csv.writer(fh).writerow(["row", header])
+        write_rows(fh, ["%d", "%.17g"], [range(len(values)), values])
 
 
 def _audit_lines(report) -> list[tuple[str, str]]:
@@ -168,6 +207,8 @@ def cmd_fit(args) -> int:
         writer.writerow(["intercept", "", _fmt(fit.beta0)])
         for block, label, beta in zip(fit.column_blocks, fit.columns, fit.coefficients):
             writer.writerow([block, label, _fmt(beta)])
+        for label in fit.dropped_labels:
+            fh.write(f"# dropped,{label}\n")
     print(f"wrote {out} and {coef_path}")
     return 0
 
@@ -207,16 +248,14 @@ def cmd_decompose(args) -> int:
     fit = fit_total(design)
     report = decompose(fit, design, Mode(args.mode or "total"))
     out = Path(args.out)
+    columns = [report.component(name) for name in COMPONENT_NAMES]
     with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", *COMPONENT_NAMES, "fitted_sum"])
-        total = report.rowwise_sum()
-        for i in range(design.n_rows):
-            writer.writerow(
-                [i]
-                + [_fmt(report.component(name)[i]) for name in COMPONENT_NAMES]
-                + [_fmt(total[i])]
-            )
+        csv.writer(fh).writerow(["row", *COMPONENT_NAMES, "fitted_sum"])
+        write_rows(
+            fh,
+            ["%d"] + ["%.17g"] * (len(columns) + 1),
+            [range(design.n_rows), *columns, report.rowwise_sum()],
+        )
     print(f"wrote {out}")
     return 0
 

@@ -20,8 +20,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import functools
 import hashlib
+import io
 import itertools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -247,10 +250,89 @@ def load_csv(path, schema: Schema) -> Dataset:
     Every schema column must be present; extra file columns must be
     declared ``ignore``. Ignored columns are dropped. Missing cells and
     unparseable numerics raise DataError naming the row and column.
+
+    The data rows are parsed column-wise by numpy's C reader. Whenever it
+    refuses the file (or the header does not match the schema), the row
+    loop ``_load_csv_rows`` reads it instead: that loop defines the result
+    and is the only source of the error messages.
     """
     p = Path(path)
     if not p.exists():
         raise DataError(f"data file not found: {p}")
+    with p.open(newline="", encoding="utf-8-sig") as fh:
+        columns = _parse_columns(fh, next(csv.reader(fh), None), schema)
+    if columns is None:
+        return _load_csv_rows(p, schema)
+    return make_dataset(columns)
+
+
+def _level_code(table: dict, cell: str) -> int:
+    """First-appearance code of a categorical cell; an empty cell raises."""
+    label = cell.strip()
+    if not label:
+        raise ValueError("missing value")
+    return table.setdefault(label, len(table))
+
+
+def _ignored_cell(cell: str) -> float:
+    return 0.0
+
+
+def read_table(fh, converters: dict) -> np.ndarray:
+    """The rest of ``fh`` as an (n, fields) array, in one C pass.
+
+    Quoting follows the csv module, blank lines are skipped and a row of
+    another width raises ValueError. There is no comment syntax.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(
+            fh, delimiter=",", comments=None, quotechar='"', ndmin=2, converters=converters
+        )
+
+
+def _parse_columns(fh, header, schema: Schema) -> dict | None:
+    """Schema-ordered kept columns of the data rows left in ``fh``, or None
+    where the row loop must decide (header mismatch, no rows, or any cell
+    numpy does not parse exactly as ``float``/``str.strip`` would).
+
+    Every column is parsed, ignored ones to 0.0, so that a row of the wrong
+    width is refused; categorical cells become first-appearance codes.
+    """
+    if header is None:
+        return None
+    names = [h.strip() for h in header]
+    specs = {c.name: c for c in schema.columns}
+    if len(set(names)) != len(names) or set(names) != set(specs):
+        return None
+    tables: dict[str, dict] = {}
+    converters = {}
+    for j, name in enumerate(names):
+        if specs[name].role is Role.IGNORE:
+            converters[j] = _ignored_cell
+        elif specs[name].categorical:
+            converters[j] = functools.partial(_level_code, tables.setdefault(name, {}))
+    try:
+        values = read_table(fh, converters)
+    except ValueError:
+        return None
+    if values.shape[0] == 0 or values.shape[1] != len(names):
+        return None
+    columns: dict[str, object] = {}
+    for spec in schema.columns:
+        if spec.role is Role.IGNORE:
+            continue
+        col = values[:, names.index(spec.name)]
+        if spec.categorical:
+            labels = tuple(tables[spec.name])
+            columns[spec.name] = tuple(map(labels.__getitem__, col.astype(np.intp).tolist()))
+        else:
+            columns[spec.name] = col.copy()
+    return columns
+
+
+def _load_csv_rows(p: Path, schema: Schema) -> Dataset:
+    """``load_csv`` one row and one cell at a time: the reference reader."""
     with p.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -301,17 +383,54 @@ def load_csv(path, schema: Schema) -> Dataset:
 
 
 def write_csv(path, data: Dataset) -> None:
+    """Write a Dataset as CSV: numeric cells with 17 significant digits,
+    labels quoted as ``csv.writer`` quotes them, CRLF line endings."""
+    cols = [data.columns[n] for n in data.names]
+    formats, cells = [], []
+    for col in cols:
+        if isinstance(col, np.ndarray):
+            formats.append("%.17g")
+            cells.append(col)
+        else:
+            quoted = _csv_cells(col, len(cols))
+            formats.append("%s")
+            cells.append(tuple(map(quoted.__getitem__, col)))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.names)
-        cols = [data.columns[n] for n in data.names]
-        for i in range(data.n_rows):
-            writer.writerow(
-                [
-                    format(c[i], ".17g") if isinstance(c, np.ndarray) else c[i]
-                    for c in cols
-                ]
-            )
+        csv.writer(fh).writerow(data.names)
+        write_rows(fh, formats, cells)
+
+
+def _csv_cells(values, width: int) -> dict:
+    """Each distinct value as ``csv.writer`` writes it as one cell of a
+    ``width``-cell row (QUOTE_MINIMAL; a lone empty cell is quoted)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    pad = [""] if width > 1 else []
+    cells = {}
+    for value in dict.fromkeys(values):
+        writer.writerow([value, *pad])
+        cells[value] = buf.getvalue()[: -2 - len(pad)]
+        buf.seek(0)
+        buf.truncate()
+    return cells
+
+
+_CHUNK_ROWS = 4096
+
+
+def write_rows(fh, formats: list[str], columns: list) -> None:
+    """Write equal-length columns to ``fh`` as CSV rows, CRLF-terminated.
+
+    Row i is ``",".join(formats[j] % columns[j][i])``; numeric arrays are
+    converted to Python numbers a chunk of rows at a time. Cells with
+    ``"%.17g"`` are ``format(v, ".17g")``, so with pre-quoted text cells the
+    bytes are those of ``csv.writer``.
+    """
+    template = ",".join(formats) + "\r\n"
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        part = [c[start : start + _CHUNK_ROWS] for c in columns]
+        part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
+        fh.write("".join(map(template.__mod__, zip(*part))))
 
 
 BLOCKS = "sxwb"

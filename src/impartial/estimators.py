@@ -46,6 +46,8 @@ class TotalModelFit(BlockLayout):
     it. ``lambda_sx_for_wb`` regresses each [W|B] column on [S|X] (rows: S
     columns first, then X); ``lambda_x_for_s`` regresses each S column on
     X. ``marginal_coefs`` comes from the exclude-sensitive refit on [X|W|B].
+    ``dropped_labels`` names the columns the joint fit dropped as aliased
+    (their coefficients are 0.0).
     """
 
     beta0: float
@@ -54,6 +56,7 @@ class TotalModelFit(BlockLayout):
     lambda_x_for_s: np.ndarray
     marginal_coefs: np.ndarray
     n: int
+    dropped_labels: tuple[str, ...]
 
     beta_s = property(lambda self: self.coefficients[self.index("s")])
     beta_x = property(lambda self: self.coefficients[self.index("x")])
@@ -85,18 +88,20 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
 
     y_centered = design.y - design.y.mean()
     wb = z[:, design.index("wb")]
+    joint = solve_least_squares(z, y_centered)
     return TotalModelFit(
         columns=design.columns,
         column_means=design.column_means,
         widths=design.widths,
         beta0=float(design.y.mean()),
-        coefficients=solve_least_squares(z, y_centered).coefficients,
+        coefficients=joint.coefficients,
         lambda_sx_for_wb=solve_least_squares_multi(z[:, design.index("sx")], wb),
         lambda_x_for_s=solve_least_squares_multi(design.x, design.s),
         marginal_coefs=solve_least_squares_multi(
             z[:, design.index("xwb")], y_centered.reshape(-1, 1)
         )[:, 0],
         n=n,
+        dropped_labels=tuple(design.columns[j] for j in joint.dropped_columns),
     )
 
 

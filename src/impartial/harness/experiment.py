@@ -41,7 +41,7 @@ from ..estimators import (
 )
 from ..metrics import ScoreMode, discrimination_score, impartiality_score, rmse
 from .calders import fit_calders, predict_calders
-from .trees import BaggedTrees, raw_features
+from .trees import BaggedTrees, raw_features, require_count
 
 METRIC_NAMES = ("rmse_biased", "rmse_raw", "ds", "is")
 
@@ -100,10 +100,11 @@ class ExperimentConfig:
     blackbox_min_leaf: int = 5
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ContractError("need at least 2 folds")
-        if self.repetitions < 1:
-            raise ContractError("need at least 1 repetition")
+        require_count("folds", self.folds, 2)
+        for name in (
+            "repetitions", "calders_bins", "blackbox_trees", "blackbox_depth", "blackbox_min_leaf"
+        ):
+            require_count(name, getattr(self, name), 1)
         if not self.variants:
             raise ContractError("no variants configured")
 

@@ -31,6 +31,15 @@ from ..data import EncodedDesign
 from ..errors import ContractError, DataError
 
 
+def require_count(name: str, value, minimum: int) -> None:
+    """ContractError naming ``name`` unless ``value`` is an integer (not a
+    bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ContractError(f"{name} must be at least {minimum}, got {value}")
+
+
 def raw_features(design: EncodedDesign) -> np.ndarray:
     """Un-centered [S|X|W|B] feature matrix (tree thresholds need raw units)."""
     return design.z + design.column_means
@@ -59,19 +68,11 @@ class BaggedTrees:
         n_bins: int = 64,
         seed: int = 0,
     ):
-        for name, v in (
-            ("n_trees", n_trees),
-            ("max_depth", max_depth),
-            ("min_leaf", min_leaf),
-            ("n_bins", n_bins),
-            ("seed", seed),
-        ):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ContractError(f"{name} must be an integer, got {v!r}")
-        if n_trees < 1:
-            raise ContractError("need at least one tree")
-        if max_depth < 1 or min_leaf < 1 or n_bins < 2 or seed < 0:
-            raise ContractError("invalid tree parameters")
+        require_count("n_trees", n_trees, 1)
+        require_count("max_depth", max_depth, 1)
+        require_count("min_leaf", min_leaf, 1)
+        require_count("n_bins", n_bins, 2)
+        require_count("seed", seed, 0)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_leaf = min_leaf

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from impartial.cli import main
-from impartial.data import load_csv, parse_schema, write_csv
-from impartial.harness import gen_simple_example, simple_example_schema
+from impartial.data import load_csv, make_dataset, parse_schema, write_csv
+from impartial.harness import default_dag_spec, gen_dag, gen_simple_example, simple_example_schema
 from impartial.data import format_schema, Role
 
 
@@ -64,6 +64,30 @@ class TestFit:
         assert sorted(set(np.round(values, 3))) == [0.155, 0.455]
         coef = (tmp_path / "pred.coef.csv").read_text()
         assert "intercept" in coef and "edu=high" in coef
+
+    def test_dropped_columns_listed_in_coef_file(self, tmp_path):
+        data, schema = gen_dag(default_dag_spec(n=200, seed=5))
+        columns = dict(data.columns)
+        columns["x0_twice"] = 2 * columns["x0"]
+        write_csv(tmp_path / "d.csv", make_dataset(columns))
+        (tmp_path / "d.schema").write_text(
+            format_schema(schema) + "x0_twice = legitimate\n", encoding="utf-8"
+        )
+        assert main(["fit", "--data", str(tmp_path / "d.csv"), "--schema",
+                     str(tmp_path / "d.schema"), "--out", str(tmp_path / "p.csv")]) == 0
+        lines = (tmp_path / "p.coef.csv").read_text().splitlines()
+        dropped = [ln.split(",")[1] for ln in lines if ln.startswith("# dropped,")]
+        assert len(dropped) == 1 and dropped[0] in ("x0", "x0_twice")
+        assert len([ln for ln in lines if ln.startswith("#")]) == 1
+        rows = list(csv.reader(ln for ln in lines if not ln.startswith("#")))
+        assert ["x", dropped[0], "0"] in rows
+
+    def test_full_rank_coef_file_has_no_comment_lines(self, loan_files, tmp_path):
+        data_path, schema_path = loan_files
+        out = tmp_path / "pred.csv"
+        assert main(["fit", "--data", str(data_path), "--schema", str(schema_path),
+                     "--out", str(out)]) == 0
+        assert "#" not in (tmp_path / "pred.coef.csv").read_text()
 
     def test_marginal_constant(self, loan_files, tmp_path):
         data_path, schema_path = loan_files

@@ -307,6 +307,8 @@ class TestBlackboxCorrection:
         design = random_design(rng, n=100, p_s=1, p_x=2, p_w=0)
         fit, pred = correct_blackbox(design, np.full(100, 3.25))
         assert fit.beta_b == pytest.approx([0.0])
+        assert fit.dropped_labels == ("yhat_0",)
+        assert fit_total(design).dropped_labels == ()
         base_fit = fit_total(design)
         base = predict(base_fit, design, Variant.TOTAL)
         np.testing.assert_allclose(pred.values, base.values, rtol=1e-9, atol=1e-10)

@@ -218,3 +218,20 @@ class TestKfoldValidate:
             ExperimentConfig(repetitions=0)
         with pytest.raises(ContractError):
             ExperimentConfig(variants=())
+
+    @pytest.mark.parametrize(
+        "field",
+        ["repetitions", "blackbox_trees", "blackbox_depth", "blackbox_min_leaf", "calders_bins"],
+    )
+    @pytest.mark.parametrize("value", [2.5, True, "3", None, 0, -1])
+    def test_counts_validated(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, 1])
+    def test_folds_validated(self, value):
+        with pytest.raises(ContractError, match="folds"):
+            ExperimentConfig(folds=value)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert ExperimentConfig(blackbox_trees=np.int64(3)).blackbox_trees == 3
