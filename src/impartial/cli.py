@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import numpy as np
 from .data import (
     Dataset,
     Schema,
+    csv_records,
     encode,
     format_schema,
     load_csv,
@@ -28,7 +31,7 @@ from .data import (
 )
 from .decomposition import COMPONENT_NAMES, Mode, decompose
 from .errors import ContractError, DataError, ImpartialError
-from .estimators import Variant, correct_blackbox, fit_total, predict
+from .estimators import Variant, correct_blackbox, fit_total, predict, with_blackbox
 from .harness import (
     BiasSpec,
     ExperimentConfig,
@@ -75,15 +78,16 @@ def _read_predictions(path, n_expected: int) -> np.ndarray:
     A one-column file holds the predictions; a two-column file whose first
     column is ``row`` (the layout this tool writes) holds them in the
     second. Any other header is rejected rather than guessed at. Rows whose
-    first cell starts with ``#`` are skipped. numpy's C reader parses the
-    file when it can; otherwise the row loop ``_read_prediction_rows``
-    reads it, which defines the result and every error message.
+    first cell starts with ``#`` are skipped, and a prediction must be
+    finite. numpy's C reader parses the file when it can; otherwise the
+    row loop ``_read_prediction_rows`` reads it, which defines the result
+    and every error message.
     """
     p = Path(path)
     if not p.exists():
         raise DataError(f"predictions file not found: {p}")
     values = _parse_predictions(p)
-    if values is None:
+    if values is None or not np.all(np.isfinite(values)):
         values = _read_prediction_rows(p)
     if len(values) != n_expected:
         raise DataError(
@@ -114,15 +118,37 @@ def _row_cell(cell: str) -> float:
     return 0.0
 
 
+# Matches at the start of every line except a ``#`` line.
+_NOT_COMMENT = re.compile("(?!#)").match
+
+
+def _ends_in_comment(p: Path) -> bool:
+    """Whether the last nonempty line of ``p`` starts with ``#``, from the
+    file's last 4 KiB."""
+    with p.open("rb") as raw:
+        raw.seek(max(0, raw.seek(0, 2) - 4096))
+        lines = raw.read().rstrip(b"\r\n").splitlines()
+    return bool(lines) and lines[-1].startswith(b"#")
+
+
 def _parse_predictions(p: Path) -> np.ndarray | None:
     """The predictions column parsed by numpy's C reader, or None where
-    the row loop must decide (a ``#`` row, no rows, or any cell numpy does
-    not parse exactly as ``float`` would). A bad header is a DataError."""
+    the row loop must decide (a ``#`` row before the last data row, no
+    rows, or any cell numpy does not parse exactly as ``float`` would).
+
+    When the file ends in ``#`` lines, as ``correct`` output does, numpy
+    reads up to the first line starting with ``#``, and the rest of the
+    file may hold only such lines and empty ones. A bad header is a
+    DataError.
+    """
     with p.open(newline="", encoding="utf-8-sig") as fh:
-        column = _predictions_column(p, next(csv.reader(fh), None))
+        column = _predictions_column(p, next(csv_records(fh, p), None))
+        lines = itertools.takewhile(_NOT_COMMENT, fh) if _ends_in_comment(p) else fh
         try:
-            values = read_table(fh, {0: _row_cell} if column else {})
+            values = read_table(lines, {0: _row_cell} if column else {})
         except ValueError:
+            return None
+        if any(line.strip("\r\n") and line[0] != "#" for line in fh):
             return None
     if values.shape[0] == 0 or values.shape[1] != column + 1:
         return None
@@ -133,7 +159,7 @@ def _read_prediction_rows(p: Path) -> np.ndarray:
     """``_read_predictions`` one row at a time: the reference reader."""
     values = []
     with p.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = csv_records(fh, p)
         header = next(reader, None)
         column = _predictions_column(p, header)
         width = len(header)
@@ -145,11 +171,14 @@ def _read_prediction_rows(p: Path) -> np.ndarray:
                     f"{p}: row {rownum} has {len(row)} fields, expected {width}"
                 )
             try:
-                values.append(float(row[column]))
+                value = float(row[column])
             except ValueError:
                 raise DataError(
                     f"{p}: cannot parse prediction {row[column]!r} at row {rownum}"
                 ) from None
+            if not np.isfinite(value):
+                raise DataError(f"{p}: prediction {row[column]!r} at row {rownum} is not finite")
+            values.append(value)
     return np.asarray(values)
 
 
@@ -269,9 +298,6 @@ def cmd_correct(args) -> int:
     fit, pred = correct_blackbox(design, external)
     out = Path(args.out)
     _write_predictions(out, pred.values, header="corrected")
-
-    from .estimators import with_blackbox
-
     audited = score_predictions(
         pred.values,
         with_blackbox(design, external),

@@ -24,6 +24,7 @@ import functools
 import hashlib
 import io
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, SchemaError
-from .linalg import column_center
+from .linalg import column_center, r_factor
 
 
 class Role(enum.Enum):
@@ -260,10 +261,27 @@ def load_csv(path, schema: Schema) -> Dataset:
     if not p.exists():
         raise DataError(f"data file not found: {p}")
     with p.open(newline="", encoding="utf-8-sig") as fh:
-        columns = _parse_columns(fh, next(csv.reader(fh), None), schema)
+        columns = _parse_columns(fh, next(csv_records(fh, p), None), schema)
     if columns is None:
         return _load_csv_rows(p, schema)
     return make_dataset(columns)
+
+
+def csv_records(fh, p: Path):
+    """The CSV records left in ``fh``: the one rule of every header read and
+    row loop. A cell may be of any length, as numpy's reader takes it (the
+    csv field size limit is lifted while reading); a record the csv module
+    refuses is a DataError naming the file and row (the header is row 1)."""
+    limit = csv.field_size_limit(sys.maxsize)
+    count = 0
+    try:
+        for row in csv.reader(fh):
+            count += 1
+            yield row
+    except csv.Error as exc:
+        raise DataError(f"{p}: cannot read row {count + 1}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _level_code(table: dict, cell: str) -> int:
@@ -334,11 +352,10 @@ def _parse_columns(fh, header, schema: Schema) -> dict | None:
 def _load_csv_rows(p: Path, schema: Schema) -> Dataset:
     """``load_csv`` one row and one cell at a time: the reference reader."""
     with p.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{p}: file is empty") from None
+        reader = csv_records(fh, p)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{p}: file is empty")
         header = [h.strip() for h in header]
         schema_names = {c.name for c in schema.columns}
         missing = [c.name for c in schema.columns if c.name not in header]
@@ -503,13 +520,31 @@ class EncodedDesign(BlockLayout):
 
     ``s``, ``x``, ``w`` and ``b`` are read-only column views of ``z``.
     ``s_group_labels`` keeps the original per-row sensitive label(s) for
-    group metrics.
+    group metrics. ``r`` is the R factor of [Z | centered y], factored on
+    first use and shared by every role view of the design; ``z`` and ``y``
+    are never changed in place.
     """
 
     y: np.ndarray
     z: np.ndarray
     s_group_labels: tuple[str, ...]
     response_name: str = "y"
+    _r: list = dataclasses.field(default_factory=list, compare=False, repr=False)
+
+    def replace(self, **changes):
+        """Copy with fields changed; a role change keeps the R factor, a
+        new ``z`` or ``y`` drops it."""
+        if "z" in changes or "y" in changes:
+            changes["_r"] = []
+        return dataclasses.replace(self, **changes)
+
+    @property
+    def r(self) -> np.ndarray:
+        if not self._r:
+            r = r_factor(self.z, self.y - self.y.mean())
+            r.flags.writeable = False
+            self._r.append(r)
+        return self._r[0]
 
     s = property(lambda self: self.block("s"))
     x = property(lambda self: self.block("x"))

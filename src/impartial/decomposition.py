@@ -27,7 +27,7 @@ import numpy as np
 from .data import EncodedDesign
 from .errors import ContractError
 from .estimators import TotalModelFit, _aligned_z
-from .linalg import project
+from .linalg import r_factor, regress
 
 
 class Mode(enum.Enum):
@@ -133,20 +133,18 @@ def decompose(
     if mode is Mode.FSEO and fit.width("x"):
         raise ContractError("FSEO decomposition requires an empty legitimate block")
 
-    beta_wb = fit.beta_wb
-    s_split = project(z[:, fit.index("xwb")], z[:, fit.index("s")])
-    x_split = project(z[:, fit.index("swb")], z[:, fit.index("x")])
-    w_split = project(z[:, fit.index("xs")], z[:, fit.index("wb")])
-    return ComponentReport(
-        mode=mode,
-        intercept=np.full(design.n_rows, fit.beta0),
-        di=s_split.projected @ fit.beta_s,
-        dt=s_split.orthogonal @ fit.beta_s,
-        sd_plus=x_split.projected @ fit.beta_x,
-        unique_x=x_split.orthogonal @ fit.beta_x,
-        sd_minus_mixed=w_split.projected @ beta_wb,
-        unique_w=w_split.orthogonal @ beta_wb,
-    )
+    # The training design's own R factor serves; new rows need their own.
+    r = design.r if z is design.z else r_factor(z)
+    parts = {}
+    for block, basis, inside, outside in (
+        ("s", "xwb", "di", "dt"), ("x", "swb", "sd_plus", "unique_x"),
+        ("wb", "xs", "sd_minus_mixed", "unique_w"),
+    ):
+        beta = fit.coefficients[fit.index(block)]
+        coef, _ = regress(r, fit.index(basis), fit.index(block), design.n_rows)
+        parts[inside] = z[:, fit.index(basis)] @ (coef @ beta)
+        parts[outside] = z[:, fit.index(block)] @ beta - parts[inside]
+    return ComponentReport(mode=mode, intercept=np.full(design.n_rows, fit.beta0), **parts)
 
 
 def redlining_report(report: ComponentReport) -> RedliningSummary:

@@ -1,14 +1,16 @@
 """Estimator variants derived from a single joint regression fit.
 
-``fit_total`` runs one least-squares fit of the response on the whole
-centered design Z = [S|X|W|B] plus the auxiliary regressions needed by
-the variants. Blocks are column ranges of Z, so every regression and
-every rule slices Z by column range, and a role change (``as_all_*``,
-``residualize_suspect``) moves block boundaries instead of restacking.
-``predict`` then produces any variant's predictions from that one fit;
-only the exclude-sensitive variant needs a refit, which is also computed
-(and frozen) at fit time. Prediction-time data is always re-centered with
-the training means.
+``fit_total`` reads the joint fit of the response on the whole centered
+design Z = [S|X|W|B], and the auxiliary regressions the variants need,
+from one R factor of [Z|y] (``EncodedDesign.r``, factored once per design
+and shared by its role views); each regression pivots over its own
+predictors (see ``linalg``). Blocks are column ranges of Z, so every
+regression and every rule slices by column range, and a role change
+(``as_all_*``, ``residualize_suspect``) moves block boundaries instead of
+restacking. ``predict`` then produces any variant's predictions from that
+one fit; only the exclude-sensitive variant needs a refit, which is also
+computed (and frozen) at fit time. Prediction-time data is always
+re-centered with the training means.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .data import BlockLayout, EncodedDesign
 from .errors import ContractError, DataError, VariantError
-from .linalg import project, solve_least_squares, solve_least_squares_multi
+from .linalg import project, regress
 
 
 class Variant(enum.Enum):
@@ -86,22 +88,21 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
             stacklevel=2,
         )
 
-    y_centered = design.y - design.y.mean()
-    wb = z[:, design.index("wb")]
-    joint = solve_least_squares(z, y_centered)
+    # Every regression reads the design's one R of [Z|y] and pivots over
+    # its own predictors.
+    r, y_col = design.r, [p_total]
+    coefficients, dropped = regress(r, slice(0, p_total), y_col, n)
     return TotalModelFit(
         columns=design.columns,
         column_means=design.column_means,
         widths=design.widths,
         beta0=float(design.y.mean()),
-        coefficients=joint.coefficients,
-        lambda_sx_for_wb=solve_least_squares_multi(z[:, design.index("sx")], wb),
-        lambda_x_for_s=solve_least_squares_multi(design.x, design.s),
-        marginal_coefs=solve_least_squares_multi(
-            z[:, design.index("xwb")], y_centered.reshape(-1, 1)
-        )[:, 0],
+        coefficients=coefficients[:, 0],
+        lambda_sx_for_wb=regress(r, design.index("sx"), design.index("wb"), n)[0],
+        lambda_x_for_s=regress(r, design.index("x"), design.index("s"), n)[0],
+        marginal_coefs=regress(r, design.index("xwb"), y_col, n)[0][:, 0],
         n=n,
-        dropped_labels=tuple(design.columns[j] for j in joint.dropped_columns),
+        dropped_labels=tuple(design.columns[j] for j in dropped),
     )
 
 
@@ -109,9 +110,9 @@ def _aligned_z(fit: TotalModelFit, design: EncodedDesign) -> np.ndarray:
     """The design's Z re-centered at the training means.
 
     The design's own centering is undone by adding back its means and the
-    training means are removed instead; when the design *is* the training
-    design the adjustment is exactly zero. The design must have the fit's
-    columns in the fit's blocks.
+    training means are removed instead. When the means agree (the design
+    *is* the training design) this is ``design.z`` itself. The design must
+    have the fit's columns in the fit's blocks.
     """
     if (design.columns, design.widths) != (fit.columns, fit.widths):
         raise ContractError(
@@ -119,7 +120,8 @@ def _aligned_z(fit: TotalModelFit, design: EncodedDesign) -> np.ndarray:
             f"not match the fit's training columns {fit.columns} in blocks of "
             f"{fit.widths}"
         )
-    return design.z + (design.column_means - fit.column_means)
+    shift = design.column_means - fit.column_means
+    return design.z + shift if shift.any() else design.z
 
 
 def predict(
@@ -177,26 +179,6 @@ def predict(
     else:
         raise VariantError(f"unknown variant {variant!r}")
     return ImpartialPrediction(variant=variant, values=values)
-
-
-def impartial_suspect_parts(
-    fit: TotalModelFit, design: EncodedDesign
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two suspect-block pieces the total rule adds together.
-
-    Returns (what, unique): ``what`` is the impartial estimate of each
-    [W|B] column (joint regression on [S|X], sensitive part dropped) and
-    ``unique`` is [W|B] minus its full [S|X] fit. Exposed for tests and
-    reports; predict() uses the algebraically reduced form.
-    """
-    z = _aligned_z(fit, design)
-    s, x, wb = z[:, fit.index("s")], z[:, fit.index("x")], z[:, fit.index("wb")]
-    p_s = fit.width("s")
-    lam_s = fit.lambda_sx_for_wb[:p_s, :]
-    lam_x = fit.lambda_sx_for_wb[p_s:, :]
-    what = x @ lam_x
-    unique = wb - s @ lam_s - x @ lam_x
-    return what, unique
 
 
 def residualize_suspect(design: EncodedDesign) -> EncodedDesign:

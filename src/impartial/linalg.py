@@ -1,9 +1,22 @@
-"""Dense least squares, column-space projection, and centering.
+"""Dense least squares on one R factor, column-space projection, centering.
 
-Everything here is deterministic and pure: rank decisions use a fixed
-tolerance rule, aliased columns are dropped (never an error), and no
-function mutates its inputs. All estimators in the package reduce to
-these three operations.
+Every estimate in the package is an OLS regression among the columns of
+one matrix M (a design, its response, external predictions). When M = QR
+with orthonormal Q, regressing columns T of M on columns P gives the same
+coefficients as regressing R[:, T] on R[:, P]. So a caller factors M once
+with ``r_factor`` (numpy's Householder QR, R only; the n-row Q is never
+formed) and reads every regression among its columns from that R with
+``regress``, which factors only the small R. Per-row values are then
+M[:, P] @ coefficients.
+
+``regress`` runs a Householder QR with column pivoting (Businger & Golub,
+the rule of LAPACK's geqp3) on R[:, P]: each step takes the remaining
+column of largest norm, the lowest index among norms equal to within the
+rank tolerance. Rank rule: keep pivot k while |r_kk| > max(n, |P|) *
+machine epsilon * |r_00|, where n is the row count of M, not of R.
+Predictors past the rank are aliased: they get coefficient 0 and are
+reported, never an error. Everything here is deterministic, and no
+function mutates its inputs.
 """
 
 from __future__ import annotations
@@ -11,14 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, DataError
 
 # Fixed numerical contract, shared by the test suite. Not configurable.
 RECONSTRUCTION_RTOL = 1e-10
-ORTHOGONALITY_RTOL = 1e-8
-CENTERING_ATOL = 1e-12
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -56,11 +68,11 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
-def _as_right_hand_side(a, name: str) -> np.ndarray:
-    """The matrix as a C-contiguous array, copied only when it is strided
-    (e.g. a column range of a design): a product with a strided operand may
-    round differently, and results must not depend on memory layout."""
-    return np.ascontiguousarray(_as_matrix(a, name))
+def _as_pair(a, b, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    x, y = _as_matrix(a, names[0]), _as_matrix(b, names[1])
+    if x.shape[0] != y.shape[0]:
+        raise ContractError(f"{names[0]} has {x.shape[0]} rows but {names[1]} has {y.shape[0]}")
+    return x, y
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -72,57 +84,76 @@ def _as_vector(v, name: str) -> np.ndarray:
     return x
 
 
-def _pivoted_qr(m: np.ndarray):
-    """Economic pivoted QR plus the retained rank under the fixed tolerance.
+def r_factor(*blocks) -> np.ndarray:
+    """The upper-triangular (or trapezoidal) R, min(n, p) by p, of M = QR
+    for M = [blocks] side by side (2-D blocks, 1-D arrays as columns).
 
-    Rank rule: keep diagonal entries of R with |r_kk| > max(rows, cols)
-    * machine epsilon * |r_00| (pivoting makes |r_00| the largest).
+    M is assembled in Fortran order, the layout LAPACK factors, so numpy
+    makes no transposed copies of it; copying 4,096 rows at a time keeps
+    the transposing copy in cache.
     """
-    q, r, piv = scipy.linalg.qr(m, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return q, r, piv, 0
-    tol = max(m.shape) * np.finfo(float).eps * diag[0]
-    rank = int(np.sum(diag > tol))
-    return q, r, piv, rank
+    parts = [np.reshape(b, (len(b), -1)) for b in blocks]
+    m = np.empty((len(parts[0]), sum(b.shape[1] for b in parts)), order="F")
+    for i in range(0, m.shape[0], 4096):
+        np.concatenate([b[i : i + 4096] for b in parts], axis=1, out=m[i : i + 4096])
+    return np.linalg.qr(m, mode="r")
+
+
+def regress(r: np.ndarray, predictors, targets, n_rows: int):
+    """OLS of the columns ``targets`` on the columns ``predictors`` of the
+    matrix M whose R factor is ``r``; ``n_rows`` is M's row count.
+
+    ``predictors`` and ``targets`` index columns of ``r`` (a slice or an
+    index array). Returns ``(coefficients, dropped)``: a
+    (len(predictors), len(targets)) array whose rows for aliased
+    predictors are 0.0, and those predictors' positions, sorted.
+    """
+    a = r[:, predictors]
+    k = a.shape[1]
+    work = np.hstack([a, r[:, targets]])
+    piv, tol, limit, rank = np.arange(k), max(n_rows, k) * _EPS, 0.0, 0
+    for j in range(min(work.shape[0], k)):
+        block = work[j:, j:k]
+        norms = np.sqrt(np.einsum("ij,ij->j", block, block))
+        top = norms.max()
+        if top <= limit:
+            break
+        limit, rank = limit or tol * top, j + 1
+        c = j + int(np.argmax(norms >= top * (1.0 - tol)))
+        work[:, [j, c]] = work[:, [c, j]]
+        piv[[j, c]] = piv[[c, j]]
+        v = work[j:, j].copy()
+        alpha = -top if v[0] >= 0.0 else top
+        v[0] -= alpha
+        tail = work[j:, j + 1 :]
+        tail -= np.outer(v, (2.0 / (v @ v)) * (v @ tail))
+        work[j, j] = alpha
+    coef = np.zeros((k, work.shape[1] - k))
+    for i in reversed(range(rank)):
+        rhs = work[i, k:] - work[i, i + 1 : rank] @ coef[piv[i + 1 : rank]]
+        coef[piv[i]] = rhs / work[i, i]
+    return coef, tuple(sorted(int(i) for i in piv[rank:]))
 
 
 def solve_least_squares(design, response) -> LeastSquaresFit:
-    """Minimum-norm-free OLS solve via pivoted QR.
+    """OLS of ``response`` on the columns of ``design``, aliased columns dropped.
 
     Rank-deficient designs are handled by dropping aliased columns: they
     receive coefficient 0 and are reported in ``dropped_columns``, so the
     returned coefficient vector always aligns with the input columns.
     """
-    x = _as_matrix(design, "design")
     y = _as_vector(response, "response")
+    x, _ = _as_pair(design, y[:, None], ("design", "response"))
     n, p = x.shape
-    if y.shape[0] != n:
-        raise ContractError(
-            f"design has {n} rows but response has {y.shape[0]} entries"
-        )
-    if p == 0:
-        return LeastSquaresFit(
-            coefficients=np.zeros(0),
-            fitted=np.zeros(n),
-            residuals=y.copy(),
-            rank=0,
-            dropped_columns=(),
-        )
-
-    q, r, piv, rank = _pivoted_qr(x)
-    coef = np.zeros(p)
-    if rank > 0:
-        qty = q[:, :rank].T @ y
-        z = scipy.linalg.solve_triangular(r[:rank, :rank], qty, lower=False)
-        coef[piv[:rank]] = z
+    coef, dropped = regress(r_factor(x, y), slice(0, p), [p], n)
+    coef = coef[:, 0]
     fitted = x @ coef
     return LeastSquaresFit(
         coefficients=coef,
         fitted=fitted,
         residuals=y - fitted,
-        rank=rank,
-        dropped_columns=tuple(sorted(int(j) for j in piv[rank:])),
+        rank=p - len(dropped),
+        dropped_columns=dropped,
     )
 
 
@@ -130,47 +161,24 @@ def solve_least_squares_multi(design, responses) -> np.ndarray:
     """OLS coefficients for several response columns against one design.
 
     Returns a (p, k) coefficient matrix; aliased design columns get zero
-    rows. Used for the auxiliary regressions where only coefficients are
-    needed.
+    rows.
     """
-    x = _as_matrix(design, "design")
-    ys = _as_right_hand_side(responses, "responses")
-    if ys.shape[0] != x.shape[0]:
-        raise ContractError(
-            f"design has {x.shape[0]} rows but responses has {ys.shape[0]}"
-        )
-    p, k = x.shape[1], ys.shape[1]
-    if p == 0 or k == 0:
-        return np.zeros((p, k))
-    q, r, piv, rank = _pivoted_qr(x)
-    coef = np.zeros((p, k))
-    if rank > 0:
-        qty = q[:, :rank].T @ ys
-        z = scipy.linalg.solve_triangular(r[:rank, :rank], qty, lower=False)
-        coef[piv[:rank], :] = z
-    return coef
+    x, ys = _as_pair(design, responses, ("design", "responses"))
+    p = x.shape[1]
+    return regress(r_factor(x, ys), slice(0, p), slice(p, None), x.shape[0])[0]
 
 
 def project(basis, target) -> ProjectionPair:
     """Split target into H_basis @ target and (I - H_basis) @ target.
 
-    Implemented through the QR factors of ``basis``; the n-by-n hat matrix
-    is never formed. A rank-0 basis projects everything to zero; a target
-    without columns needs no factorization.
+    The projection is basis @ (OLS coefficients of target on basis); the
+    n-by-n hat matrix is never formed. A rank-0 or column-free basis
+    projects everything to zero.
     """
-    b = _as_matrix(basis, "basis")
-    t = _as_right_hand_side(target, "target")
-    if b.shape[0] != t.shape[0]:
-        raise ContractError(
-            f"basis has {b.shape[0]} rows but target has {t.shape[0]}"
-        )
-    if b.shape[1] == 0 or t.shape[1] == 0:
-        return ProjectionPair(projected=np.zeros_like(t), orthogonal=t.copy())
-    q, _, _, rank = _pivoted_qr(b)
-    if rank == 0:
-        return ProjectionPair(projected=np.zeros_like(t), orthogonal=t.copy())
-    q1 = q[:, :rank]
-    projected = q1 @ (q1.T @ t)
+    b, t = _as_pair(basis, target, ("basis", "target"))
+    p = b.shape[1]
+    coef, _ = regress(r_factor(b, t), slice(0, p), slice(p, None), b.shape[0])
+    projected = b @ coef
     return ProjectionPair(projected=projected, orthogonal=t - projected)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import EncodedDesign
 from .errors import ContractError
-from .linalg import _pivoted_qr, solve_least_squares
+from .linalg import r_factor, regress
 
 VAR_GUARD = 1e-12
 
@@ -119,66 +119,15 @@ def discrimination_score(
     return means[positive_group] - means[negative_group]
 
 
-def max_pairwise_discrimination(predictions, group_labels) -> float:
-    """Largest absolute group-mean gap; helper for >2-level sensitive data."""
-    means = list(group_means(predictions, group_labels).values())
-    if len(means) < 2:
-        return 0.0
-    return float(max(means) - min(means))
-
-
-def _column_sds(m: np.ndarray) -> np.ndarray:
-    return m.std(axis=0)
-
-
-def _cor_vector(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Correlation of u with each column; zero-variance columns give 0."""
-    n = u.shape[0]
-    su = u.std()
-    if su * su <= VAR_GUARD or m.shape[1] == 0:
-        return np.zeros(m.shape[1])
-    uc = u - u.mean()
-    mc = m - m.mean(axis=0)
-    sds = _column_sds(m)
-    cov = uc @ mc / n
-    out = np.zeros(m.shape[1])
+def _correlations(m: np.ndarray) -> np.ndarray:
+    """Correlation matrix of the columns of m; a zero-variance column
+    correlates 0 with every column."""
+    sds = m.std(axis=0)
     ok = sds * sds > VAR_GUARD
-    out[ok] = cov[ok] / (su * sds[ok])
-    return out
-
-
-def _cor_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross-correlations between columns of a and b; zero-variance -> 0 rows/cols."""
-    n = a.shape[0]
-    ac = a - a.mean(axis=0)
-    bc = b - b.mean(axis=0)
-    sa, sb = _column_sds(a), _column_sds(b)
-    cov = ac.T @ bc / n
-    out = np.zeros_like(cov)
-    ok_a = sa * sa > VAR_GUARD
-    ok_b = sb * sb > VAR_GUARD
-    mask = np.outer(ok_a, ok_b)
-    scale = np.outer(np.where(ok_a, sa, 1.0), np.where(ok_b, sb, 1.0))
-    out[mask] = (cov / scale)[mask]
-    return out
-
-
-def _sensitive_correlation(s: np.ndarray, s_labels) -> np.ndarray:
-    sds = _column_sds(s)
-    dead = [s_labels[j] if s_labels else str(j) for j in np.where(sds * sds <= VAR_GUARD)[0]]
-    if dead:
-        raise ContractError(f"sensitive column(s) {dead} are constant; Cor(s) is singular")
-    cor = _cor_matrix(s, s)
-    std = (s - s.mean(axis=0)) / sds
-    _, _, piv, rank = _pivoted_qr(std)
-    if rank < s.shape[1]:
-        aliased = sorted(
-            s_labels[j] if s_labels else str(j) for j in piv[rank:]
-        )
-        raise ContractError(
-            f"sensitive columns are aliased ({aliased}); Cor(s) is singular"
-        )
-    return cor
+    scale = np.where(ok, sds, 1.0)
+    centered = m - m.mean(axis=0)
+    cor = centered.T @ centered / m.shape[0] / np.outer(scale, scale)
+    return np.where(np.outer(ok, ok), cor, 0.0)
 
 
 def impartiality_conditions(
@@ -201,34 +150,34 @@ def impartiality_conditions(
     if s.shape[1] == 0:
         raise ContractError("impartiality conditions need a nonempty sensitive block")
     u = target - yhat
+    (n, p_s), p_x = s.shape, x.shape[1]
+    s_sds = s.std(axis=0)
+    dead = [s_labels[j] if s_labels else str(j) for j in np.where(s_sds**2 <= VAR_GUARD)[0]]
+    if dead:
+        raise ContractError(f"sensitive column(s) {dead} are constant; Cor(s) is singular")
 
-    cor_s = _sensitive_correlation(s, s_labels)
-    cor_us = _cor_vector(u, s)
-    t = np.linalg.solve(cor_s, cor_us)  # Cor(u,s) Cor(s)^-1
+    # One R of [standardized S | 1 | X | yhat] gives the rank check of S
+    # and eta, the residual of yhat on [1|X].
+    m = np.column_stack([(s - s.mean(axis=0)) / s_sds, np.ones(n), x, yhat])
+    r = r_factor(m)
+    _, aliased = regress(r, slice(0, p_s), slice(0, 0), n)
+    if aliased:
+        names = sorted(s_labels[j] if s_labels else str(j) for j in aliased)
+        raise ContractError(f"sensitive columns are aliased ({names}); Cor(s) is singular")
+    legit = slice(p_s, p_s + 1 + p_x)
+    eta = yhat - m[:, legit] @ regress(r, legit, [m.shape[1] - 1], n)[0][:, 0]
 
-    s_sds = _column_sds(s)
+    # Correlations among the columns of [S | X | W | u | eta].
+    cor = _correlations(np.column_stack([s, x, w, u, eta]))
+    cs, cx, cw = slice(0, p_s), slice(p_s, p_s + p_x), slice(p_s + p_x, -2)
+    t = np.linalg.solve(cor[cs, cs], cor[-2, cs])  # Cor(u,s) Cor(s)^-1
     su = u.std()
     lhs_mean = u.mean() / su if su * su > VAR_GUARD else 0.0
-    rhs_mean = float(t @ (s.mean(axis=0) / s_sds))
-    gap_mean = float(lhs_mean - rhs_mean)
-
-    gap_x = _cor_vector(u, x) - t @ _cor_matrix(s, x)
-    gap_w = _cor_vector(u, w) - t @ _cor_matrix(s, w)
-
-    if x.shape[1]:
-        fit = solve_least_squares(
-            np.hstack([np.ones((x.shape[0], 1)), x]), yhat
-        )
-        eta = fit.residuals
-    else:
-        eta = yhat - yhat.mean()
-    gap_eta = _cor_vector(eta, s)
-
     return ConditionGaps(
-        residual_mean=gap_mean,
-        legitimate=gap_x,
-        suspect=gap_w,
-        projected=gap_eta,
+        residual_mean=float(lhs_mean - t @ (s.mean(axis=0) / s_sds)),
+        legitimate=cor[-2, cx] - t @ cor[cs, cx],
+        suspect=cor[-2, cw] - t @ cor[cs, cw],
+        projected=cor[-1, cs],
     )
 
 

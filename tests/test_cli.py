@@ -1,7 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import impartial
 
 from impartial.cli import main
 from impartial.data import load_csv, make_dataset, parse_schema, write_csv
@@ -231,6 +237,23 @@ class TestAudit:
         assert code == 1
         assert "note" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["audit", "correct"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+    def test_non_finite_prediction_exits_1(self, loan_files, tmp_path, capsys, command, cell):
+        data_path, schema_path = loan_files
+        lines = ["0.25"] * 1000
+        lines[6] = cell
+        preds = tmp_path / "preds.csv"
+        preds.write_text("prediction\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        argv = [command, "--data", str(data_path), "--schema", str(schema_path),
+                "--predictions", str(preds)]
+        if command == "correct":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"prediction {cell!r} at row 8 is not finite" in captured.err
+        assert captured.out == ""
+
     def test_needs_predictions_or_variant(self, loan_files):
         data_path, schema_path = loan_files
         code = main(
@@ -440,3 +463,17 @@ class TestSimulate:
             ]
         )
         assert data_path.read_bytes() == before
+
+
+def test_cli_process_imports_no_scipy():
+    """The package and its command line run on numpy alone: a fresh process
+    that imports them loads no scipy module."""
+    src = str(Path(impartial.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = ("import sys, impartial, impartial.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -34,16 +34,20 @@ SCHEMA = parse_schema(
     "y = response\ng = sensitive,categorical\na = legitimate\nz = ignore\n"
 )
 
+# Longer than the csv module's default field size limit (131,072
+# characters): every reader takes a cell of any length.
+LONG = 200_000
+LONG_CELLS = ["x" * LONG, "1" * LONG, "0." + "0" * LONG + "5"]
 NUMBER_CELLS = [
     "1", " 2.5 ", "+1", ".5", "-0", "1e3", "1.", "\t7\t", '"3"', '" 4 "', '"5" ',
     '"6"7', "nan", "-nan", "inf", "Infinity", "1_0", "0x10", "#1", "", "  ",
-    "abc", " 1", "　2", '"1,5"', "1 2",
+    "abc", " 1", "　2", '"1,5"', "1 2", *LONG_CELLS[1:],
 ]
 LABEL_CELLS = [
     "a", " b ", "b", '"c,d"', '"he said ""x"""', '"multi\nline"', '"cr\r\nlf"',
-    "#g", "é", "日本", "", "  ", '"1"', "1_0", ' "q"', 'in"side', '"open',
+    "#g", "é", "日本", "", "  ", '"1"', "1_0", ' "q"', 'in"side', '"open', LONG_CELLS[0],
 ]
-IGNORED_CELLS = ["", "text", '"q,q"', "  ", "#", "1"]
+IGNORED_CELLS = ["", "text", '"q,q"', "  ", "#", "1", LONG_CELLS[0]]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
@@ -89,7 +93,7 @@ def csv_texts(draw, header, cells):
 
 
 def clean_cells(tokens, bad=("", "  ", "1_0", "0x10", "#1", "abc", "nan", "-nan",
-                             "inf", "Infinity", '"1,5"', "1 2", '"open')):
+                             "inf", "Infinity", '"1,5"', "1 2", '"open', LONG_CELLS[1])):
     return [t for t in tokens if t not in bad]
 
 
@@ -153,6 +157,25 @@ class TestLoadCsv:
         assert outcome(lambda: got) == outcome(lambda: expected)
         assert got.columns["g"] == ('he said "x"', "b")
 
+    @pytest.mark.parametrize("column", ["y", "g", "a", "z"])
+    def test_long_cell_matches_row_loop(self, tmp_path, column):
+        header = ["y", "g", "a", "z"]
+        row = {"y": "1", "g": "b", "a": "2", "z": "q"}
+        row[column] = "x" * LONG if column in "gz" else "0." + "0" * LONG + "5"
+        path = tmp_path / "d.csv"
+        path.write_text(",".join(header) + "\n1,a,2,x\n" + ",".join(row[h] for h in header)
+                        + "\n", encoding="utf-8")
+        expected = outcome(data._load_csv_rows, path, SCHEMA)
+        assert expected[0] == "dataset"
+        assert outcome(load_csv, path, SCHEMA) == expected
+
+    def test_long_header_cell_is_read(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,g,a," + "z" * LONG + "\n1,a,2,x\n", encoding="utf-8")
+        expected = outcome(data._load_csv_rows, path, SCHEMA)
+        assert expected[0] == "error" and "missing from header" in expected[1]
+        assert outcome(load_csv, path, SCHEMA) == expected
+
     def test_categorical_levels_in_first_appearance_order(self, tmp_path):
         path = tmp_path / "d.csv"
         rows = [f"{i},{'cba'[i % 3]},{i},x" for i in range(12)]
@@ -162,9 +185,9 @@ class TestLoadCsv:
 
 PREDICTION_CELLS = [
     "0.25", " -1.5 ", "+2", ".5", "1e-300", "nan", "-nan", "inf", "1_0", "0x10",
-    "", "x", "#3", '"4"', '"#5"',
+    "", "x", "#3", '"4"', '"#5"', "1e999", *LONG_CELLS[1:],
 ]
-ROW_CELLS = ["0", "12", "", "x", "#", "# n", '"#q"', " #s", '"a,b"']
+ROW_CELLS = ["0", "12", "", "x", "#", "# n", '"#q"', " #s", '"a,b"', LONG_CELLS[0]]
 
 
 class TestReadPredictions:
@@ -201,6 +224,31 @@ class TestReadPredictions:
         with path.open("a", encoding="utf-8") as fh:
             fh.write("# n,3\n# is_mode,seo\n# group_mean[a],0.25\n")
         np.testing.assert_array_equal(cli._read_predictions(path, 3), values)
+        self.compare(path)
+
+    def test_corrected_output_takes_the_column_path(self, tmp_path, monkeypatch):
+        values = np.array([0.5, -2.0, 1e-17, 3.25])
+        path = tmp_path / "c.csv"
+        cli._write_predictions(path, values, header="corrected")
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("# n,4\n# is_mode,seo\n\n# group_mean[a],0.25\n")
+
+        def refuse(*args):
+            raise AssertionError("row loop used")
+
+        monkeypatch.setattr(cli, "_read_prediction_rows", refuse)
+        np.testing.assert_array_equal(cli._read_predictions(path, 4), values)
+
+    @pytest.mark.parametrize("tail", ["# a,1\n1,2.0\n", "# a,1\n\n \n"])
+    def test_rows_after_a_comment_go_to_the_row_loop(self, tmp_path, tail):
+        path = tmp_path / "c.csv"
+        path.write_text("row,prediction\n0,1.5\n" + tail, encoding="utf-8")
+        self.compare(path)
+
+    @pytest.mark.parametrize("cell", ["x" * LONG, "1" * LONG, "0." + "0" * LONG + "5"])
+    def test_long_cells_match_row_loop(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        path.write_text(f"row,prediction\n0,1.5\n1,{cell}\n{cell},2.5\n", encoding="utf-8")
         self.compare(path)
 
 

@@ -11,7 +11,6 @@ from impartial.estimators import (
     as_all_suspect,
     correct_blackbox,
     fit_total,
-    impartial_suspect_parts,
     predict,
     residualize_suspect,
     with_blackbox,
@@ -154,7 +153,12 @@ class TestPredictVariants:
         rng = np.random.default_rng(15)
         design = random_design(rng, n=120, p_s=2, p_x=2, p_w=2)
         fit = fit_total(design)
-        what, unique = impartial_suspect_parts(fit, design)
+        # the impartial estimate of [W|B] (its joint [S|X] fit, S part
+        # dropped) plus its unique part ([W|B] minus the full fit)
+        p_s = fit.width("s")
+        lam_s, lam_x = fit.lambda_sx_for_wb[:p_s], fit.lambda_sx_for_wb[p_s:]
+        what = design.x @ lam_x
+        unique = design.z[:, design.index("wb")] - design.s @ lam_s - what
         stepwise = (
             fit.beta0
             + design.x @ fit.beta_x

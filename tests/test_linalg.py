@@ -9,6 +9,8 @@ from impartial.data import encode
 from impartial.linalg import (
     column_center,
     project,
+    r_factor,
+    regress,
     solve_least_squares,
     solve_least_squares_multi,
 )
@@ -106,6 +108,45 @@ class TestSolveLeastSquares:
         for k in range(2):
             single = solve_least_squares(design, ys[:, k])
             np.testing.assert_allclose(multi[:, k], single.coefficients, rtol=1e-10)
+
+
+class TestRegress:
+    def test_exact_copies_keep_the_first(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((2, 50))
+        for design in ([a, b, a], [b, a, a], [a, a, b, a]):
+            x = np.column_stack(design)
+            fit = solve_least_squares(x, rng.standard_normal(50))
+            copies = [j for j in range(x.shape[1]) if np.array_equal(x[:, j], a)]
+            assert fit.dropped_columns == tuple(copies[1:])
+
+    def test_rank_rule_counts_rows_of_the_matrix(self):
+        # c differs from a by 1e-14 of its norm: below 1000 * eps (dropped),
+        # above (columns of R) * eps = 2 * eps, which R's row count would give
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal(1000)
+        c = a + 1e-14 * np.linalg.norm(a) * rng.standard_normal(1000) / np.sqrt(1000)
+        m = np.column_stack([a, c])
+        coef, dropped = regress(r_factor(m), [0, 1], [], 1000)
+        assert dropped == (1,) and coef.shape == (2, 0)
+
+    def test_each_regression_pivots_over_its_predictors(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((40, 3))
+        y = rng.standard_normal(40)
+        r = r_factor(x, y)
+        for predictors in ([0, 1, 2], [2, 0], [1]):
+            coef, dropped = regress(r, predictors, [3], 40)
+            want = solve_least_squares(x[:, predictors], y)
+            np.testing.assert_allclose(coef[:, 0], want.coefficients, rtol=1e-12)
+            assert dropped == want.dropped_columns == ()
+
+    def test_empty_predictors_and_targets(self):
+        r = r_factor(np.ones((5, 2)))
+        coef, dropped = regress(r, slice(0, 0), [0, 1], 5)
+        assert coef.shape == (0, 2) and dropped == ()
+        coef, dropped = regress(r, [0, 1], slice(0, 0), 5)
+        assert coef.shape == (2, 0) and dropped == (1,)
 
 
 class TestProject:
