@@ -3,7 +3,9 @@
 Subcommands: fit, audit, decompose, correct, validate, simulate. Exit
 codes: 0 success, 1 input/IO error, 2 usage or contract error. All
 output is deterministic given identical inputs and seed flags; numeric
-CSV cells carry 17 significant digits, text tables 6.
+CSV cells carry 17 significant digits, text tables 6. A ``--data`` file is
+read through its content-keyed sidecar (``sidecar.load_data``), so a
+command on a file already parsed under the same schema skips the parse.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .data import (
     csv_records,
     encode,
     format_schema,
-    load_csv,
     load_schema,
     read_table,
     write_csv,
@@ -32,17 +33,8 @@ from .data import (
 from .decomposition import COMPONENT_NAMES, Mode, decompose
 from .errors import ContractError, DataError, ImpartialError
 from .estimators import Variant, correct_blackbox, fit_total, predict, with_blackbox
-from .harness import (
-    BiasSpec,
-    ExperimentConfig,
-    default_dag_spec,
-    gen_dag,
-    gen_simple_example,
-    gen_wine_like,
-    kfold_validate,
-    simple_example_schema,
-)
 from .metrics import ScoreMode, score_predictions
+from .sidecar import load_data
 
 _FIT_VARIANTS = {
     "full": Variant.FULL,
@@ -68,8 +60,7 @@ def _load_inputs(args) -> tuple[Dataset, Schema]:
     if not args.data or not args.schema:
         raise ContractError("--data and --schema are required")
     schema = load_schema(args.schema)
-    data = load_csv(args.data, schema)
-    return data, schema
+    return load_data(args.data, schema), schema
 
 
 def _read_predictions(path, n_expected: int) -> np.ndarray:
@@ -314,6 +305,9 @@ def cmd_correct(args) -> int:
 
 
 def _simulated_inputs(args) -> tuple[Dataset, Schema]:
+    from .harness import default_dag_spec, gen_dag, gen_simple_example, gen_wine_like
+    from .harness import simple_example_schema
+
     name = args.simulate
     if name == "simple":
         return gen_simple_example(), simple_example_schema()
@@ -334,6 +328,10 @@ def _simulated_inputs(args) -> tuple[Dataset, Schema]:
 
 
 def cmd_validate(args) -> int:
+    # The harness is imported only by the commands that use it (validate
+    # and simulate), so the other commands start faster.
+    from .harness import BiasSpec, ExperimentConfig, kfold_validate
+
     if args.simulate:
         data, schema = _simulated_inputs(args)
     else:

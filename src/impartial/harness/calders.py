@@ -28,6 +28,11 @@ from ..linalg import solve_least_squares
 
 log = logging.getLogger(__name__)
 
+# Propensity scores (on the 0/1 indicator scale) are binned at 1e-12: far
+# above the rounding of the propensity fit, far below any difference
+# between rows that a quantile bin should resolve.
+SCORE_DECIMALS = 12
+
 
 @dataclass(frozen=True)
 class CaldersFit:
@@ -54,7 +59,11 @@ def _raw_covariates(design: EncodedDesign) -> np.ndarray:
 
 
 def _propensity(fit_means, coefs, intercept, design: EncodedDesign) -> np.ndarray:
-    return intercept + (_raw_covariates(design) - fit_means) @ coefs
+    """Propensity scores rounded to ``SCORE_DECIMALS`` places, so that
+    scores equal up to rounding share a bin: a flat propensity is one bin,
+    not quantiles of its rounding noise."""
+    scores = intercept + (_raw_covariates(design) - fit_means) @ coefs
+    return np.round(scores, SCORE_DECIMALS)
 
 
 def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:

@@ -112,7 +112,10 @@ def discrimination_score(
     predictions, group_labels, positive_group: str, negative_group: str
 ) -> float:
     """Mean prediction over the positive group minus the negative group."""
-    means = group_means(predictions, group_labels)
+    return _mean_gap(group_means(predictions, group_labels), positive_group, negative_group)
+
+
+def _mean_gap(means: dict[str, float], positive_group: str, negative_group: str) -> float:
     for g in (positive_group, negative_group):
         if g not in means:
             raise ContractError(f"unknown group label {g!r}; have {sorted(means)}")
@@ -237,8 +240,9 @@ def score_predictions(
     defaults to (second, first) in first-appearance order.
     """
     values = np.asarray(getattr(predictions, "values", predictions), dtype=float)
+    means = group_means(values, design.s_group_labels)
     if positive_group is None or negative_group is None:
-        distinct = list(dict.fromkeys(design.s_group_labels))
+        distinct = list(means)
         if len(distinct) != 2:
             raise ContractError(
                 "positive/negative groups must be named when the data has "
@@ -248,11 +252,9 @@ def score_predictions(
     return MetricsReport(
         rmse=rmse(values, truth),
         rsse=rsse(values, truth),
-        ds=discrimination_score(
-            values, design.s_group_labels, positive_group, negative_group
-        ),
+        ds=_mean_gap(means, positive_group, negative_group),
         is_score=impartiality_score(values, design, truth, mode),
         is_mode=mode,
-        per_group_means=group_means(values, design.s_group_labels),
+        per_group_means=means,
         n=values.shape[0],
     )

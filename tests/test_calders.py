@@ -28,6 +28,23 @@ def test_constant_propensity_equals_global_fseo():
     np.testing.assert_allclose(values, fseo, rtol=1e-10, atol=1e-12)
 
 
+def test_flat_propensity_at_random_scales_is_one_bin():
+    # w mirrored within each group, so the exact propensity coefficient is
+    # 0; the fitted one may be rounding noise (~1e-14 on some scales), and
+    # the scores must still form one bin, whatever the scale of w
+    rng = np.random.default_rng(72)
+    s = np.repeat([0.0, 1.0], 4)
+    labels = ["g1" if v else "g0" for v in s]
+    for _ in range(300):
+        half = rng.uniform(0.1, 1.0, 4) * 10.0 ** rng.uniform(-3, 3)
+        w = np.column_stack([half, -half]).ravel()
+        design = build_design(rng.standard_normal(8), s=s, w=w, group_labels=labels)
+        fit = fit_calders(design, bins=5)
+        assert len(set(fit.bin_edges)) == 1
+        fseo = predict(fit_total(design), design, Variant.FSEO).values
+        np.testing.assert_allclose(predict_calders(fit, design), fseo, rtol=1e-10, atol=1e-12)
+
+
 def test_loan_table_matches_brute_force(table1_data):
     schema = simple_example_schema(Role.SUSPECT)
     design = encode(table1_data, schema)

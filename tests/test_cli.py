@@ -1,7 +1,9 @@
 import csv
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,10 @@ import pytest
 
 import impartial
 
+from impartial import sidecar
 from impartial.cli import main
-from impartial.data import load_csv, make_dataset, parse_schema, write_csv
+from impartial.data import load_csv, load_schema, make_dataset, parse_schema, write_csv
+from impartial.errors import DataError
 from impartial.harness import default_dag_spec, gen_dag, gen_simple_example, simple_example_schema
 from impartial.data import format_schema, Role
 
@@ -465,15 +469,332 @@ class TestSimulate:
         assert data_path.read_bytes() == before
 
 
-def test_cli_process_imports_no_scipy():
-    """The package and its command line run on numpy alone: a fresh process
-    that imports them loads no scipy module."""
+def _cli_env():
+    """The environment of a fresh process that imports this package."""
     src = str(Path(impartial.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def test_cli_process_imports_no_scipy():
+    """The package and its command line run on numpy alone: a fresh process
+    that imports them loads no scipy module, and no harness module, which
+    only ``validate`` and ``simulate`` import."""
     code = ("import sys, impartial, impartial.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "sorted(m for m in sys.modules if m.startswith('impartial.harness')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "[]"
+                         env=_cli_env(), check=True)
+    assert out.stdout.strip() == "[] []"
+
+
+# --- the data sidecar ------------------------------------------------------
+
+
+@pytest.fixture()
+def cached_files(tmp_path):
+    """A data file with numeric, categorical (labels that need quoting) and
+    ignored columns, its schema, and a predictions file."""
+    data, schema = gen_dag(default_dag_spec(n=300, p_x_unobserved=0, seed=5))
+    rng = np.random.default_rng(6)
+    columns = dict(data.columns)
+    columns["region"] = tuple(rng.choice(["a,b", 'q"t', "plain", "é"], 300).tolist())
+    columns["note"] = np.arange(300.0)
+    data_path = tmp_path / "data.csv"
+    write_csv(data_path, make_dataset(columns))
+    schema_path = tmp_path / "data.schema"
+    schema_path.write_text(
+        format_schema(schema) + "region = legitimate,categorical\nnote = ignore\n",
+        encoding="utf-8",
+    )
+    preds = tmp_path / "preds.csv"
+    noisy = data.columns["y"] + rng.standard_normal(300)
+    preds.write_text("row,prediction\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(noisy.tolist())))
+    return data_path, schema_path, preds
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The paths ``load_data`` parsed as text, in call order."""
+    calls = []
+    real = sidecar.load_csv
+
+    def counting(path, schema):
+        calls.append(Path(path).name)
+        return real(path, schema)
+
+    monkeypatch.setattr(sidecar, "load_csv", counting)
+    return calls
+
+
+def refuse_mkstemp(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+def sidecar_of(data_path):
+    return data_path.with_name(data_path.name + ".impartial.npz")
+
+
+def left_behind(directory):
+    """Temporary files of a sidecar write still in ``directory``."""
+    return sorted(p.name for p in directory.iterdir() if p.name.startswith("."))
+
+
+def assert_same_dataset(a, b):
+    assert a.names == b.names and a.n_rows == b.n_rows
+    for name in a.names:
+        x, y = a.columns[name], b.columns[name]
+        assert type(x) is type(y)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        else:
+            assert x == y
+
+
+SIDECAR_COMMANDS = {
+    "fit": ["fit", "--variant", "total"],
+    "audit": ["audit", "--predictions", "{preds}"],
+    "audit-variant": ["audit", "--variant", "total"],
+    "decompose": ["decompose", "--mode", "total"],
+    "correct": ["correct", "--predictions", "{preds}"],
+    "validate": ["validate", "--variants", "full,fseo,calders", "--folds", "2", "--reps", "1",
+                 "--trees", "2", "--tree-depth", "2"],
+}
+
+
+class TestSidecar:
+    def run(self, name, files, capsys):
+        """Exit code, stdout and every output file of one command."""
+        data_path, schema_path, preds = files
+        out_dir = data_path.parent / "out"
+        out_dir.mkdir(exist_ok=True)
+        for f in out_dir.iterdir():
+            f.unlink()
+        argv = [a.format(preds=preds) for a in SIDECAR_COMMANDS[name]]
+        code = main([*argv, "--data", str(data_path), "--schema", str(schema_path),
+                     "--out", str(out_dir / "result.csv")])
+        outputs = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+        return code, capsys.readouterr().out, outputs
+
+    @pytest.mark.parametrize("name", sorted(SIDECAR_COMMANDS))
+    def test_outputs_identical_without_fresh_and_warm(
+        self, cached_files, capsys, monkeypatch, parses, name
+    ):
+        data_path = cached_files[0]
+        with monkeypatch.context() as m:
+            m.setattr(sidecar.tempfile, "mkstemp", refuse_mkstemp)
+            without = self.run(name, cached_files, capsys)
+        assert not sidecar_of(data_path).exists()
+        fresh = self.run(name, cached_files, capsys)
+        assert sidecar_of(data_path).exists()
+        warm = self.run(name, cached_files, capsys)
+        assert without[0] == 0 and without[2]
+        assert without == fresh == warm
+        assert parses == ["data.csv", "data.csv"]  # the warm run parsed nothing
+
+    def test_hit_equals_parse(self, cached_files, parses):
+        data_path, schema_path, _ = cached_files
+        schema = load_schema(schema_path)
+        expected = load_csv(data_path, schema)
+        assert_same_dataset(sidecar.load_data(data_path, schema), expected)
+        assert_same_dataset(sidecar.load_data(str(data_path), schema), expected)
+        assert parses == ["data.csv"]
+        assert stat.S_IMODE(sidecar_of(data_path).stat().st_mode) == 0o600
+        assert left_behind(data_path.parent) == []
+
+    def test_same_size_and_mtime_with_other_bytes_is_a_miss(self, cached_files, parses):
+        data_path, schema_path, _ = cached_files
+        schema = load_schema(schema_path)
+        sidecar.load_data(data_path, schema)
+        before = data_path.stat()
+        text = data_path.read_bytes()
+        row = text.index(b"\r\n") + 2
+        digit = text.index(b"1", row)  # a digit of the first data row
+        data_path.write_bytes(text[:digit] + b"2" + text[digit + 1 :])
+        os.utime(data_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = data_path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert_same_dataset(sidecar.load_data(data_path, schema), load_csv(data_path, schema))
+        assert parses == ["data.csv", "data.csv"]
+
+    def test_file_changed_during_the_parse_is_not_stored(self, cached_files, monkeypatch):
+        data_path, schema_path, _ = cached_files
+        schema = load_schema(schema_path)
+        real = sidecar.load_csv
+
+        def parse_then_append(path, schema):
+            data = real(path, schema)
+            with open(path, "ab") as fh:
+                fh.write(data_path.read_bytes().splitlines(keepends=True)[1])
+            return data
+
+        monkeypatch.setattr(sidecar, "load_csv", parse_then_append)
+        assert sidecar.load_data(data_path, schema).n_rows == 300
+        assert not sidecar_of(data_path).exists()
+
+    def test_schema_change_is_a_miss(self, cached_files, parses):
+        data_path, schema_path, _ = cached_files
+        schema = load_schema(schema_path)
+        other = parse_schema(
+            schema_path.read_text().replace("region = legitimate,categorical", "region = ignore")
+        )
+        sidecar.load_data(data_path, schema)
+        data = sidecar.load_data(data_path, other)
+        assert "region" not in data.names
+        assert_same_dataset(data, load_csv(data_path, other))
+        assert parses == ["data.csv", "data.csv"]
+
+    @staticmethod
+    def _damage(path, kind, key):
+        if kind == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "not an npz":
+            path.write_bytes(b"y,s0\n1,2\n")
+        elif kind == "wrong key":
+            with np.load(path) as z:
+                members = dict(z)
+            members["key"] = np.frombuffer(bytes(32), np.uint8)
+            np.savez(path, **members)
+        elif kind == "object array":
+            with np.load(path) as z:
+                members = dict(z)
+            members["c0"] = np.array(list(members["c0"]), dtype=object)
+            with path.open("wb") as fh:
+                np.savez(fh, **members)
+        elif kind == "wrong dtype":
+            with np.load(path) as z:
+                members = dict(z)
+            members["c0"] = members["c0"].astype(np.float32)
+            np.savez(path, **members)
+        elif kind == "missing member":
+            with np.load(path) as z:
+                members = {k: z[k] for k in z.files if k != "c1"}
+            np.savez(path, **members)
+        elif kind == "older format":
+            np.savez(path, key=np.frombuffer(key, np.uint8))
+        path.chmod(0o600)
+
+    @pytest.mark.parametrize("kind", ["truncated", "empty", "not an npz", "wrong key",
+                                      "object array", "wrong dtype", "missing member",
+                                      "older format"])
+    def test_damaged_sidecar_is_a_miss_and_replaced(self, cached_files, parses, monkeypatch,
+                                                    kind):
+        data_path, schema_path, _ = cached_files
+        schema = load_schema(schema_path)
+        expected = load_csv(data_path, schema)
+        if kind == "older format":
+            # a sidecar under another format tag: its key is no longer valid
+            with monkeypatch.context() as m:
+                m.setattr(sidecar, "_TAG", b"impartial data sidecar 0\n")
+                sidecar.load_data(data_path, schema)
+                key = sidecar._key(data_path, schema)
+            self._damage(sidecar_of(data_path), kind, key)
+        else:
+            sidecar.load_data(data_path, schema)
+            self._damage(sidecar_of(data_path), kind, None)
+        assert_same_dataset(sidecar.load_data(data_path, schema), expected)
+        assert_same_dataset(sidecar.load_data(data_path, schema), expected)
+        assert parses == ["data.csv", "data.csv"]  # damaged: parsed; replaced: a hit
+
+    @pytest.mark.parametrize("kind", ["group-writable", "other-writable", "symlink",
+                                      "directory", "foreign owner"])
+    def test_untrusted_sidecar_is_ignored(self, cached_files, parses, kind):
+        data_path, schema_path, _ = cached_files
+        schema = load_schema(schema_path)
+        sidecar.load_data(data_path, schema)
+        path = sidecar_of(data_path)
+        if kind == "group-writable":
+            path.chmod(0o660)
+        elif kind == "other-writable":
+            path.chmod(0o602)
+        elif kind == "symlink":
+            target = path.with_name("elsewhere.npz")
+            path.rename(target)
+            path.symlink_to(target)
+        elif kind == "directory":
+            path.unlink()
+            path.mkdir()
+        elif os.getuid() == 0:
+            os.chown(path, 12345, -1)
+        else:
+            pytest.skip("only root can hand a file to another user")
+        assert_same_dataset(sidecar.load_data(data_path, schema), load_csv(data_path, schema))
+        assert parses == ["data.csv", "data.csv"]
+
+    @pytest.mark.parametrize("how", ["chmod", "mkstemp refused", "replace refused"])
+    def test_read_only_directory_writes_no_sidecar(self, cached_files, tmp_path, capsys,
+                                                   monkeypatch, how):
+        data_path, schema_path, _ = cached_files
+        out = tmp_path / "elsewhere"
+        out.mkdir()
+        argv = ["fit", "--data", str(data_path), "--schema", str(schema_path),
+                "--out", str(out / "p.csv")]
+        if how == "chmod":
+            tmp_path.chmod(0o555)
+            if os.access(tmp_path, os.W_OK):
+                tmp_path.chmod(0o755)
+                pytest.skip("permission bits do not bind this user")
+        elif how == "mkstemp refused":
+            monkeypatch.setattr(sidecar.tempfile, "mkstemp", refuse_mkstemp)
+        else:
+            monkeypatch.setattr(sidecar.os, "replace", refuse_mkstemp)
+        try:
+            assert main(argv) == 0
+            listing = sorted(p.name for p in tmp_path.iterdir())
+        finally:
+            tmp_path.chmod(0o755)
+        assert listing == sorted(["data.csv", "data.schema", "preds.csv", "elsewhere"])
+        assert "wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["fifo", "stdin"])
+    def test_non_regular_data_is_read_once(self, cached_files, tmp_path, source):
+        data_path, schema_path, _ = cached_files
+        assert main(["fit", "--data", str(data_path), "--schema", str(schema_path),
+                     "--out", str(tmp_path / "expected.csv")]) == 0
+        argv = [sys.executable, "-m", "impartial.cli", "fit", "--schema", str(schema_path),
+                "--out", str(tmp_path / "p.csv")]
+        if source == "fifo":
+            fifo = tmp_path / "fifo.csv"
+            os.mkfifo(fifo)
+
+            def feed():
+                with fifo.open("wb") as fh:
+                    fh.write(data_path.read_bytes())
+
+            feeder = threading.Thread(target=feed, daemon=True)
+            feeder.start()
+            proc = subprocess.run([*argv, "--data", str(fifo)], capture_output=True,
+                                  env=_cli_env(), timeout=60)
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
+        else:
+            proc = subprocess.run([*argv, "--data", "/dev/stdin"], capture_output=True,
+                                  input=data_path.read_bytes(), env=_cli_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert not list(tmp_path.glob("fifo.csv.*"))
+
+    @pytest.mark.parametrize("text", [
+        "y,s0\n1.5,a\n,b\n",
+        "y,s0\n1.5,a\nabc,b\n",
+        "y,s0\n1.5,a\n2.5,b,c\n",
+        "y,s0\n1.5,a\ninf,b\n",
+        "y,s1\n1.5,a\n",
+        "y,s0\n",
+        "",
+    ])
+    def test_malformed_csv_same_error_and_no_sidecar(self, tmp_path, capsys, text):
+        data_path = tmp_path / "bad.csv"
+        data_path.write_text(text, encoding="utf-8")
+        schema_path = tmp_path / "bad.schema"
+        schema_path.write_text("y = response\ns0 = sensitive,categorical\n", encoding="utf-8")
+        with pytest.raises(DataError) as expected:
+            load_csv(data_path, load_schema(schema_path))
+        for _ in range(2):
+            assert main(["fit", "--data", str(data_path), "--schema", str(schema_path),
+                         "--out", str(tmp_path / "p.csv")]) == 1
+            assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.schema"]

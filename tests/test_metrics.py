@@ -253,6 +253,18 @@ class TestScorePredictions:
         assert report.is_score == pytest.approx(0.0, abs=1e-8)
         assert report.rsse == pytest.approx(13.93, abs=0.02)
         assert set(report.per_group_means) == {"s-", "s+"}
+        means = report.per_group_means
+        negative, positive = means  # first-appearance order
+        assert report.ds == means[positive] - means[negative]
+        assert report.ds == discrimination_score(
+            pred.values, table1_design.s_group_labels, positive, negative
+        )
+
+    def test_unknown_group_named(self, table1_design, table1_fit):
+        pred = predict(table1_fit, table1_design, Variant.FEO)
+        with pytest.raises(ContractError, match="unknown group label 's\\?'"):
+            score_predictions(pred, table1_design, table1_design.y, ScoreMode.FEO,
+                              positive_group="s?", negative_group="s-")
 
     def test_group_inference_requires_two_levels(self):
         rng = np.random.default_rng(61)
