@@ -28,10 +28,10 @@ from ..linalg import solve_least_squares
 
 log = logging.getLogger(__name__)
 
-# Propensity scores (on the 0/1 indicator scale) are binned at 1e-12: far
-# above the rounding of the propensity fit, far below any difference
-# between rows that a quantile bin should resolve.
-SCORE_DECIMALS = 12
+# Propensity scores (on the 0/1 indicator scale) within 1e-12 below a bin
+# edge count as at the edge: far above the rounding of the propensity fit,
+# far below any difference between rows that a quantile bin should resolve.
+SCORE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,14 @@ def _raw_covariates(design: EncodedDesign) -> np.ndarray:
 
 
 def _propensity(fit_means, coefs, intercept, design: EncodedDesign) -> np.ndarray:
-    """Propensity scores rounded to ``SCORE_DECIMALS`` places, so that
-    scores equal up to rounding share a bin: a flat propensity is one bin,
-    not quantiles of its rounding noise."""
-    scores = intercept + (_raw_covariates(design) - fit_means) @ coefs
-    return np.round(scores, SCORE_DECIMALS)
+    return intercept + (_raw_covariates(design) - fit_means) @ coefs
+
+
+def _bins(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Bin of each score: a score within ``SCORE_TOLERANCE`` of an edge is
+    at the edge, so scores equal up to rounding share a bin, and a flat
+    propensity is one bin, not quantiles of its rounding noise."""
+    return np.searchsorted(edges - SCORE_TOLERANCE, scores, side="right")
 
 
 def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
@@ -80,7 +83,7 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
     scores = _propensity(cov_means, coefs, intercept, design)
 
     edges = np.quantile(scores, np.arange(1, bins) / bins) if bins > 1 else np.zeros(0)
-    assignment = np.searchsorted(edges, scores, side="right")
+    assignment = _bins(edges, scores)
 
     bin_fits: list = []
     for b in range(bins):
@@ -124,7 +127,7 @@ def predict_calders(fit: CaldersFit, design: EncodedDesign) -> np.ndarray:
     scores = _propensity(
         fit.covariate_means, fit.propensity_coefs, fit.propensity_intercept, design
     )
-    assignment = np.searchsorted(fit.bin_edges, scores, side="right")
+    assignment = _bins(fit.bin_edges, scores)
     out = np.zeros(design.n_rows)
     for b, bin_fit in enumerate(fit.bin_fits):
         idx = np.where(assignment == b)[0]

@@ -3,18 +3,22 @@
 ``load_data`` reads a data CSV exactly as ``load_csv`` does and keeps the
 parsed columns next to it, in ``<data>.impartial.npz``, so that the next
 command on the same file loads them instead of parsing the text again.
-The sidecar's key is the sha256 of a format tag, the schema text and the
-file's bytes: it is keyed by content, never by timestamp, so an edited
-file or schema is a miss whatever its size and mtime say. A hit passes
-the stored columns through ``make_dataset``, so every type and finiteness
-check still runs.
+The sidecar's key is the sha256 of a format tag, the schema text, the
+file's identity (device, inode and status-change time) and its bytes. It
+is keyed by content, never by modification time, so an edited file or
+schema is a miss whatever its size and mtime say. The identity binds the
+key to this one file: no one can set a file's status-change time, so a
+sidecar that arrives with its data (a clone, an archive, a copy) never
+matches the copy it lands next to, even with the key its maker computed.
+A hit passes the stored columns through ``make_dataset``, so every type
+and finiteness check still runs.
 
 A sidecar is used only when it is a regular file owned by the current
-user and writable by no one else; a damaged, foreign or older-format one
-is a miss and is replaced. Only regular data files are cached: a FIFO or
-``/dev/stdin`` is read once, by ``load_csv``. A sidecar that cannot be
-written (a read-only directory) is skipped silently, and deleting one is
-always safe.
+user and writable by no one else; a damaged, foreign, copied or
+older-format one is a miss and is replaced. Only regular data files are
+cached: a FIFO or ``/dev/stdin`` is read once, by ``load_csv``. A sidecar
+that cannot be written (a read-only directory) is skipped silently, and
+deleting one is always safe.
 """
 
 from __future__ import annotations
@@ -65,9 +69,16 @@ def load_data(path, schema: Schema) -> Dataset:
     return data
 
 
+def _identity(st: os.stat_result) -> bytes:
+    """Device, inode and status-change time of the data file: what a copy,
+    however faithful, cannot carry."""
+    return b"%d %d %d\n" % (st.st_dev, st.st_ino, st.st_ctime_ns)
+
+
 def _key(p: Path, schema: Schema) -> bytes | None:
-    """sha256 of the tag, the schema and the bytes of ``p``, read 1 MiB at
-    a time; None when ``p`` is not a regular file or cannot be read."""
+    """sha256 of the tag, the schema, the identity and the bytes of ``p``,
+    read 1 MiB at a time; None when ``p`` is not a regular file or cannot
+    be read."""
     text = format_schema(schema).encode()
     h = hashlib.sha256(_TAG + b"%d\n" % len(text) + text)
     buf = bytearray(_BLOCK)
@@ -79,8 +90,10 @@ def _key(p: Path, schema: Schema) -> bytes | None:
             return None
         fd = os.open(p, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            if not stat.S_ISREG(os.fstat(fd).st_mode):
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
                 return None
+            h.update(_identity(st))
             while n := os.readv(fd, [buf]):
                 h.update(view[:n])
         finally:

@@ -28,6 +28,19 @@ def test_constant_propensity_equals_global_fseo():
     np.testing.assert_allclose(values, fseo, rtol=1e-10, atol=1e-12)
 
 
+def assert_one_bin_equals_global_fseo(design):
+    fit = fit_calders(design, bins=5)
+    assert [isinstance(f, float) for f in fit.bin_fits].count(False) == 1
+    fseo = predict(fit_total(design), design, Variant.FSEO).values
+    np.testing.assert_allclose(predict_calders(fit, design), fseo, rtol=1e-10, atol=1e-12)
+
+
+def mirrored(rng, n):
+    """n values summing to exactly 0, at a random scale."""
+    half = rng.uniform(0.1, 1.0, n // 2) * 10.0 ** rng.uniform(-3, 3)
+    return np.concatenate([half, -half, np.zeros(n % 2)])
+
+
 def test_flat_propensity_at_random_scales_is_one_bin():
     # w mirrored within each group, so the exact propensity coefficient is
     # 0; the fitted one may be rounding noise (~1e-14 on some scales), and
@@ -36,13 +49,26 @@ def test_flat_propensity_at_random_scales_is_one_bin():
     s = np.repeat([0.0, 1.0], 4)
     labels = ["g1" if v else "g0" for v in s]
     for _ in range(300):
-        half = rng.uniform(0.1, 1.0, 4) * 10.0 ** rng.uniform(-3, 3)
-        w = np.column_stack([half, -half]).ravel()
-        design = build_design(rng.standard_normal(8), s=s, w=w, group_labels=labels)
-        fit = fit_calders(design, bins=5)
-        assert len(set(fit.bin_edges)) == 1
-        fseo = predict(fit_total(design), design, Variant.FSEO).values
-        np.testing.assert_allclose(predict_calders(fit, design), fseo, rtol=1e-10, atol=1e-12)
+        w = np.concatenate([mirrored(rng, 4), mirrored(rng, 4)])
+        assert_one_bin_equals_global_fseo(
+            build_design(rng.standard_normal(8), s=s, w=w, group_labels=labels)
+        )
+
+
+def test_flat_propensity_on_a_rounding_half_point_is_one_bin():
+    # an odd group count k over n = 8192 puts the intercept k/n on a
+    # half-point of every decimal grid finer than 1e-13 (k/8192 * 1e12 ends
+    # in .5), where rounding noise of either sign would split the bin
+    rng = np.random.default_rng(73)
+    n = 8192
+    for _ in range(12):
+        k = 2 * int(rng.integers(1, n // 4)) + 1
+        s = np.repeat([0.0, 1.0], [n - k, k])
+        w = np.concatenate([mirrored(rng, n - k), mirrored(rng, k)])
+        labels = ["g1" if v else "g0" for v in s]
+        assert_one_bin_equals_global_fseo(
+            build_design(rng.standard_normal(n), s=s, w=w, group_labels=labels)
+        )
 
 
 def test_loan_table_matches_brute_force(table1_data):

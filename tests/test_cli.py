@@ -1,5 +1,6 @@
 import csv
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -603,9 +604,13 @@ class TestSidecar:
         assert stat.S_IMODE(sidecar_of(data_path).stat().st_mode) == 0o600
         assert left_behind(data_path.parent) == []
 
-    def test_same_size_and_mtime_with_other_bytes_is_a_miss(self, cached_files, parses):
+    def test_same_size_and_mtime_with_other_bytes_is_a_miss(self, cached_files, parses,
+                                                           monkeypatch):
         data_path, schema_path, _ = cached_files
         schema = load_schema(schema_path)
+        # the rewrite changes the file's status-change time, which alone
+        # would make a miss; hold the identity fixed so the bytes decide
+        monkeypatch.setattr(sidecar, "_identity", lambda st: b"")
         sidecar.load_data(data_path, schema)
         before = data_path.stat()
         text = data_path.read_bytes()
@@ -617,6 +622,31 @@ class TestSidecar:
         assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
         assert_same_dataset(sidecar.load_data(data_path, schema), load_csv(data_path, schema))
         assert parses == ["data.csv", "data.csv"]
+
+    @pytest.mark.parametrize("values", ["altered", "unaltered"])
+    def test_sidecar_delivered_with_its_data_is_a_miss(self, cached_files, parses, tmp_path,
+                                                       values):
+        # whoever ships data.csv can ship a sidecar whose key was valid where
+        # it was made; after a copy or an unpack both are the user's, 0644
+        data_path, schema_path, _ = cached_files
+        schema = load_schema(schema_path)
+        sidecar.load_data(data_path, schema)
+        with np.load(sidecar_of(data_path)) as z:
+            members = dict(z)
+        if values == "altered":
+            assert members["c0"].dtype == np.float64  # y: still a valid column
+            members["c0"] = members["c0"] + 1.0
+        copy = tmp_path / "delivered" / "data.csv"
+        copy.parent.mkdir()
+        shutil.copy2(data_path, copy)
+        with sidecar_of(copy).open("wb") as fh:
+            np.savez(fh, **members)
+        sidecar_of(copy).chmod(0o644)
+        assert members["key"].tobytes() == sidecar._key(data_path, schema)
+        assert_same_dataset(sidecar.load_data(copy, schema), load_csv(data_path, schema))
+        assert parses == ["data.csv", "data.csv"]
+        assert_same_dataset(sidecar.load_data(copy, schema), load_csv(data_path, schema))
+        assert parses == ["data.csv", "data.csv"]  # replaced by the copy's own
 
     def test_file_changed_during_the_parse_is_not_stored(self, cached_files, monkeypatch):
         data_path, schema_path, _ = cached_files
