@@ -7,6 +7,7 @@ predictions to be impartial.
 """
 
 from .data import (
+    Categorical,
     ColumnSpec,
     Dataset,
     EncodedDesign,

@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import (
     Dataset,
+    EncodedDesign,
     Schema,
     csv_records,
     encode,
@@ -32,7 +33,7 @@ from .data import (
 )
 from .decomposition import COMPONENT_NAMES, Mode, decompose
 from .errors import ContractError, DataError, ImpartialError
-from .estimators import Variant, correct_blackbox, fit_total, predict, with_blackbox
+from .estimators import Variant, fit_total, predict, with_blackbox
 from .metrics import ScoreMode, score_predictions
 from .sidecar import load_data
 
@@ -61,6 +62,11 @@ def _load_inputs(args) -> tuple[Dataset, Schema]:
         raise ContractError("--data and --schema are required")
     schema = load_schema(args.schema)
     return load_data(args.data, schema), schema
+
+
+def _load_design(args) -> EncodedDesign:
+    """The encoded ``--data``; the parsed Dataset is not kept."""
+    return encode(*_load_inputs(args))
 
 
 def _read_predictions(path, n_expected: int) -> np.ndarray:
@@ -102,13 +108,6 @@ def _predictions_column(p: Path, header) -> int:
     )
 
 
-def _row_cell(cell: str) -> float:
-    """The ``row`` column is not read, but a ``#`` row is one to skip."""
-    if cell.startswith("#"):
-        raise ValueError("comment row")
-    return 0.0
-
-
 # Matches at the start of every line except a ``#`` line.
 _NOT_COMMENT = re.compile("(?!#)").match
 
@@ -126,6 +125,8 @@ def _parse_predictions(p: Path) -> np.ndarray | None:
     """The predictions column parsed by numpy's C reader, or None where
     the row loop must decide (a ``#`` row before the last data row, no
     rows, or any cell numpy does not parse exactly as ``float`` would).
+    Every column is parsed as a number, so a ``row`` cell that is not one,
+    a ``#`` cell among them, sends the file to the row loop.
 
     When the file ends in ``#`` lines, as ``correct`` output does, numpy
     reads up to the first line starting with ``#``, and the rest of the
@@ -136,7 +137,7 @@ def _parse_predictions(p: Path) -> np.ndarray | None:
         column = _predictions_column(p, next(csv_records(fh, p), None))
         lines = itertools.takewhile(_NOT_COMMENT, fh) if _ends_in_comment(p) else fh
         try:
-            values = read_table(lines, {0: _row_cell} if column else {})
+            values = read_table(lines, {})
         except ValueError:
             return None
         if any(line.strip("\r\n") and line[0] != "#" for line in fh):
@@ -212,8 +213,7 @@ def _score_mode(args, variant: Variant | None) -> ScoreMode:
 
 
 def cmd_fit(args) -> int:
-    data, schema = _load_inputs(args)
-    design = encode(data, schema)
+    design = _load_design(args)
     variant = _FIT_VARIANTS[args.variant]
     fit = fit_total(design)
     pred = predict(fit, design, variant)
@@ -234,8 +234,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    data, schema = _load_inputs(args)
-    design = encode(data, schema)
+    design = _load_design(args)
     variant = None
     if args.predictions:
         values = _read_predictions(args.predictions, design.n_rows)
@@ -263,8 +262,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    data, schema = _load_inputs(args)
-    design = encode(data, schema)
+    design = _load_design(args)
     fit = fit_total(design)
     report = decompose(fit, design, Mode(args.mode or "total"))
     out = Path(args.out)
@@ -281,17 +279,18 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_correct(args) -> int:
-    data, schema = _load_inputs(args)
-    design = encode(data, schema)
+    design = _load_design(args)
     if not args.predictions:
         raise ContractError("correct needs --predictions")
-    external = _read_predictions(args.predictions, design.n_rows)
-    fit, pred = correct_blackbox(design, external)
+    # estimators.correct_blackbox, with the one augmented design kept for
+    # the audit.
+    design = with_blackbox(design, _read_predictions(args.predictions, design.n_rows))
+    pred = predict(fit_total(design), design, Variant.BLACKBOX_CORRECTED)
     out = Path(args.out)
     _write_predictions(out, pred.values, header="corrected")
     audited = score_predictions(
         pred.values,
-        with_blackbox(design, external),
+        design,
         design.y,
         _score_mode(args, Variant.BLACKBOX_CORRECTED),
         positive_group=args.positive_group,

@@ -1,7 +1,9 @@
 """CSV ingestion, covariate roles, and design-matrix encoding.
 
 A Schema assigns each CSV column a role (response / sensitive / legitimate
-/ suspect / blackbox / ignore) and a kind (numeric or categorical).
+/ suspect / blackbox / ignore) and a kind (numeric or categorical). A
+categorical column is held as integer codes into its labels
+(``Categorical``), never as one Python object per row.
 ``encode`` turns a Dataset into one centered matrix Z = [S|X|W|B] whose
 blocks (sensitive, legitimate, suspect, black-box) are column ranges, with
 one-hot expansion (first level dropped) and interaction products. This
@@ -26,6 +28,7 @@ import io
 import itertools
 import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,10 +155,95 @@ def format_schema(schema: Schema) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _present(codes: np.ndarray, k: int) -> np.ndarray:
+    """The codes among 0..k-1 that occur in ``codes``, in order of first
+    appearance."""
+    first = np.full(k, len(codes), dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    order = np.argsort(first)
+    return order[first[order] < len(codes)]
+
+
+@dataclass(frozen=True, eq=False)
+class Categorical(Sequence):
+    """A column of labels held as integer ``codes`` into ``levels``.
+
+    It reads as the sequence of per-row labels (``len``, indexing, slicing
+    to a tuple, iteration, ``np.asarray``) and compares equal to another
+    one, or to a tuple, with the same labels row by row. A Dataset column
+    numbers its levels in order of first appearance and uses every one;
+    a design's group key (``EncodedDesign.groups``) keeps the level table
+    of the whole data in its row subsets.
+    """
+
+    codes: np.ndarray
+    levels: tuple
+
+    @classmethod
+    def from_labels(cls, labels) -> "Categorical":
+        """Factor a sequence of hashable labels in first-appearance order."""
+        index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+        codes = np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+        return cls(codes, tuple(index))
+
+    @classmethod
+    def from_codes(cls, codes, levels) -> "Categorical":
+        """The labels ``levels[codes]``, renumbered in first-appearance order."""
+        codes = np.asarray(codes, dtype=np.intp)
+        present = _present(codes, len(levels))
+        rank = np.zeros(len(levels), dtype=np.intp)
+        rank[present] = np.arange(present.size)
+        return cls(rank[codes], tuple(levels[j] for j in present.tolist()))
+
+    def present(self) -> np.ndarray:
+        """The codes that occur, in order of first appearance."""
+        return _present(self.codes, len(self.levels))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.levels.__getitem__, self.codes[i].tolist()))
+        return self.levels[self.codes[i]]
+
+    def __iter__(self):
+        return map(self.levels.__getitem__, self.codes.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.levels, dtype=dtype)[self.codes]
+
+    def __eq__(self, other):
+        if isinstance(other, (Categorical, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
+def as_categorical(column) -> Categorical:
+    """A Dataset column as a Categorical.
+
+    Labels are factored as they are. A numeric column gets one level per
+    exact value (bit pattern), labelled ``format(v, "g")``, or ``repr(v)``
+    when two of those labels would coincide.
+    """
+    if isinstance(column, Categorical):
+        return column
+    if not isinstance(column, np.ndarray):
+        return Categorical.from_labels(column)
+    values = np.ascontiguousarray(column, dtype=float)
+    keys, codes = np.unique(values.view(np.int64), return_inverse=True)
+    col = Categorical.from_codes(codes.reshape(-1), keys.view(float).tolist())
+    labels = tuple(format(v, "g") for v in col.levels)
+    if len(set(labels)) < len(labels):
+        labels = tuple(map(repr, col.levels))
+    return Categorical(col.codes, labels)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Rectangular typed columns; numeric columns are float arrays,
-    categorical columns are tuples of labels."""
+    categorical columns are ``Categorical`` codes in first-appearance
+    order plus their labels."""
 
     names: tuple[str, ...]
     columns: dict
@@ -176,7 +264,9 @@ def make_dataset(columns: dict[str, object]) -> Dataset:
     """Build a Dataset from name -> column values, validating rectangularity.
 
     A column is numeric when it is an array or holds numbers, categorical
-    when it holds only non-numbers; a list mixing both is a DataError.
+    when it is a Categorical or holds only non-numbers (labels are kept as
+    ``str``); a list mixing both is a DataError. A Categorical's codes must
+    number distinct string levels in first-appearance order, each used.
     """
     names = tuple(columns)
     if not names:
@@ -190,6 +280,9 @@ def make_dataset(columns: dict[str, object]) -> Dataset:
     typed: dict[str, object] = {}
     for name in names:
         col = columns[name]
+        if isinstance(col, Categorical):
+            typed[name] = _checked_categorical(name, col)
+            continue
         kinds = set() if isinstance(col, np.ndarray) else set(map(type, col))
         numbers = {k for k in kinds if issubclass(k, _NUMBER_TYPES)}
         if numbers and numbers != kinds:
@@ -205,8 +298,34 @@ def make_dataset(columns: dict[str, object]) -> Dataset:
                 raise DataError(f"column '{name}' contains non-finite values")
             typed[name] = arr
         else:
-            typed[name] = tuple(str(v) for v in col)
+            typed[name] = Categorical.from_labels(col if kinds == {str} else [str(v) for v in col])
     return Dataset(names=names, columns=typed, n_rows=n)
+
+
+def _checked_categorical(name: str, col: Categorical) -> Categorical:
+    """``col`` with intp codes, or a DataError unless its codes number its
+    levels in first-appearance order and use each one, and the levels are
+    distinct strings."""
+    codes, levels = col.codes, col.levels
+    if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":
+        raise DataError(f"categorical column '{name}' needs a vector of integer codes")
+    if not isinstance(levels, tuple) or not all(type(v) is str for v in levels):
+        raise DataError(f"categorical column '{name}' needs a tuple of string levels")
+    if len(set(levels)) != len(levels):
+        raise DataError(f"categorical column '{name}' repeats a level")
+    codes = codes.astype(np.intp, copy=False)
+    reached = np.maximum.accumulate(codes)
+    if (
+        codes[0] != 0
+        or codes.min() < 0
+        or np.any(codes[1:] > reached[:-1] + 1)
+        or reached[-1] != len(levels) - 1
+    ):
+        raise DataError(
+            f"categorical column '{name}' does not number its {len(levels)} levels "
+            "in first-appearance order"
+        )
+    return Categorical(codes, levels)
 
 
 def take(data: Dataset, indices) -> Dataset:
@@ -218,7 +337,8 @@ def take(data: Dataset, indices) -> Dataset:
         if isinstance(col, np.ndarray):
             cols[name] = col[idx]
         else:
-            cols[name] = tuple(col[i] for i in idx)
+            col = as_categorical(col)
+            cols[name] = Categorical.from_codes(col.codes[idx], col.levels)
     return Dataset(names=data.names, columns=cols, n_rows=len(idx))
 
 
@@ -228,21 +348,11 @@ def collect_levels(data: Dataset, schema: Schema) -> dict[str, tuple[str, ...]]:
     Computed on a reference dataset (usually the full data) so that row
     subsets encode with identical columns.
     """
-    levels: dict[str, tuple[str, ...]] = {}
-    for spec in schema.columns:
-        if spec.role is Role.IGNORE or not spec.categorical:
-            continue
-        col = data.columns[spec.name]
-        if isinstance(col, np.ndarray):
-            col = tuple(format(v, "g") for v in col)
-        seen: list[str] = []
-        seen_set = set()
-        for v in col:
-            if v not in seen_set:
-                seen_set.add(v)
-                seen.append(v)
-        levels[spec.name] = tuple(seen)
-    return levels
+    return {
+        spec.name: as_categorical(data.columns[spec.name]).levels
+        for spec in schema.columns
+        if spec.categorical and spec.role is not Role.IGNORE
+    }
 
 
 def load_csv(path, schema: Schema) -> Dataset:
@@ -342,8 +452,7 @@ def _parse_columns(fh, header, schema: Schema) -> dict | None:
             continue
         col = values[:, names.index(spec.name)]
         if spec.categorical:
-            labels = tuple(tables[spec.name])
-            columns[spec.name] = tuple(map(labels.__getitem__, col.astype(np.intp).tolist()))
+            columns[spec.name] = Categorical(col.astype(np.intp), tuple(tables[spec.name]))
         else:
             columns[spec.name] = col.copy()
     return columns
@@ -409,24 +518,24 @@ def write_csv(path, data: Dataset) -> None:
             formats.append("%.17g")
             cells.append(col)
         else:
-            quoted = _csv_cells(col, len(cols))
+            col = as_categorical(col)
             formats.append("%s")
-            cells.append(tuple(map(quoted.__getitem__, col)))
+            cells.append(np.array(_csv_cells(col.levels, len(cols)), dtype=object)[col.codes])
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(data.names)
         write_rows(fh, formats, cells)
 
 
-def _csv_cells(values, width: int) -> dict:
-    """Each distinct value as ``csv.writer`` writes it as one cell of a
-    ``width``-cell row (QUOTE_MINIMAL; a lone empty cell is quoted)."""
+def _csv_cells(values, width: int) -> list[str]:
+    """Each value as ``csv.writer`` writes it as one cell of a ``width``-cell
+    row (QUOTE_MINIMAL; a lone empty cell is quoted)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     pad = [""] if width > 1 else []
-    cells = {}
-    for value in dict.fromkeys(values):
+    cells = []
+    for value in values:
         writer.writerow([value, *pad])
-        cells[value] = buf.getvalue()[: -2 - len(pad)]
+        cells.append(buf.getvalue()[: -2 - len(pad)])
         buf.seek(0)
         buf.truncate()
     return cells
@@ -519,15 +628,16 @@ class EncodedDesign(BlockLayout):
     """Centered design matrix ``z`` = [S|X|W|B] plus provenance.
 
     ``s``, ``x``, ``w`` and ``b`` are read-only column views of ``z``.
-    ``s_group_labels`` keeps the original per-row sensitive label(s) for
-    group metrics. ``r`` is the R factor of [Z | centered y], factored on
-    first use and shared by every role view of the design; ``z`` and ``y``
-    are never changed in place.
+    ``groups`` is every row's sensitive group, as codes into a table of
+    group labels (see ``_groups``), for group metrics; ``s_group_labels``
+    reads it as per-row labels. ``r`` is the R factor of [Z | centered y],
+    factored on first use and shared by every role view of the design;
+    ``z`` and ``y`` are never changed in place.
     """
 
     y: np.ndarray
     z: np.ndarray
-    s_group_labels: tuple[str, ...]
+    groups: Categorical
     response_name: str = "y"
     _r: list = dataclasses.field(default_factory=list, compare=False, repr=False)
 
@@ -550,6 +660,7 @@ class EncodedDesign(BlockLayout):
     x = property(lambda self: self.block("x"))
     w = property(lambda self: self.block("w"))
     b = property(lambda self: self.block("b"))
+    s_group_labels = property(lambda self: self.groups)
 
     @classmethod
     def from_blocks(cls, y, blocks: dict, s_group_labels, response_name: str = "y"):
@@ -557,6 +668,7 @@ class EncodedDesign(BlockLayout):
 
         ``blocks`` is keyed by "s", "x", "w", "b" (a missing key is an
         empty block); ``columns`` is a list of 1-D column arrays.
+        ``s_group_labels`` is the per-row group labels or a Categorical.
         """
         parts = [blocks.get(key, ([], (), np.zeros(0))) for key in BLOCKS]
         cols = [col for part_cols, _, _ in parts for col in part_cols]
@@ -566,7 +678,7 @@ class EncodedDesign(BlockLayout):
             widths=tuple(len(labels) for _, labels, _ in parts),
             y=y,
             z=np.column_stack(cols) if cols else np.zeros((len(y), 0)),
-            s_group_labels=tuple(s_group_labels),
+            groups=as_categorical(s_group_labels),
             response_name=response_name,
         )
 
@@ -617,32 +729,23 @@ def _encode_source_column(data: Dataset, spec: ColumnSpec, levels_override):
     """Return (column matrix before centering, column labels)."""
     col = data.columns[spec.name]
     if spec.categorical:
-        if isinstance(col, np.ndarray):
-            col = tuple(format(v, "g") for v in col)
+        col = as_categorical(col)
+        levels, codes = col.levels, col.codes
         if levels_override is not None and spec.name in levels_override:
-            levels = list(levels_override[spec.name])
-            unknown = sorted(set(col) - set(levels))
+            position = {lvl: j for j, lvl in enumerate(levels_override[spec.name])}
+            unknown = sorted(set(levels) - set(position))
             if unknown:
                 raise DataError(
                     f"column '{spec.name}' has values {unknown} outside the "
                     f"provided level list"
                 )
-        else:
-            levels = []
-            seen = set()
-            for v in col:
-                if v not in seen:
-                    seen.add(v)
-                    levels.append(v)
+            codes = np.array([position[lvl] for lvl in levels], dtype=np.intp)[codes]
+            levels = tuple(position)
         # First-appearance order, first level is the dropped reference.
-        kept = levels[1:]
-        mat = np.zeros((data.n_rows, len(kept)))
-        index = {lvl: j for j, lvl in enumerate(kept)}
-        for i, v in enumerate(col):
-            j = index.get(v)
-            if j is not None:
-                mat[i, j] = 1.0
-        labels = tuple(f"{spec.name}={lvl}" for lvl in kept)
+        mat = np.zeros((data.n_rows, len(levels) - 1))
+        rows = np.flatnonzero(codes)
+        mat[rows, codes[rows] - 1] = 1.0
+        labels = tuple(f"{spec.name}={lvl}" for lvl in levels[1:])
         return mat, labels
     arr = np.asarray(col, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -700,7 +803,7 @@ def assemble(
     return EncodedDesign.from_blocks(
         y,
         {key: (pre[key], labels[key], np.zeros(len(pre[key]))) for key in BLOCKS},
-        _group_labels(data, schema),
+        _groups(data, schema),
         response_name=resp.name,
     )
 
@@ -717,9 +820,12 @@ def encode(
     """Expand a Dataset into a centered Z = [S|X|W|B].
 
     ``center(assemble(data, schema, levels))``: see ``assemble`` for the
-    column rules and ``levels``.
+    column rules and ``levels``. The assembled ``z`` is this call's own,
+    so it is centered in place.
     """
-    return center(assemble(data, schema, levels))
+    design = assemble(data, schema, levels)
+    z, shift = column_center(design.z, out=design.z)
+    return design.replace(z=z, column_means=design.column_means + shift)
 
 
 def take_design(design: EncodedDesign, indices) -> EncodedDesign:
@@ -736,22 +842,34 @@ def take_design(design: EncodedDesign, indices) -> EncodedDesign:
         design.replace(
             y=design.y[idx],
             z=design.z[idx],
-            s_group_labels=tuple(map(design.s_group_labels.__getitem__, idx.tolist())),
+            groups=Categorical(design.groups.codes[idx], design.groups.levels),
         )
     )
 
 
-def _group_labels(data: Dataset, schema: Schema) -> tuple[str, ...]:
-    """Per-row sensitive group key: the original labels, joined with '|'
-    when several sensitive source columns exist."""
-    sensitive = [c for c in schema.columns if c.role is Role.SENSITIVE]
+def _groups(data: Dataset, schema: Schema) -> Categorical:
+    """Every row's sensitive group: one per distinct combination of the
+    sensitive columns' levels, in first-appearance order, labelled by the
+    levels joined with '|' (a DataError when two groups would share a
+    label). With no sensitive column every row is in the one group "".
+    """
+    sensitive = [as_categorical(data.columns[c.name]) for c in schema.columns
+                 if c.role is Role.SENSITIVE]
     if not sensitive:
-        return tuple("" for _ in range(data.n_rows))
-    parts = []
-    for spec in sensitive:
-        col = data.columns[spec.name]
-        if isinstance(col, np.ndarray):
-            parts.append(tuple(format(v, "g") for v in col))
-        else:
-            parts.append(col)
-    return tuple("|".join(vals) for vals in zip(*parts))
+        return Categorical(np.zeros(data.n_rows, dtype=np.intp), ("",))
+    if len(sensitive) == 1:
+        return sensitive[0]
+    key = sensitive[0].codes
+    for col in sensitive[1:]:
+        key = np.unique(key * len(col.levels) + col.codes, return_inverse=True)[1].reshape(-1)
+    labels: dict[str, tuple] = {}
+    for i in np.unique(key, return_index=True)[1].tolist():
+        combo = tuple(col[i] for col in sensitive)
+        label = "|".join(combo)
+        if label in labels:
+            raise DataError(
+                f"sensitive groups {labels[label]} and {combo} would share the "
+                f"label {label!r}"
+            )
+        labels[label] = combo
+    return Categorical.from_codes(key, tuple(labels))

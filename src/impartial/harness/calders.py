@@ -49,7 +49,7 @@ def _check_design(design: EncodedDesign) -> None:
             "the stratified baseline needs a single binary sensitive attribute "
             f"(got {design.s.shape[1]} sensitive columns)"
         )
-    if len(set(design.s_group_labels)) != 2:
+    if design.groups.present().size != 2:
         raise ContractError("the stratified baseline needs exactly two sensitive groups")
 
 
@@ -92,13 +92,13 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
             bin_fits.append(float(design.y.mean()))
             continue
         sub = take_design(design, idx)
-        labels = set(sub.s_group_labels)
-        if len(labels) < 2 or idx.size < 3:
+        present = sub.groups.present()
+        if present.size < 2 or idx.size < 3:
             log.warning(
                 "propensity bin %d is homogeneous (%s, %d rows); "
                 "falling back to the bin mean response",
                 b,
-                sorted(labels),
+                sorted(sub.groups.levels[k] for k in present.tolist()),
                 idx.size,
             )
             bin_fits.append(float(sub.y.mean()))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import Dataset, EncodedDesign, Schema, assemble, center, take_design
+from ..data import Dataset, EncodedDesign, Schema, _groups, assemble, center, take_design
 from ..errors import ContractError, DataError
 from ..estimators import (
     Variant,
@@ -137,14 +137,11 @@ class ValidationTable:
 
 
 def group_rows(data: Dataset, schema: Schema) -> dict[str, np.ndarray]:
-    """Row indices per sensitive group label."""
-    from ..data import _group_labels
-
-    labels = _group_labels(data, schema)
-    out: dict[str, list[int]] = {}
-    for i, lab in enumerate(labels):
-        out.setdefault(lab, []).append(i)
-    return {k: np.asarray(v, dtype=int) for k, v in out.items()}
+    """Row indices per sensitive group label, in first-appearance order."""
+    groups = _groups(data, schema)
+    counts = np.bincount(groups.codes, minlength=len(groups.levels))
+    rows = np.split(np.argsort(groups.codes, kind="stable"), np.cumsum(counts)[:-1])
+    return {groups.levels[k]: rows[k] for k in groups.present().tolist()}
 
 
 def inject_bias(data: Dataset, schema: Schema, spec: BiasSpec) -> Dataset:
@@ -352,7 +349,7 @@ def kfold_validate(
             entry["rmse_biased"] += rmse(values, y_biased)
             entry["rmse_raw"] += rmse(values, y_raw)
             entry["ds"] += discrimination_score(
-                values, enc_full.s_group_labels, pos_group, neg_group
+                values, enc_full.groups, pos_group, neg_group
             )
             entry["is"] += impartiality_score(
                 values, design, y_biased, _natural_mode(variant)

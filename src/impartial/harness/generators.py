@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import ColumnSpec, Dataset, Role, Schema, make_dataset
+from ..data import Categorical, ColumnSpec, Dataset, Role, Schema, make_dataset
 from ..errors import ContractError
 
 
@@ -159,8 +159,7 @@ def gen_dag(spec: DagSpec) -> tuple[Dataset, Schema]:
     columns: dict[str, object] = {"y": y}
     specs = [ColumnSpec("y", Role.RESPONSE)]
     for j in range(spec.p_s):
-        labels = tuple("g1" if v > 0 else "g0" for v in s[:, j])
-        columns[f"s{j}"] = labels
+        columns[f"s{j}"] = Categorical.from_codes(s[:, j] > 0, ("g0", "g1"))
         specs.append(ColumnSpec(f"s{j}", Role.SENSITIVE, categorical=True))
     for j in range(spec.p_x_observed):
         columns[f"x{j}"] = x_all[:, j]
@@ -246,7 +245,7 @@ def gen_wine_like(n: int = 6497, seed: int = 0) -> tuple[Dataset, Schema]:
 
     columns: dict[str, object] = {
         "quality": quality,
-        "type": tuple("white" if v > 0 else "red" for v in white),
+        "type": Categorical.from_codes(white > 0, ("red", "white")),
     }
     for j, name in enumerate(_WINE_FEATURES):
         columns[name] = x[:, j]

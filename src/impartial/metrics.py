@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EncodedDesign
+from .data import Categorical, EncodedDesign
 from .errors import ContractError
 from .linalg import r_factor, regress
 
@@ -98,14 +98,19 @@ def _aligned_pair(a, b):
 
 
 def group_means(values, group_labels) -> dict[str, float]:
+    """Mean of ``values`` per group, in first-appearance order.
+
+    ``group_labels`` is per-row labels or a Categorical (e.g. a design's
+    ``groups``). Each mean is numpy's mean of the group's values in row
+    order, so it does not depend on how the groups are coded.
+    """
     v = np.asarray(values, dtype=float)
     if len(group_labels) != v.shape[0]:
         raise ContractError("group labels misaligned with values")
-    out: dict[str, float] = {}
-    labels = np.asarray(group_labels)
-    for g in dict.fromkeys(group_labels):  # first-appearance order
-        out[g] = float(v[labels == g].mean())
-    return out
+    if not isinstance(group_labels, Categorical):
+        group_labels = Categorical.from_labels(group_labels)
+    codes, levels = group_labels.codes, group_labels.levels
+    return {levels[k]: float(v[codes == k].mean()) for k in group_labels.present().tolist()}
 
 
 def discrimination_score(
@@ -240,7 +245,7 @@ def score_predictions(
     defaults to (second, first) in first-appearance order.
     """
     values = np.asarray(getattr(predictions, "values", predictions), dtype=float)
-    means = group_means(values, design.s_group_labels)
+    means = group_means(values, design.groups)
     if positive_group is None or negative_group is None:
         distinct = list(means)
         if len(distinct) != 2:

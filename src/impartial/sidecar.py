@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Role, Schema, format_schema, load_csv, make_dataset
+from .data import Categorical, Dataset, Role, Schema, format_schema, load_csv, make_dataset
 from .errors import DataError
 
 SUFFIX = ".impartial.npz"
@@ -140,9 +140,10 @@ def _columns(z, schema: Schema) -> dict:
             raise ValueError(f"member c{i} is not a vector")
         if spec.categorical:
             labels = json.loads(z[f"l{i}"].tobytes())
-            if values.dtype.kind not in "iu" or (values.size and values.min() < 0):
-                raise ValueError(f"member c{i} holds no codes")
-            columns[spec.name] = tuple(map(labels.__getitem__, values.tolist()))
+            if not isinstance(labels, list):
+                raise ValueError(f"member l{i} holds no labels")
+            # make_dataset checks the codes and the labels.
+            columns[spec.name] = Categorical(values, tuple(labels))
         elif values.dtype == np.float64:
             columns[spec.name] = values
         else:
@@ -151,16 +152,16 @@ def _columns(z, schema: Schema) -> dict:
 
 
 def _write(sidecar: Path, key: bytes, data: Dataset) -> None:
-    """Store ``data`` under ``key``, atomically; skipped on any OSError."""
+    """Store ``data`` (a ``load_csv`` result) under ``key``, atomically;
+    skipped on any OSError."""
     members = {"key": np.frombuffer(key, dtype=np.uint8)}
     for i, name in enumerate(data.names):
         col = data.columns[name]
         if isinstance(col, np.ndarray):
             members[f"c{i}"] = col
         else:
-            codes = {label: code for code, label in enumerate(dict.fromkeys(col))}
-            members[f"c{i}"] = np.fromiter(map(codes.__getitem__, col), np.int64, len(col))
-            members[f"l{i}"] = np.frombuffer(json.dumps(list(codes)).encode(), np.uint8)
+            members[f"c{i}"] = col.codes.astype(np.int64)
+            members[f"l{i}"] = np.frombuffer(json.dumps(list(col.levels)).encode(), np.uint8)
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{sidecar.name}.", dir=sidecar.parent)
     except OSError:

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import shutil
 import stat
@@ -553,6 +554,29 @@ def assert_same_dataset(a, b):
             assert x == y
 
 
+def _swapped(codes):
+    return 1 - codes, '["g0", "g1"]'
+
+
+def _set(i, code, labels='["g0", "g1"]'):
+    def damage(codes):
+        codes[i] = code
+        return codes, labels
+    return damage
+
+
+# Damaged codes or labels of a categorical column: each is a miss.
+CODE_DAMAGE = {
+    "codes out of order": _swapped,
+    "code out of range": _set(-1, 2),
+    "negative code": _set(-1, -1),
+    "unused label": _set(0, 0, '["g0", "g1", "g2"]'),
+    "repeated label": _set(0, 0, '["g0", "g0"]'),
+    "label not a string": _set(0, 0, '["g0", 1]'),
+    "labels not a list": _set(0, 0, '{"g0": 0, "g1": 1}'),
+}
+
+
 SIDECAR_COMMANDS = {
     "fit": ["fit", "--variant", "total"],
     "audit": ["audit", "--predictions", "{preds}"],
@@ -675,6 +699,28 @@ class TestSidecar:
         assert_same_dataset(data, load_csv(data_path, other))
         assert parses == ["data.csv", "data.csv"]
 
+    def test_sidecar_of_labels_per_row_layout_is_a_hit(self, cached_files, parses):
+        # the layout as written when a categorical column was a tuple of
+        # labels: codes numbered by first appearance, labels as JSON
+        data_path, schema_path, _ = cached_files
+        schema = load_schema(schema_path)
+        expected = load_csv(data_path, schema)
+        members = {"key": np.frombuffer(sidecar._key(data_path, schema), np.uint8)}
+        for i, name in enumerate(expected.names):
+            col = expected.columns[name]
+            if isinstance(col, np.ndarray):
+                members[f"c{i}"] = col
+                continue
+            labels = tuple(col)
+            codes = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+            members[f"c{i}"] = np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
+            members[f"l{i}"] = np.frombuffer(json.dumps(list(codes)).encode(), np.uint8)
+        with sidecar_of(data_path).open("wb") as fh:
+            np.savez(fh, **members)
+        sidecar_of(data_path).chmod(0o600)
+        assert_same_dataset(sidecar.load_data(data_path, schema), expected)
+        assert parses == []
+
     @staticmethod
     def _damage(path, kind, key):
         if kind == "truncated":
@@ -705,11 +751,19 @@ class TestSidecar:
             np.savez(path, **members)
         elif kind == "older format":
             np.savez(path, key=np.frombuffer(key, np.uint8))
+        elif kind in CODE_DAMAGE:
+            with np.load(path) as z:
+                members = dict(z)
+            # c1 and l1 are the sensitive column s0: codes 0 and 1, two labels
+            assert json.loads(members["l1"].tobytes()) == ["g0", "g1"]
+            members["c1"], labels = CODE_DAMAGE[kind](members["c1"].copy())
+            members["l1"] = np.frombuffer(labels.encode(), np.uint8)
+            np.savez(path, **members)
         path.chmod(0o600)
 
     @pytest.mark.parametrize("kind", ["truncated", "empty", "not an npz", "wrong key",
                                       "object array", "wrong dtype", "missing member",
-                                      "older format"])
+                                      "older format", *CODE_DAMAGE])
     def test_damaged_sidecar_is_a_miss_and_replaced(self, cached_files, parses, monkeypatch,
                                                     kind):
         data_path, schema_path, _ = cached_files

@@ -239,6 +239,26 @@ class TestReadPredictions:
         monkeypatch.setattr(cli, "_read_prediction_rows", refuse)
         np.testing.assert_array_equal(cli._read_predictions(path, 4), values)
 
+    @pytest.mark.parametrize("row", ["#", "# note", "#7", '"#q"'])
+    def test_comment_row_with_a_numeric_prediction_is_skipped(self, tmp_path, row):
+        path = tmp_path / "p.csv"
+        path.write_text(f"row,prediction\n0,1.5\n{row},2.5\n1,3.5\n", encoding="utf-8")
+        np.testing.assert_array_equal(cli._read_predictions(path, 2), [1.5, 3.5])
+        self.compare(path)
+
+    @pytest.mark.parametrize("header", ["row,prediction", "prediction"])
+    def test_numeric_layout_takes_the_column_path(self, tmp_path, monkeypatch, header):
+        values = np.array([1.5, -2.0, 1e-300])
+        rows = [f"{i},{v!r}" if "," in header else repr(v) for i, v in enumerate(values.tolist())]
+        path = tmp_path / "p.csv"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+        def refuse(*args):
+            raise AssertionError("row loop used")
+
+        monkeypatch.setattr(cli, "_read_prediction_rows", refuse)
+        np.testing.assert_array_equal(cli._read_predictions(path, 3), values)
+
     @pytest.mark.parametrize("tail", ["# a,1\n1,2.0\n", "# a,1\n\n \n"])
     def test_rows_after_a_comment_go_to_the_row_loop(self, tmp_path, tail):
         path = tmp_path / "c.csv"

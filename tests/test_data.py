@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from impartial.data import (
+    Categorical,
     ColumnSpec,
     Role,
     Schema,
@@ -359,3 +360,90 @@ class TestSubsets:
             assert sliced.means(key).tobytes() == direct.means(key).tobytes()
             assert sliced.labels(key) == direct.labels(key)
         assert sliced.s_group_labels == direct.s_group_labels
+
+
+class TestCategorical:
+    def test_column_is_codes_plus_levels(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,g\n1,b\n2,a\n3,b\n4,c\n", encoding="utf-8")
+        schema = parse_schema("y = response\ng = sensitive,categorical\n")
+        col = load_csv(path, schema).columns["g"]
+        assert isinstance(col, Categorical)
+        assert col.codes.dtype == np.intp and col.codes.tolist() == [0, 1, 0, 2]
+        assert col.levels == ("b", "a", "c")
+        assert col == ("b", "a", "b", "c") and list(col) == ["b", "a", "b", "c"]
+        assert col[1] == "a" and col[1:3] == ("a", "b")
+        assert np.asarray(col).tolist() == ["b", "a", "b", "c"]
+
+    def test_labels_become_codes(self):
+        col = make_dataset({"g": ["x", "y", "x"]}).columns["g"]
+        assert col.codes.tolist() == [0, 1, 0] and col.levels == ("x", "y")
+
+    @pytest.mark.parametrize(
+        "codes, levels",
+        [
+            ([1, 0, 1], ("a", "b")),  # not in first-appearance order
+            ([0, 2, 1], ("a", "b", "c")),  # skips ahead
+            ([0, 1, 0], ("a", "b", "c")),  # an unused level
+            ([0, 1, 3], ("a", "b")),  # out of range
+            ([0, 1, -1], ("a", "b")),  # negative
+            ([0, 1, 0], ("a", "a")),  # a repeated level
+            ([0, 1, 0], ("a", 1)),  # a level that is not a string
+            ([0.0, 1.0, 0.0], ("a", "b")),  # codes that are not integers
+            ([[0, 1, 0]], ("a", "b")),  # not a vector
+        ],
+    )
+    def test_make_dataset_refuses_bad_codes(self, codes, levels):
+        with pytest.raises(DataError, match="categorical column 'g'"):
+            make_dataset({"y": np.zeros(len(codes)), "g": Categorical(np.array(codes), levels)})
+
+    def test_from_codes_renumbers_by_first_appearance(self):
+        col = Categorical.from_codes(np.array([2, 0, 2]), ("a", "b", "c"))
+        assert col.codes.tolist() == [0, 1, 0] and col.levels == ("c", "a")
+
+    def test_take_dataset_renumbers_and_take_design_gathers(self, table1_data, table1_design):
+        rows = [999, 10, 0]
+        assert take(table1_data, rows).columns["group"].levels == ("s+", "s-")
+        sub = take_design(table1_design, rows)
+        assert sub.groups.levels == table1_design.groups.levels
+        assert sub.groups.codes.tolist() == table1_design.groups.codes[rows].tolist()
+        assert sub.s_group_labels == ("s+", "s-", "s-")
+
+    def test_write_csv_maps_codes_to_cells(self, tmp_path):
+        data = make_dataset({"g": Categorical(np.array([0, 1, 0]), ("a,b", 'q"'))})
+        write_csv(tmp_path / "d.csv", data)
+        assert (tmp_path / "d.csv").read_bytes() == b'g\r\n"a,b"\r\n"q"""\r\n"a,b"\r\n'
+
+    def test_numeric_levels_equal_to_six_digits_stay_apart(self):
+        # format(v, "g") labels all three '1.23457e+06'; they must not merge
+        data = make_dataset({"y": [0.0, 1.0, 2.0, 3.0], "s": [1234567, 1234568, 1234569, 1234567]})
+        schema = parse_schema("y = response\ns = sensitive,categorical\n")
+        design = encode(data, schema)
+        assert design.s_labels == ("s=1234568.0", "s=1234569.0")
+        assert design.groups.levels == ("1234567.0", "1234568.0", "1234569.0")
+        assert design.s.shape[1] == 2
+
+    def test_numeric_levels_keep_short_labels_when_distinct(self):
+        data = make_dataset({"y": [0.0, 1.0, 2.0], "s": [2.0, 0.5, 2.0]})
+        schema = parse_schema("y = response\ns = sensitive,categorical\n")
+        design = encode(data, schema)
+        assert design.s_labels == ("s=0.5",) and design.groups.levels == ("2", "0.5")
+        assert collect_levels(data, schema) == {"s": ("2", "0.5")}
+
+    def test_groups_of_several_sensitive_columns(self):
+        data = make_dataset(
+            {"y": np.arange(4.0), "a": ["p", "q", "p", "p"], "b": ["u", "u", "v", "u"]}
+        )
+        schema = parse_schema("y = response\na = sensitive,categorical\nb = sensitive,categorical\n")
+        groups = encode(data, schema).groups
+        assert groups.levels == ("p|u", "q|u", "p|v")
+        assert groups.codes.tolist() == [0, 1, 2, 0]
+
+    def test_groups_whose_labels_collide_are_refused(self):
+        # (a|b, c) and (a, b|c) both join to 'a|b|c'
+        data = make_dataset(
+            {"y": np.arange(3.0), "s": ["a|b", "a", "x"], "t": ["c", "b|c", "c"]}
+        )
+        schema = parse_schema("y = response\ns = sensitive,categorical\nt = sensitive,categorical\n")
+        with pytest.raises(DataError, match=r"\('a\|b', 'c'\) and \('a', 'b\|c'\)"):
+            encode(data, schema)

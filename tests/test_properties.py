@@ -11,6 +11,10 @@ one, at ``RECONSTRUCTION_RTOL``:
   and the same suspect coefficients when no column is aliased or
   near-collinear.
 
+The validation protocol gives finite tables on folds of a single row
+(folds = n, and n = folds + 1), which may hold one group only, and the
+same table bit for bit on 1, 2 and 4 threads.
+
 The near-collinear column is a copy plus noise of scale 1e-4. With noise
 of 1e-7 the identities hold only to about 3e-9: the rank rule keeps a
 column whose pivot is 1e-7 of the largest, and its rounding is amplified.
@@ -19,6 +23,7 @@ column whose pivot is 1e-7 of the largest, and its rounding is amplified.
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +39,7 @@ from impartial.estimators import (
     residualize_suspect,
     with_blackbox,
 )
-from impartial.harness import default_dag_spec, gen_dag
+from impartial.harness import BiasSpec, ExperimentConfig, default_dag_spec, gen_dag, kfold_validate
 from impartial.linalg import RECONSTRUCTION_RTOL
 from impartial.metrics import ScoreMode, impartiality_score
 
@@ -130,3 +135,46 @@ def test_refit_after_residualize_suspect_is_the_same_fit(case):
     # aliased or near-collinear columns.
     if "near" not in extras and not fit.dropped_labels:
         assert_close(refit.beta_x[design.width("x"):], fit.beta_wb)
+
+
+PROTOCOL_VARIANTS = (
+    Variant.FULL,
+    Variant.FEO,
+    Variant.FSEO,
+    Variant.MARGINAL,
+    Variant.CALDERS_BASELINE,
+    Variant.BLACKBOX_CORRECTED,
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    folds=st.integers(6, 10),
+    extra=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**16),
+    p_x=st.integers(0, 2),
+)
+def test_tiny_folds_give_finite_tables_on_any_thread_count(folds, extra, seed, p_x):
+    n = folds + extra
+    dataset, schema = gen_dag(default_dag_spec(n=n, p_x_observed=p_x, p_w=1, seed=seed))
+    columns = dict(dataset.columns)
+    # every training set keeps both groups, as the stratified baseline needs
+    columns["s0"] = tuple("g1" if i % 2 else "g0" for i in range(n))
+    config = ExperimentConfig(
+        folds=folds,
+        repetitions=4,
+        variants=PROTOCOL_VARIANTS,
+        master_seed=seed,
+        blackbox_trees=3,
+        blackbox_depth=2,
+    )
+    tables = []
+    for threads in ("1", "2", "4"):
+        with pytest.MonkeyPatch.context() as m, warnings.catch_warnings():
+            m.setenv("IMPARTIAL_THREADS", threads)
+            warnings.simplefilter("ignore")  # the n close to p warning
+            table = kfold_validate(make_dataset(columns), schema, config, BiasSpec("g1", 0.5, 1.0))
+        tables.append(table.csv_rows())
+    values = [table.values[v][metric] for v in table.variants for metric in table.metrics]
+    assert np.all(np.isfinite(values))
+    assert tables[0] == tables[1] == tables[2]
