@@ -157,11 +157,23 @@ def format_schema(schema: Schema) -> str:
 
 def _present(codes: np.ndarray, k: int) -> np.ndarray:
     """The codes among 0..k-1 that occur in ``codes``, in order of first
-    appearance."""
-    first = np.full(k, len(codes), dtype=np.intp)
-    np.minimum.at(first, codes, np.arange(len(codes)))
+    appearance: one pass over the rows per code, for a small ``k``."""
+    first = {}
+    for code in range(k):
+        hit = codes == code
+        if hit.any():
+            first[int(hit.argmax())] = code
+    return np.array([first[row] for row in sorted(first)], dtype=np.intp)
+
+
+def _factorize(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of integer ``keys`` numbered in order of first appearance, and
+    the row where each code first appears."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    return order[first[order] < len(codes)]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.reshape(-1)], first[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +200,8 @@ class Categorical(Sequence):
 
     @classmethod
     def from_codes(cls, codes, levels) -> "Categorical":
-        """The labels ``levels[codes]``, renumbered in first-appearance order."""
+        """The labels ``levels[codes]``, renumbered in first-appearance order
+        (one pass over the rows per level: for a small level table)."""
         codes = np.asarray(codes, dtype=np.intp)
         present = _present(codes, len(levels))
         rank = np.zeros(len(levels), dtype=np.intp)
@@ -231,12 +244,12 @@ def as_categorical(column) -> Categorical:
     if not isinstance(column, np.ndarray):
         return Categorical.from_labels(column)
     values = np.ascontiguousarray(column, dtype=float)
-    keys, codes = np.unique(values.view(np.int64), return_inverse=True)
-    col = Categorical.from_codes(codes.reshape(-1), keys.view(float).tolist())
-    labels = tuple(format(v, "g") for v in col.levels)
+    codes, rows = _factorize(values.view(np.int64))
+    distinct = values[rows].tolist()
+    labels = tuple(format(v, "g") for v in distinct)
     if len(set(labels)) < len(labels):
-        labels = tuple(map(repr, col.levels))
-    return Categorical(col.codes, labels)
+        labels = tuple(map(repr, distinct))
+    return Categorical(codes, labels)
 
 
 @dataclass(frozen=True)
@@ -338,7 +351,8 @@ def take(data: Dataset, indices) -> Dataset:
             cols[name] = col[idx]
         else:
             col = as_categorical(col)
-            cols[name] = Categorical.from_codes(col.codes[idx], col.levels)
+            codes, rows = _factorize(col.codes[idx])
+            cols[name] = Categorical(codes, tuple(col[i] for i in idx[rows].tolist()))
     return Dataset(names=data.names, columns=cols, n_rows=len(idx))
 
 
@@ -861,9 +875,10 @@ def _groups(data: Dataset, schema: Schema) -> Categorical:
         return sensitive[0]
     key = sensitive[0].codes
     for col in sensitive[1:]:
-        key = np.unique(key * len(col.levels) + col.codes, return_inverse=True)[1].reshape(-1)
+        key = _factorize(key * len(col.levels) + col.codes)[0]
+    key, rows = _factorize(key)
     labels: dict[str, tuple] = {}
-    for i in np.unique(key, return_index=True)[1].tolist():
+    for i in rows.tolist():
         combo = tuple(col[i] for col in sensitive)
         label = "|".join(combo)
         if label in labels:
@@ -872,4 +887,4 @@ def _groups(data: Dataset, schema: Schema) -> Categorical:
                 f"label {label!r}"
             )
         labels[label] = combo
-    return Categorical.from_codes(key, tuple(labels))
+    return Categorical(key, tuple(labels))

@@ -139,9 +139,7 @@ class ValidationTable:
 def group_rows(data: Dataset, schema: Schema) -> dict[str, np.ndarray]:
     """Row indices per sensitive group label, in first-appearance order."""
     groups = _groups(data, schema)
-    counts = np.bincount(groups.codes, minlength=len(groups.levels))
-    rows = np.split(np.argsort(groups.codes, kind="stable"), np.cumsum(counts)[:-1])
-    return {groups.levels[k]: rows[k] for k in groups.present().tolist()}
+    return {groups.levels[k]: np.flatnonzero(groups.codes == k) for k in groups.present().tolist()}
 
 
 def inject_bias(data: Dataset, schema: Schema, spec: BiasSpec) -> Dataset:
