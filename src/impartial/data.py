@@ -176,7 +176,6 @@ def _factorize(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse.reshape(-1)], first[order]
 
 
-@dataclass(frozen=True, eq=False)
 class Categorical(Sequence):
     """A column of labels held as integer ``codes`` into ``levels``.
 
@@ -188,8 +187,11 @@ class Categorical(Sequence):
     of the whole data in its row subsets.
     """
 
-    codes: np.ndarray
-    levels: tuple
+    __slots__ = ("codes", "levels")
+
+    def __init__(self, codes: np.ndarray, levels: tuple):
+        self.codes = codes
+        self.levels = levels
 
     @classmethod
     def from_labels(cls, labels) -> "Categorical":
@@ -230,6 +232,9 @@ class Categorical(Sequence):
         if isinstance(other, (Categorical, tuple)):
             return tuple(self) == tuple(other)
         return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Categorical(codes={self.codes!r}, levels={self.levels!r})"
 
 
 def as_categorical(column) -> Categorical:
