@@ -434,7 +434,9 @@ class TestCategorical:
         data = make_dataset(
             {"y": np.arange(4.0), "a": ["p", "q", "p", "p"], "b": ["u", "u", "v", "u"]}
         )
-        schema = parse_schema("y = response\na = sensitive,categorical\nb = sensitive,categorical\n")
+        schema = parse_schema(
+            "y = response\na = sensitive,categorical\nb = sensitive,categorical\n"
+        )
         groups = encode(data, schema).groups
         assert groups.levels == ("p|u", "q|u", "p|v")
         assert groups.codes.tolist() == [0, 1, 2, 0]
@@ -444,6 +446,8 @@ class TestCategorical:
         data = make_dataset(
             {"y": np.arange(3.0), "s": ["a|b", "a", "x"], "t": ["c", "b|c", "c"]}
         )
-        schema = parse_schema("y = response\ns = sensitive,categorical\nt = sensitive,categorical\n")
+        schema = parse_schema(
+            "y = response\ns = sensitive,categorical\nt = sensitive,categorical\n"
+        )
         with pytest.raises(DataError, match=r"\('a\|b', 'c'\) and \('a', 'b\|c'\)"):
             encode(data, schema)
