@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import BlockLayout, EncodedDesign
 from .errors import ContractError, DataError, VariantError
-from .linalg import project, regress
+from .linalg import regress
 
 
 class Variant(enum.Enum):
@@ -193,9 +193,10 @@ def residualize_suspect(design: EncodedDesign) -> EncodedDesign:
         return design
     if design.width("wb") == 0:
         return design
-    wb = design.index("wb")
+    s, wb = design.index("s"), design.index("wb")
+    lambda_s = regress(design.r, s, wb, design.n_rows)[0]
     z = design.z.copy()
-    z[:, wb] = project(design.s, design.z[:, wb]).orthogonal
+    z[:, wb] -= design.z[:, s] @ lambda_s
     resid = tuple(f"resid_{name}" for name in design.columns[wb])
     return design.replace(z=z, columns=design.columns[: wb.start] + resid).merged(
         "xwb", "x"

@@ -24,7 +24,7 @@ from ..estimators import (
     fit_total,
     predict,
 )
-from ..linalg import solve_least_squares
+from ..linalg import regress
 
 log = logging.getLogger(__name__)
 
@@ -74,12 +74,12 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
     _check_design(design)
     if bins < 1:
         raise ContractError("need at least one bin")
-    covariates = design.z[:, design.index("xwb")]
-    cov_means = design.column_means[design.index("xwb")]
-    indicator = design.s[:, 0] + design.s_means[0]
-    prop_fit = solve_least_squares(covariates, indicator - indicator.mean())
-    coefs = prop_fit.coefficients
-    intercept = float(indicator.mean())
+    # The centered indicator is the S column of the design, so the linear
+    # probability fit is a regression among the columns of design.r.
+    covariates = design.index("xwb")
+    coefs = regress(design.r, covariates, design.index("s"), design.n_rows)[0][:, 0]
+    cov_means = design.column_means[covariates]
+    intercept = float((design.s[:, 0] + design.s_means[0]).mean())
     scores = _propensity(cov_means, coefs, intercept, design)
 
     edges = np.quantile(scores, np.arange(1, bins) / bins) if bins > 1 else np.zeros(0)

@@ -127,17 +127,6 @@ def _mean_gap(means: dict[str, float], positive_group: str, negative_group: str)
     return means[positive_group] - means[negative_group]
 
 
-def _correlations(m: np.ndarray) -> np.ndarray:
-    """Correlation matrix of the columns of m; a zero-variance column
-    correlates 0 with every column."""
-    sds = m.std(axis=0)
-    ok = sds * sds > VAR_GUARD
-    scale = np.where(ok, sds, 1.0)
-    centered = m - m.mean(axis=0)
-    cor = centered.T @ centered / m.shape[0] / np.outer(scale, scale)
-    return np.where(np.outer(ok, ok), cor, 0.0)
-
-
 def impartiality_conditions(
     predictions,
     residual_target,
@@ -152,37 +141,48 @@ def impartiality_conditions(
     suspect for scoring purposes; either may have zero columns. Constant
     columns contribute zero (their correlations are defined as 0); a
     constant or aliased sensitive block is an error.
+
+    Every condition is a function of one R factor of [1|S|X|W|u|yhat]
+    (u the residual): removing the ones column's share leaves c, the R of
+    the centered columns, whose Gram matrix holds every variance and
+    correlation. S is centered before it is factored, so that the
+    sensitive means, which the residual-mean condition multiplies by
+    Cor(u,s) Cor(s)^-1, take no rounding from the other columns' scales.
     """
     yhat = np.asarray(predictions, dtype=float)
     target, yhat = _aligned_pair(residual_target, yhat)
     if s.shape[1] == 0:
         raise ContractError("impartiality conditions need a nonempty sensitive block")
-    u = target - yhat
     (n, p_s), p_x = s.shape, x.shape[1]
-    s_sds = s.std(axis=0)
-    dead = [s_labels[j] if s_labels else str(j) for j in np.where(s_sds**2 <= VAR_GUARD)[0]]
+    s_means = s.mean(axis=0)
+    r = r_factor(np.ones(n), s - s_means, x, w, target - yhat, yhat)
+    means = regress(r, [0], slice(1, None), n)[0][0]
+    c = r[:, 1:] - np.outer(r[:, 0], means)
+    var = np.einsum("ij,ij->j", c, c) / n
+    cs, cx, cw = slice(0, p_s), slice(p_s, p_s + p_x), slice(p_s + p_x, -2)
+    # c's last column becomes eta, the residual of yhat on [1|X]: of the
+    # centered yhat on the centered X columns that vary (a constant one is
+    # the ones column's).
+    varying = p_s + np.flatnonzero(var[cx] > VAR_GUARD)
+    c[:, -1] -= c[:, varying] @ regress(c, varying, [-1], n)[0][:, 0]
+    var[-1] = c[:, -1] @ c[:, -1] / n
+    ok = var > VAR_GUARD
+    sds = np.sqrt(np.where(ok, var, 1.0))
+
+    dead = [s_labels[j] if s_labels else str(j) for j in np.flatnonzero(~ok[cs])]
     if dead:
         raise ContractError(f"sensitive column(s) {dead} are constant; Cor(s) is singular")
-
-    # One R of [standardized S | 1 | X | yhat] gives the rank check of S
-    # and eta, the residual of yhat on [1|X].
-    m = np.column_stack([(s - s.mean(axis=0)) / s_sds, np.ones(n), x, yhat])
-    r = r_factor(m)
-    _, aliased = regress(r, slice(0, p_s), slice(0, 0), n)
+    _, aliased = regress(c[:, cs] / sds[cs], slice(0, p_s), slice(0, 0), n)
     if aliased:
         names = sorted(s_labels[j] if s_labels else str(j) for j in aliased)
         raise ContractError(f"sensitive columns are aliased ({names}); Cor(s) is singular")
-    legit = slice(p_s, p_s + 1 + p_x)
-    eta = yhat - m[:, legit] @ regress(r, legit, [m.shape[1] - 1], n)[0][:, 0]
 
     # Correlations among the columns of [S | X | W | u | eta].
-    cor = _correlations(np.column_stack([s, x, w, u, eta]))
-    cs, cx, cw = slice(0, p_s), slice(p_s, p_s + p_x), slice(p_s + p_x, -2)
+    cor = np.where(np.outer(ok, ok), c.T @ c / n / np.outer(sds, sds), 0.0)
     t = np.linalg.solve(cor[cs, cs], cor[-2, cs])  # Cor(u,s) Cor(s)^-1
-    su = u.std()
-    lhs_mean = u.mean() / su if su * su > VAR_GUARD else 0.0
+    lhs_mean = means[-2] / sds[-2] if ok[-2] else 0.0
     return ConditionGaps(
-        residual_mean=float(lhs_mean - t @ (s.mean(axis=0) / s_sds)),
+        residual_mean=float(lhs_mean - t @ (s_means / sds[cs])),
         legitimate=cor[-2, cx] - t @ cor[cs, cx],
         suspect=cor[-2, cw] - t @ cor[cs, cw],
         projected=cor[-1, cs],

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import build_design
-from impartial.data import Role, encode
+from impartial.data import Role, assemble, encode, take_design
 from impartial.errors import ContractError
-from impartial.estimators import Variant, fit_total, predict
-from impartial.harness import calders_baseline, fit_calders, predict_calders
+from impartial.estimators import Variant, as_all_suspect, fit_total, predict
+from impartial.harness import calders_baseline, fit_calders, gen_wine_like, predict_calders
 from impartial.harness import simple_example_schema
+from impartial.harness.calders import _bins, _propensity
+from impartial.linalg import solve_least_squares
 
 
 def test_constant_propensity_equals_global_fseo():
@@ -68,6 +70,30 @@ def test_flat_propensity_on_a_rounding_half_point_is_one_bin():
         labels = ["g1" if v else "g0" for v in s]
         assert_one_bin_equals_global_fseo(
             build_design(rng.standard_normal(n), s=s, w=w, group_labels=labels)
+        )
+
+
+def test_propensity_from_the_design_r_matches_its_own_fit():
+    # the propensity is read from the R factor the design shares with its
+    # total fit; a least-squares fit of its own on the raw indicator gives
+    # the same coefficients and, on every fold of the wine protocol, the
+    # same bins
+    raw = assemble(*gen_wine_like(n=2000, seed=5))
+    order = np.random.default_rng(5).permutation(raw.n_rows)
+    for test_rows in np.array_split(order, 5):
+        train = as_all_suspect(take_design(raw, np.setdiff1d(order, test_rows)))
+        fit = fit_calders(train)
+        indicator = train.s[:, 0] + train.s_means[0]
+        own = solve_least_squares(train.z[:, train.index("xwb")], indicator - indicator.mean())
+        scale = np.max(np.abs(own.coefficients))
+        assert np.max(np.abs(fit.propensity_coefs - own.coefficients)) <= 1e-12 * scale
+        scores = _propensity(fit.covariate_means, own.coefficients,
+                             fit.propensity_intercept, train)
+        edges = np.quantile(scores, np.arange(1, 5) / 5)
+        np.testing.assert_array_equal(
+            _bins(fit.bin_edges, _propensity(fit.covariate_means, fit.propensity_coefs,
+                                             fit.propensity_intercept, train)),
+            _bins(edges, scores),
         )
 
 
