@@ -29,7 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import Dataset, EncodedDesign, Schema, _groups, assemble, center, take_design
+from ..data import (
+    Categorical,
+    Dataset,
+    EncodedDesign,
+    Schema,
+    _groups,
+    assemble,
+    center,
+    take_design,
+)
 from ..errors import ContractError, DataError
 from ..estimators import (
     Variant,
@@ -136,9 +145,9 @@ class ValidationTable:
         ]
 
 
-def group_rows(data: Dataset, schema: Schema) -> dict[str, np.ndarray]:
-    """Row indices per sensitive group label, in first-appearance order."""
-    groups = _groups(data, schema)
+def group_rows(groups: Categorical) -> dict[str, np.ndarray]:
+    """Row indices per label of a group key (``EncodedDesign.groups``), in
+    first-appearance order."""
     return {groups.levels[k]: np.flatnonzero(groups.codes == k) for k in groups.present().tolist()}
 
 
@@ -149,20 +158,20 @@ def inject_bias(data: Dataset, schema: Schema, spec: BiasSpec) -> Dataset:
     fraction 0 returns the data unchanged.
     """
     name = schema.response.name
-    shifted = _biased_response(data, schema, spec, group_rows(data, schema))
-    if shifted is data.columns[name]:
+    response = data.columns[name]
+    if not isinstance(response, np.ndarray):
+        raise ContractError("bias injection needs a numeric response")
+    shifted = _biased_response(response, spec, group_rows(_groups(data, schema)))
+    if shifted is response:
         return data
     return data.replace_column(name, shifted)
 
 
 def _biased_response(
-    data: Dataset, schema: Schema, spec: BiasSpec, groups: dict[str, np.ndarray]
+    response: np.ndarray, spec: BiasSpec, groups: dict[str, np.ndarray]
 ) -> np.ndarray:
-    """The response shifted as ``inject_bias`` does, given ``group_rows(data,
-    schema)``; the unchanged column itself when nothing is shifted."""
-    response = data.columns[schema.response.name]
-    if not isinstance(response, np.ndarray):
-        raise ContractError("bias injection needs a numeric response")
+    """``response`` shifted as ``inject_bias`` does, given the rows of each
+    group (``group_rows``); ``response`` itself when nothing is shifted."""
     if spec.target_group_label not in groups:
         raise DataError(
             f"unknown bias target group {spec.target_group_label!r}; "
@@ -217,10 +226,8 @@ def _fold_bounds(n: int, folds: int) -> np.ndarray:
 
 
 def _run_repetition(
-    data: Dataset,
-    schema: Schema,
-    groups: dict[str, np.ndarray],
     raw: EncodedDesign,
+    groups: dict[str, np.ndarray],
     config: ExperimentConfig,
     bias: BiasSpec | None,
     rep: int,
@@ -230,7 +237,7 @@ def _run_repetition(
 
     ``raw`` is the whole dataset assembled once (``data.assemble``); each
     fold's training and test designs are row slices of it, re-centered.
-    ``groups`` is ``group_rows(data, schema)``, computed once per protocol.
+    ``groups`` is ``group_rows(raw.groups)``, computed once per protocol.
     """
     n = raw.n_rows
     y_biased = raw.y
@@ -238,9 +245,7 @@ def _run_repetition(
         seeded = dataclasses.replace(
             bias, seed=derive_seed(config.master_seed, rep, _BIAS_SLOT)
         )
-        y_biased = np.asarray(
-            _biased_response(data, schema, seeded, groups), dtype=float
-        )
+        y_biased = _biased_response(raw.y, seeded, groups)
     raw_biased = raw.replace(y=y_biased)
     perm = np.random.default_rng(
         derive_seed(config.master_seed, rep, _PERM_SLOT)
@@ -316,10 +321,9 @@ def kfold_validate(
         raise ContractError(
             f"IMPARTIAL_THREADS must be an integer >= 1, got {threads_text!r}"
         )
-    groups = group_rows(data, schema)
-    pos_group, neg_group = _ds_group_pair(config, bias, groups)
-
     raw = assemble(data, schema)
+    groups = group_rows(raw.groups)
+    pos_group, neg_group = _ds_group_pair(config, bias, groups)
     enc_full = center(raw)
     roled = {
         view: view(enc_full) for view in set(map(_role_view, config.variants))
@@ -327,7 +331,7 @@ def kfold_validate(
     y_raw = enc_full.y
 
     def task(rep):
-        return _run_repetition(data, schema, groups, raw, config, bias, rep)
+        return _run_repetition(raw, groups, config, bias, rep)
 
     reps = range(config.repetitions)
     if threads > 1:
