@@ -268,11 +268,11 @@ class Dataset:
     n_rows: int
 
     def replace_column(self, name: str, values) -> "Dataset":
+        """Copy with column ``name`` replaced, checked as ``make_dataset``
+        checks every column."""
         if name not in self.columns:
             raise DataError(f"no column '{name}' in dataset")
-        cols = dict(self.columns)
-        cols[name] = values
-        return Dataset(names=self.names, columns=cols, n_rows=self.n_rows)
+        return make_dataset({**self.columns, name: values})
 
 
 _NUMBER_TYPES = (int, float, np.floating, np.integer)

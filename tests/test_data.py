@@ -311,6 +311,17 @@ class TestSubsets:
         assert sub.n_rows == 3
         assert sub.columns["group"] == ("s-", "s-", "s+")
 
+    @pytest.mark.parametrize("values", [np.zeros(3), np.full(1000, np.nan)], ids=["short", "nan"])
+    def test_replace_column_is_checked(self, table1_data, values):
+        with pytest.raises(DataError):
+            table1_data.replace_column("default", values)
+
+    def test_replace_column_keeps_the_other_columns(self, table1_data):
+        new = table1_data.replace_column("default", np.arange(1000.0))
+        assert new.names == table1_data.names and new.n_rows == 1000
+        assert new.columns["group"] == table1_data.columns["group"]
+        np.testing.assert_array_equal(new.columns["default"], np.arange(1000.0))
+
     def test_take_design_recentered(self, table1_design):
         sub = take_design(table1_design, np.arange(0, 600))
         assert np.abs(sub.x.mean(axis=0)).max() < 1e-12
