@@ -286,8 +286,6 @@ def cmd_correct(args) -> int:
     # the audit.
     design = with_blackbox(design, _read_predictions(args.predictions, design.n_rows))
     pred = predict(fit_total(design), design, Variant.BLACKBOX_CORRECTED)
-    out = Path(args.out)
-    _write_predictions(out, pred.values, header="corrected")
     audited = score_predictions(
         pred.values,
         design,
@@ -296,6 +294,8 @@ def cmd_correct(args) -> int:
         positive_group=args.positive_group,
         negative_group=args.negative_group,
     )
+    out = Path(args.out)
+    _write_predictions(out, pred.values, header="corrected")
     with out.open("a", encoding="utf-8") as fh:
         for key, value in _audit_lines(audited):
             fh.write(f"# {key},{value}\n")

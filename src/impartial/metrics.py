@@ -241,8 +241,9 @@ def score_predictions(
 ) -> MetricsReport:
     """Bundle RMSE/RSSE, the group gap, and the impartiality score.
 
-    When the group pair is not given, a two-level sensitive attribute
-    defaults to (second, first) in first-appearance order.
+    With two sensitive groups, a lone group name is paired with the other
+    group, and with no name the pair is (second, first) in first-appearance
+    order. A name that is not a group is a ContractError.
     """
     values = np.asarray(getattr(predictions, "values", predictions), dtype=float)
     means = group_means(values, design.groups)
@@ -253,7 +254,11 @@ def score_predictions(
                 "positive/negative groups must be named when the data has "
                 f"{len(distinct)} sensitive groups"
             )
-        negative_group, positive_group = distinct
+        first, second = distinct
+        if positive_group is None:
+            positive_group = first if negative_group == second else second
+        if negative_group is None:
+            negative_group = first if positive_group == second else second
     return MetricsReport(
         rmse=rmse(values, truth),
         rsse=rsse(values, truth),

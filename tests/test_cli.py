@@ -354,6 +354,52 @@ class TestCorrect:
         assert code == 1
 
 
+class TestGroupFlags:
+    """DS is the positive group's mean minus the negative group's. In the
+    loan table s- appears first, so with no flag the pair is (s+, s-)."""
+
+    def ds(self, command, loan_files, tmp_path, capsys, flags):
+        data_path, schema_path = loan_files
+        args = [command, "--data", str(data_path), "--schema", str(schema_path), *flags]
+        if command == "audit":
+            args += ["--variant", "full"]
+        else:
+            preds = tmp_path / "preds.csv"
+            if not preds.exists():
+                noise = np.random.default_rng(3).standard_normal(1000)
+                preds.write_text("prediction\n" + "\n".join(map(repr, noise.tolist())) + "\n",
+                                 encoding="utf-8")
+            args += ["--predictions", str(preds), "--out", str(tmp_path / "c.csv")]
+        code = main(args)
+        out = capsys.readouterr().out
+        if code != 0:
+            return code
+        return float(next(ln for ln in out.splitlines() if ln.startswith("ds")).split()[-1])
+
+    @pytest.mark.parametrize("command", ["audit", "correct"])
+    def test_lone_group_name_is_paired_with_the_other_group(
+        self, command, loan_files, tmp_path, capsys
+    ):
+        default = self.ds(command, loan_files, tmp_path, capsys, [])
+        assert default != 0.0
+        for flags, expected in [
+            (["--positive-group", "s-"], -default),
+            (["--negative-group", "s+"], -default),
+            (["--positive-group", "s+"], default),
+            (["--negative-group", "s-"], default),
+            (["--positive-group", "s-", "--negative-group", "s+"], -default),
+        ]:
+            assert self.ds(command, loan_files, tmp_path, capsys, flags) == expected, flags
+
+    @pytest.mark.parametrize("command", ["audit", "correct"])
+    @pytest.mark.parametrize("flag", ["--positive-group", "--negative-group"])
+    def test_name_that_is_not_a_group_exits_2(
+        self, command, flag, loan_files, tmp_path, capsys
+    ):
+        assert self.ds(command, loan_files, tmp_path, capsys, [flag, "nope"]) == 2
+        assert not (tmp_path / "c.csv").exists()
+
+
 class TestValidate:
     def test_simulate_simple_deterministic(self, tmp_path, capsys):
         argv = [
