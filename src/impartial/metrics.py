@@ -21,6 +21,8 @@ from .errors import ContractError
 from .linalg import r_factor, regress
 
 VAR_GUARD = 1e-12
+# Rows per block of the impartiality conditions' factorization.
+BLOCK_ROWS = 32_768
 
 
 class ScoreMode(enum.Enum):
@@ -155,7 +157,12 @@ def impartiality_conditions(
         raise ContractError("impartiality conditions need a nonempty sensitive block")
     (n, p_s), p_x = s.shape, x.shape[1]
     s_means = s.mean(axis=0)
-    r = r_factor(np.ones(n), s - s_means, x, w, target - yhat, yhat)
+    # The R of [1|S|X|W|u|yhat] is the R of its row blocks' stacked R's:
+    # numpy's QR holds three copies of the matrix it factors, so factoring
+    # block by block keeps them to one block's size.
+    blocks = (np.ones(n), s - s_means, x, w, target - yhat, yhat)
+    parts = [r_factor(*(b[i : i + BLOCK_ROWS] for b in blocks)) for i in range(0, n, BLOCK_ROWS)]
+    r = parts[0] if len(parts) == 1 else r_factor(np.vstack(parts))
     means = regress(r, [0], slice(1, None), n)[0][0]
     c = r[:, 1:] - np.outer(r[:, 0], means)
     var = np.einsum("ij,ij->j", c, c) / n

@@ -4,7 +4,9 @@
 to be: a rank check and eta from the R of [standardized S | 1 | X | yhat],
 then a second pass that centers the n-row stack [S|X|W|u|eta] and forms
 its correlation matrix. The package now reads every condition from one R
-factor of [1|S|X|W|u|yhat]. Inputs are drawn with empty blocks, constant
+factor of [1|S|X|W|u|yhat], which a tall matrix reaches by factoring row
+blocks and then their stacked R's; blocks of 1, 7 and 64 rows stand in for
+the 32,768 of a large input. Inputs are drawn with empty blocks, constant
 columns, constant predictions, predictions close to the span of X, several
 sensitive columns and n close to the column count. Both formulas must give
 the same error, or the same four gaps within 1e-10 (relative to gaps above
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from impartial import metrics
 from impartial.errors import ContractError
 from impartial.linalg import r_factor, regress
 from impartial.metrics import VAR_GUARD, impartiality_conditions
@@ -156,11 +159,17 @@ def check_against_reference(case, shifted, digits, reference_input):
 
 
 @settings(max_examples=300, deadline=None)
-@given(condition_inputs([0.0, 1.0, -1.0, 1e2, -1e2, 1e4, -1e4]))
-def test_conditions_match_reference(drawn):
-    # means up to 1e4 times the spread, against the reference on the same inputs
+@given(
+    condition_inputs([0.0, 1.0, -1.0, 1e2, -1e2, 1e4, -1e4]),
+    st.sampled_from([metrics.BLOCK_ROWS, 1, 7, 64]),
+)
+def test_conditions_match_reference(drawn, block_rows):
+    # means up to 1e4 times the spread, against the reference on the same
+    # inputs; the matrix is factored in one block or in row blocks
     case, shifted, digits = drawn
-    check_against_reference(case, shifted, 2 * digits, shifted)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(metrics, "BLOCK_ROWS", block_rows)
+        check_against_reference(case, shifted, 2 * digits, shifted)
 
 
 @settings(max_examples=100, deadline=None)
