@@ -214,6 +214,10 @@ class Categorical(Sequence):
         """The codes that occur, in order of first appearance."""
         return _present(self.codes, len(self.levels))
 
+    def rows(self) -> dict:
+        """Row indices per label that occurs, in order of first appearance."""
+        return {self.levels[k]: np.flatnonzero(self.codes == k) for k in self.present().tolist()}
+
     def __len__(self) -> int:
         return len(self.codes)
 

@@ -29,16 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import (
-    Categorical,
-    Dataset,
-    EncodedDesign,
-    Schema,
-    _groups,
-    assemble,
-    center,
-    take_design,
-)
+from ..data import Dataset, EncodedDesign, Schema, _groups, assemble, center, take_design
 from ..errors import ContractError, DataError
 from ..estimators import (
     Variant,
@@ -48,7 +39,7 @@ from ..estimators import (
     predict,
     with_blackbox,
 )
-from ..metrics import ScoreMode, discrimination_score, impartiality_score, rmse
+from ..metrics import ScoreMode, discrimination_score, group_pair, impartiality_score, rmse
 from .calders import fit_calders, predict_calders
 from .trees import BaggedTrees, raw_features, require_count
 
@@ -145,12 +136,6 @@ class ValidationTable:
         ]
 
 
-def group_rows(groups: Categorical) -> dict[str, np.ndarray]:
-    """Row indices per label of a group key (``EncodedDesign.groups``), in
-    first-appearance order."""
-    return {groups.levels[k]: np.flatnonzero(groups.codes == k) for k in groups.present().tolist()}
-
-
 def inject_bias(data: Dataset, schema: Schema, spec: BiasSpec) -> Dataset:
     """Response shift for round(fraction * group size) rows of the target group.
 
@@ -161,7 +146,7 @@ def inject_bias(data: Dataset, schema: Schema, spec: BiasSpec) -> Dataset:
     response = data.columns[name]
     if not isinstance(response, np.ndarray):
         raise ContractError("bias injection needs a numeric response")
-    shifted = _biased_response(response, spec, group_rows(_groups(data, schema)))
+    shifted = _biased_response(response, spec, _groups(data, schema).rows())
     if shifted is response:
         return data
     return data.replace_column(name, shifted)
@@ -171,7 +156,7 @@ def _biased_response(
     response: np.ndarray, spec: BiasSpec, groups: dict[str, np.ndarray]
 ) -> np.ndarray:
     """``response`` shifted as ``inject_bias`` does, given the rows of each
-    group (``group_rows``); ``response`` itself when nothing is shifted."""
+    group (``Categorical.rows``); ``response`` itself when nothing is shifted."""
     if spec.target_group_label not in groups:
         raise DataError(
             f"unknown bias target group {spec.target_group_label!r}; "
@@ -205,22 +190,6 @@ def _role_view(variant: Variant):
     return _as_declared
 
 
-def _ds_group_pair(
-    config: ExperimentConfig, bias: BiasSpec | None, groups: dict[str, np.ndarray]
-) -> tuple[str, str]:
-    if config.ds_groups is not None:
-        return config.ds_groups
-    labels = list(groups)
-    if bias is not None and bias.target_group_label in groups and len(labels) == 2:
-        other = next(g for g in labels if g != bias.target_group_label)
-        return bias.target_group_label, other
-    if len(labels) == 2:
-        return labels[1], labels[0]
-    raise ContractError(
-        "ds_groups must be configured when the data has more than two groups"
-    )
-
-
 def _fold_bounds(n: int, folds: int) -> np.ndarray:
     return np.linspace(0, n, folds + 1).astype(int)
 
@@ -237,7 +206,7 @@ def _run_repetition(
 
     ``raw`` is the whole dataset assembled once (``data.assemble``); each
     fold's training and test designs are row slices of it, re-centered.
-    ``groups`` is ``group_rows(raw.groups)``, computed once per protocol.
+    ``groups`` is ``raw.groups.rows()``, computed once per protocol.
     """
     n = raw.n_rows
     y_biased = raw.y
@@ -322,8 +291,10 @@ def kfold_validate(
             f"IMPARTIAL_THREADS must be an integer >= 1, got {threads_text!r}"
         )
     raw = assemble(data, schema)
-    groups = group_rows(raw.groups)
-    pos_group, neg_group = _ds_group_pair(config, bias, groups)
+    groups = raw.groups.rows()
+    # By default the bias target is the positive group.
+    target = bias.target_group_label if bias is not None else None
+    pos_group, neg_group = config.ds_groups or group_pair(list(groups), target)
     enc_full = center(raw)
     roled = {
         view: view(enc_full) for view in set(map(_role_view, config.variants))

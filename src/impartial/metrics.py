@@ -21,7 +21,6 @@ from .errors import ContractError
 from .linalg import r_factor, regress
 
 VAR_GUARD = 1e-12
-# Rows per block of the impartiality conditions' factorization.
 BLOCK_ROWS = 32_768
 
 
@@ -111,8 +110,29 @@ def group_means(values, group_labels) -> dict[str, float]:
         raise ContractError("group labels misaligned with values")
     if not isinstance(group_labels, Categorical):
         group_labels = Categorical.from_labels(group_labels)
-    codes, levels = group_labels.codes, group_labels.levels
-    return {levels[k]: float(v[codes == k].mean()) for k in group_labels.present().tolist()}
+    return {label: float(v[rows].mean()) for label, rows in group_labels.rows().items()}
+
+
+def group_pair(
+    labels, positive_group: str | None = None, negative_group: str | None = None
+) -> tuple[str, str]:
+    """The (positive, negative) groups of DS among the group ``labels``.
+
+    Names given are kept. With two groups, a lone name is paired with the
+    other group, and with no name the pair is (second, first).
+    """
+    if positive_group is None or negative_group is None:
+        if len(labels) != 2:
+            raise ContractError(
+                "positive/negative groups must be named when the data has "
+                f"{len(labels)} sensitive groups"
+            )
+        first, second = labels
+        if positive_group is None:
+            positive_group = first if negative_group == second else second
+        if negative_group is None:
+            negative_group = first if positive_group == second else second
+    return positive_group, negative_group
 
 
 def discrimination_score(
@@ -151,8 +171,7 @@ def impartiality_conditions(
     sensitive means, which the residual-mean condition multiplies by
     Cor(u,s) Cor(s)^-1, take no rounding from the other columns' scales.
     """
-    yhat = np.asarray(predictions, dtype=float)
-    target, yhat = _aligned_pair(residual_target, yhat)
+    target, yhat = _aligned_pair(residual_target, predictions)
     if s.shape[1] == 0:
         raise ContractError("impartiality conditions need a nonempty sensitive block")
     (n, p_s), p_x = s.shape, x.shape[1]
@@ -226,9 +245,7 @@ def compare_estimators(a, b, group_labels) -> ComparisonReport:
     Accepts either raw vectors or ImpartialPrediction objects. Swapping
     the operands negates every signed field.
     """
-    va = np.asarray(getattr(a, "values", a), dtype=float)
-    vb = np.asarray(getattr(b, "values", b), dtype=float)
-    va, vb = _aligned_pair(va, vb)
+    va, vb = _aligned_pair(getattr(a, "values", a), getattr(b, "values", b))
     diff = va - vb
     return ComparisonReport(
         per_row=diff,
@@ -248,24 +265,12 @@ def score_predictions(
 ) -> MetricsReport:
     """Bundle RMSE/RSSE, the group gap, and the impartiality score.
 
-    With two sensitive groups, a lone group name is paired with the other
-    group, and with no name the pair is (second, first) in first-appearance
-    order. A name that is not a group is a ContractError.
+    The group pair is completed by ``group_pair`` from the groups in
+    first-appearance order; a name that is not a group is a ContractError.
     """
     values = np.asarray(getattr(predictions, "values", predictions), dtype=float)
     means = group_means(values, design.groups)
-    if positive_group is None or negative_group is None:
-        distinct = list(means)
-        if len(distinct) != 2:
-            raise ContractError(
-                "positive/negative groups must be named when the data has "
-                f"{len(distinct)} sensitive groups"
-            )
-        first, second = distinct
-        if positive_group is None:
-            positive_group = first if negative_group == second else second
-        if negative_group is None:
-            negative_group = first if positive_group == second else second
+    positive_group, negative_group = group_pair(list(means), positive_group, negative_group)
     return MetricsReport(
         rmse=rmse(values, truth),
         rsse=rsse(values, truth),
