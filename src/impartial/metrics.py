@@ -186,9 +186,9 @@ def impartiality_conditions(
     c = r[:, 1:] - np.outer(r[:, 0], means)
     var = np.einsum("ij,ij->j", c, c) / n
     cs, cx, cw = slice(0, p_s), slice(p_s, p_s + p_x), slice(p_s + p_x, -2)
-    # c's last column becomes eta, the residual of yhat on [1|X]: of the
-    # centered yhat on the centered X columns that vary (a constant one is
-    # the ones column's).
+    # eta, the residual of yhat on [1|X], replaces c's last column: the
+    # centered yhat on the centered X columns that vary (a constant column
+    # lies in the ones column's span).
     varying = p_s + np.flatnonzero(var[cx] > VAR_GUARD)
     c[:, -1] -= c[:, varying] @ regress(c, varying, [-1], n)[0][:, 0]
     var[-1] = c[:, -1] @ c[:, -1] / n
