@@ -34,7 +34,7 @@ from .data import (
 from .decomposition import COMPONENT_NAMES, Mode, decompose
 from .errors import ContractError, DataError, ImpartialError
 from .estimators import Variant, fit_total, predict, with_blackbox
-from .metrics import ScoreMode, score_predictions
+from .metrics import ScoreMode, natural_mode, score_predictions
 from .sidecar import load_data
 
 _FIT_VARIANTS = {
@@ -204,14 +204,6 @@ def _print_audit(report) -> None:
         print(f"{key:<22}{pretty}")
 
 
-def _score_mode(args, variant: Variant | None) -> ScoreMode:
-    if getattr(args, "mode", None):
-        return ScoreMode(args.mode)
-    if variant is Variant.FEO:
-        return ScoreMode.FEO
-    return ScoreMode.SEO
-
-
 def cmd_fit(args) -> int:
     design = _load_design(args)
     variant = _FIT_VARIANTS[args.variant]
@@ -243,7 +235,7 @@ def cmd_audit(args) -> int:
         values = predict(fit_total(design), design, variant).values
     else:
         raise ContractError("audit needs --predictions or --variant")
-    mode = _score_mode(args, variant)
+    mode = ScoreMode(args.mode) if args.mode else natural_mode(variant)
     report = score_predictions(
         values,
         design,
@@ -290,7 +282,7 @@ def cmd_correct(args) -> int:
         pred.values,
         design,
         design.y,
-        _score_mode(args, Variant.BLACKBOX_CORRECTED),
+        ScoreMode(args.mode) if args.mode else natural_mode(Variant.BLACKBOX_CORRECTED),
         positive_group=args.positive_group,
         negative_group=args.negative_group,
     )

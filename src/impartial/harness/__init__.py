@@ -19,7 +19,7 @@ from .generators import (
     simple_example_schema,
     wine_like_schema,
 )
-from .trees import BaggedTrees, bagged_tree_predict, raw_features
+from .trees import BaggedTrees, raw_features
 
 __all__ = [
     "BaggedTrees",
@@ -28,7 +28,6 @@ __all__ = [
     "DagSpec",
     "ExperimentConfig",
     "ValidationTable",
-    "bagged_tree_predict",
     "calders_baseline",
     "default_dag_spec",
     "derive_seed",

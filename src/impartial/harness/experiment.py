@@ -39,7 +39,7 @@ from ..estimators import (
     predict,
     with_blackbox,
 )
-from ..metrics import ScoreMode, discrimination_score, group_pair, impartiality_score, rmse
+from ..metrics import discrimination_score, group_pair, impartiality_score, natural_mode, rmse
 from .calders import fit_calders, predict_calders
 from .trees import BaggedTrees, raw_features, require_count
 
@@ -79,6 +79,8 @@ class BiasSpec:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise ContractError(f"bias fraction must be in [0,1], got {self.fraction}")
+        if not np.isfinite(self.shift):
+            raise ContractError(f"bias shift must be finite, got {self.shift}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,6 @@ class ExperimentConfig:
         Variant.MARGINAL,
     )
     master_seed: int = 0
-    ds_groups: tuple[str, str] | None = None  # (positive, negative)
     calders_bins: int = 5
     blackbox_trees: int = 50
     blackbox_depth: int = 8
@@ -171,10 +172,6 @@ def _biased_response(
     shifted = response.copy()
     shifted[chosen] += spec.shift
     return shifted
-
-
-def _natural_mode(variant: Variant) -> ScoreMode:
-    return ScoreMode.FEO if variant is Variant.FEO else ScoreMode.SEO
 
 
 def _as_declared(design: EncodedDesign) -> EncodedDesign:
@@ -294,7 +291,7 @@ def kfold_validate(
     groups = raw.groups.rows()
     # By default the bias target is the positive group.
     target = bias.target_group_label if bias is not None else None
-    pos_group, neg_group = config.ds_groups or group_pair(list(groups), target)
+    pos_group, neg_group = group_pair(list(groups), target)
     enc_full = center(raw)
     roled = {
         view: view(enc_full) for view in set(map(_role_view, config.variants))
@@ -325,7 +322,7 @@ def kfold_validate(
                 values, enc_full.groups, pos_group, neg_group
             )
             entry["is"] += impartiality_score(
-                values, design, y_biased, _natural_mode(variant)
+                values, design, y_biased, natural_mode(variant)
             )
     count = config.repetitions
     means = {

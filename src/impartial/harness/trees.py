@@ -313,19 +313,3 @@ class BaggedTrees:
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.isfinite(a).all():
         raise DataError(f"{what} contain NaN or infinite values")
-
-
-def bagged_tree_predict(
-    train: EncodedDesign,
-    test: EncodedDesign,
-    trees: int = 50,
-    seed: int = 0,
-    max_depth: int = 8,
-    min_leaf: int = 5,
-) -> np.ndarray:
-    """Fit the demo black-box on the training design, predict the test rows."""
-    model = BaggedTrees(
-        n_trees=trees, max_depth=max_depth, min_leaf=min_leaf, seed=seed
-    )
-    model.fit(raw_features(train), train.y)
-    return model.predict(raw_features(test))

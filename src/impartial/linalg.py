@@ -4,10 +4,10 @@ Every estimate in the package is an OLS regression among the columns of
 one matrix M (a design, its response, external predictions). When M = QR
 with orthonormal Q, regressing columns T of M on columns P gives the same
 coefficients as regressing R[:, T] on R[:, P]. So a caller factors M once
-with ``r_factor`` (numpy's Householder QR, R only; the n-row Q is never
-formed) and reads every regression among its columns from that R with
-``regress``, which factors only the small R. Per-row values are then
-M[:, P] @ coefficients.
+with ``r_factor`` (numpy's Householder QR of row blocks, R only; the
+n-row Q is never formed) and reads every regression among its columns
+from that R with ``regress``, which factors only the small R. Per-row
+values are then M[:, P] @ coefficients.
 
 ``regress`` runs a Householder QR with column pivoting (Businger & Golub,
 the rule of LAPACK's geqp3) on R[:, P]: each step takes the remaining
@@ -29,6 +29,8 @@ from .errors import ContractError, DataError
 
 # Fixed numerical contract, shared by the test suite. Not configurable.
 RECONSTRUCTION_RTOL = 1e-10
+# Rows per block that ``r_factor`` factors on its own.
+BLOCK_ROWS = 4_096
 
 _EPS = np.finfo(float).eps
 
@@ -88,15 +90,21 @@ def r_factor(*blocks) -> np.ndarray:
     """The upper-triangular (or trapezoidal) R, min(n, p) by p, of M = QR
     for M = [blocks] side by side (2-D blocks, 1-D arrays as columns).
 
-    M is assembled in Fortran order, the layout LAPACK factors, so numpy
-    makes no transposed copies of it; copying 4,096 rows at a time keeps
-    the transposing copy in cache.
+    M is factored by runs of ``BLOCK_ROWS`` rows: the R of M is the R of
+    its row blocks' stacked R's (the TSQR identity), and numpy's QR holds
+    three copies of what it factors, so no copy of M is made beyond one
+    block. Each block is copied side by side in Fortran order, the layout
+    LAPACK factors, so numpy makes no transposed copy of it. A matrix of
+    ``BLOCK_ROWS`` rows or fewer is one block.
     """
     parts = [np.reshape(b, (len(b), -1)) for b in blocks]
-    m = np.empty((len(parts[0]), sum(b.shape[1] for b in parts)), order="F")
-    for i in range(0, m.shape[0], 4096):
-        np.concatenate([b[i : i + 4096] for b in parts], axis=1, out=m[i : i + 4096])
-    return np.linalg.qr(m, mode="r")
+    n, p = len(parts[0]), sum(b.shape[1] for b in parts)
+    rs = []
+    for i in range(0, n, BLOCK_ROWS):
+        m = np.empty((min(BLOCK_ROWS, n - i), p), order="F")
+        np.concatenate([b[i : i + BLOCK_ROWS] for b in parts], axis=1, out=m)
+        rs.append(np.linalg.qr(m, mode="r"))
+    return rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")
 
 
 def regress(r: np.ndarray, predictors, targets, n_rows: int):

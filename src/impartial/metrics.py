@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Categorical, EncodedDesign
-from .errors import ContractError
+from .errors import ContractError, DataError
+from .estimators import Variant
 from .linalg import r_factor, regress
 
 VAR_GUARD = 1e-12
-BLOCK_ROWS = 32_768
 
 
 class ScoreMode(enum.Enum):
@@ -35,6 +35,12 @@ class ScoreMode(enum.Enum):
 
     FEO = "feo"
     SEO = "seo"
+
+
+def natural_mode(variant: Variant | None) -> ScoreMode:
+    """The mode a variant's predictions are scored in by default: FEO
+    predictions in FEO mode, any other (or external) predictions in SEO."""
+    return ScoreMode.FEO if variant is Variant.FEO else ScoreMode.SEO
 
 
 @dataclass(frozen=True)
@@ -172,16 +178,14 @@ def impartiality_conditions(
     Cor(u,s) Cor(s)^-1, take no rounding from the other columns' scales.
     """
     target, yhat = _aligned_pair(residual_target, predictions)
+    for name, v in (("predictions", yhat), ("residual_target", target)):
+        if not np.all(np.isfinite(v)):
+            raise DataError(f"{name} contains non-finite values")
     if s.shape[1] == 0:
         raise ContractError("impartiality conditions need a nonempty sensitive block")
     (n, p_s), p_x = s.shape, x.shape[1]
     s_means = s.mean(axis=0)
-    # The R of [1|S|X|W|u|yhat] is the R of its row blocks' stacked R's:
-    # numpy's QR holds three copies of the matrix it factors, so factoring
-    # block by block keeps them to one block's size.
-    blocks = (np.ones(n), s - s_means, x, w, target - yhat, yhat)
-    parts = [r_factor(*(b[i : i + BLOCK_ROWS] for b in blocks)) for i in range(0, n, BLOCK_ROWS)]
-    r = parts[0] if len(parts) == 1 else r_factor(np.vstack(parts))
+    r = r_factor(np.ones(n), s - s_means, x, w, target - yhat, yhat)
     means = regress(r, [0], slice(1, None), n)[0][0]
     c = r[:, 1:] - np.outer(r[:, 0], means)
     var = np.einsum("ij,ij->j", c, c) / n

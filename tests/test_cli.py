@@ -448,6 +448,14 @@ class TestValidate:
     def test_needs_data_or_simulate(self, capsys):
         assert main(["validate", "--reps", "1"]) == 2
 
+    @pytest.mark.parametrize("shift", ["nan", "inf"])
+    def test_non_finite_bias_shift_exits_2(self, capsys, shift):
+        # a NaN shift used to print a table of nan with is 0 and exit 0
+        argv = ["validate", "--simulate", "simple", "--reps", "1",
+                "--bias-group", "s+", "--bias-shift", shift]
+        assert main(argv) == 2
+        assert "bias shift" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["abc", "0"])
     def test_bad_thread_count_exits_2(self, monkeypatch, capsys, threads):
         monkeypatch.setenv("IMPARTIAL_THREADS", threads)

@@ -72,6 +72,11 @@ class TestInjectBias:
         with pytest.raises(ContractError):
             BiasSpec("s+", 1.5, 1.0)
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_shift_must_be_finite(self, shift):
+        with pytest.raises(ContractError, match="shift"):
+            BiasSpec("s+", 0.5, shift)
+
     def test_wine_gap_shift(self, wine):
         # .24 raw group gap becomes roughly .94 after the 70%/+1 shift
         data, schema = wine

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import build_design, cell_values, random_design
 from impartial.data import Role, encode
-from impartial.errors import ContractError
+from impartial.errors import ContractError, DataError
 from impartial.estimators import Variant, correct_blackbox, fit_total, predict
 from impartial.harness import simple_example_schema
 from impartial.metrics import (
@@ -116,6 +116,17 @@ class TestImpartialityScore:
         pred = predict(table1_fit, table1_design, Variant.FULL).values
         score = impartiality_score(pred, table1_design, table1_design.y, ScoreMode.SEO)
         assert score > 0.01
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["predictions", "residual_target"])
+    def test_non_finite_input_rejected(self, table1_design, table1_fit, which, bad):
+        # one non-finite value used to make every correlation NaN and the
+        # score 0.0, the score of perfectly impartial predictions
+        pred = predict(table1_fit, table1_design, Variant.FULL).values.copy()
+        target = table1_design.y.copy()
+        (pred if which == "predictions" else target)[3] = bad
+        with pytest.raises(DataError, match=which):
+            impartiality_score(pred, table1_design, target, ScoreMode.SEO)
 
     def test_nonnegative_on_arbitrary_predictions(self):
         rng = np.random.default_rng(52)
@@ -265,6 +276,13 @@ class TestScorePredictions:
         with pytest.raises(ContractError, match="unknown group label 's\\?'"):
             score_predictions(pred, table1_design, table1_design.y, ScoreMode.FEO,
                               positive_group="s?", negative_group="s-")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prediction_rejected(self, table1_design, table1_fit, bad):
+        pred = predict(table1_fit, table1_design, Variant.FULL).values.copy()
+        pred[0] = bad
+        with pytest.raises(DataError, match="predictions"):
+            score_predictions(pred, table1_design, table1_design.y, ScoreMode.SEO)
 
     def test_group_inference_requires_two_levels(self):
         rng = np.random.default_rng(61)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import build_design
 from impartial.errors import ContractError, DataError
-from impartial.harness import BaggedTrees, bagged_tree_predict
+from impartial.harness import BaggedTrees
 from impartial.harness.trees import raw_features
 
 
@@ -59,6 +59,7 @@ class TestBaggedTrees:
             ("n_bins", None),
             ("n_trees", True),
             ("seed", 2.5),
+            ("n_trees", 0),
         ],
     )
     def test_non_integer_parameters_rejected(self, param, value):
@@ -138,7 +139,7 @@ class TestDesignWrapper:
         assert feats.shape == (1000, 2)
         assert set(np.unique(feats)) == {0.0, 1.0}
 
-    def test_bagged_tree_predict_uses_sensitive_columns(self):
+    def test_trees_on_raw_features_use_sensitive_columns(self):
         # response depends only on the group: the trees must pick it up
         rng = np.random.default_rng(86)
         s = (rng.standard_normal(400) > 0).astype(float)
@@ -147,10 +148,7 @@ class TestDesignWrapper:
             y, s=s, x=rng.standard_normal((400, 2)),
             group_labels=["g1" if v else "g0" for v in s],
         )
-        pred = bagged_tree_predict(design, design, trees=10, seed=4, max_depth=3)
+        model = BaggedTrees(n_trees=10, max_depth=3, seed=4)
+        pred = model.fit(raw_features(design), design.y).predict(raw_features(design))
         gap = pred[s == 1].mean() - pred[s == 0].mean()
         assert gap == pytest.approx(2.0, abs=0.2)
-
-    def test_trees_parameter_validated(self, table1_design):
-        with pytest.raises(ContractError):
-            bagged_tree_predict(table1_design, table1_design, trees=0)
