@@ -12,22 +12,22 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
-import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    ColumnSpec,
     Dataset,
     EncodedDesign,
+    Role,
     Schema,
     csv_records,
     encode,
     format_schema,
+    load_csv,
     load_schema,
-    read_table,
     write_csv,
     write_rows,
 )
@@ -70,22 +70,12 @@ def _load_design(args) -> EncodedDesign:
 
 
 def _read_predictions(path, n_expected: int) -> np.ndarray:
-    """Per-row predictions from a CSV with a header row.
-
-    A one-column file holds the predictions; a two-column file whose first
-    column is ``row`` (the layout this tool writes) holds them in the
-    second. Any other header is rejected rather than guessed at. Rows whose
-    first cell starts with ``#`` are skipped, and a prediction must be
-    finite. numpy's C reader parses the file when it can; otherwise the
-    row loop ``_read_prediction_rows`` reads it, which defines the result
-    and every error message.
-    """
+    """Per-row predictions from a CSV with a header row: ``load_csv`` under
+    the schema of ``_predictions_schema``, skipping rows whose first cell
+    starts with ``#`` (as the audit lines ``correct`` appends do)."""
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"predictions file not found: {p}")
-    values = _parse_predictions(p)
-    if values is None or not np.all(np.isfinite(values)):
-        values = _read_prediction_rows(p)
+    schema = _predictions_schema(p)
+    values = load_csv(p, schema, comments=True).columns[schema.response.name]
     if len(values) != n_expected:
         raise DataError(
             f"{p}: {len(values)} predictions for {n_expected} data rows"
@@ -93,85 +83,26 @@ def _read_predictions(path, n_expected: int) -> np.ndarray:
     return values
 
 
-def _predictions_column(p: Path, header) -> int:
-    """Index of the predictions column in a predictions file's header."""
+def _predictions_schema(p: Path) -> Schema:
+    """The schema a predictions file's header declares. A one-column file
+    holds the predictions; a two-column file whose first column is ``row``
+    (the layout this tool writes) holds them in the second. Any other
+    header is rejected rather than guessed at."""
+    if not p.exists():
+        raise DataError(f"predictions file not found: {p}")
+    with p.open(newline="", encoding="utf-8-sig") as fh:
+        header = next(csv_records(fh, p), None)
     if header is None:
-        raise DataError(f"{p}: empty predictions file")
+        raise DataError(f"{p}: file is empty")
     names = [h.strip() for h in header]
     if len(names) == 1:
-        return 0
-    if len(names) == 2 and names[0] == "row":
-        return 1
+        return Schema((ColumnSpec(names[0], Role.RESPONSE),))
+    if len(names) == 2 and names[0] == "row" and names[1] != "row":
+        return Schema((ColumnSpec("row", Role.IGNORE), ColumnSpec(names[1], Role.RESPONSE)))
     raise DataError(
         f"{p}: cannot tell the predictions column from header {names}; "
         "expected a single column, or 'row' plus one column"
     )
-
-
-# Matches at the start of every line except a ``#`` line.
-_NOT_COMMENT = re.compile("(?!#)").match
-
-
-def _ends_in_comment(p: Path) -> bool:
-    """Whether the last nonempty line of ``p`` starts with ``#``, from the
-    file's last 4 KiB."""
-    with p.open("rb") as raw:
-        raw.seek(max(0, raw.seek(0, 2) - 4096))
-        lines = raw.read().rstrip(b"\r\n").splitlines()
-    return bool(lines) and lines[-1].startswith(b"#")
-
-
-def _parse_predictions(p: Path) -> np.ndarray | None:
-    """The predictions column parsed by numpy's C reader, or None where
-    the row loop must decide (a ``#`` row before the last data row, no
-    rows, or any cell numpy does not parse exactly as ``float`` would).
-    Every column is parsed as a number, so a ``row`` cell that is not one,
-    a ``#`` cell among them, sends the file to the row loop.
-
-    When the file ends in ``#`` lines, as ``correct`` output does, numpy
-    reads up to the first line starting with ``#``, and the rest of the
-    file may hold only such lines and empty ones. A bad header is a
-    DataError.
-    """
-    with p.open(newline="", encoding="utf-8-sig") as fh:
-        column = _predictions_column(p, next(csv_records(fh, p), None))
-        lines = itertools.takewhile(_NOT_COMMENT, fh) if _ends_in_comment(p) else fh
-        try:
-            values = read_table(lines, {})
-        except ValueError:
-            return None
-        if any(line.strip("\r\n") and line[0] != "#" for line in fh):
-            return None
-    if values.shape[0] == 0 or values.shape[1] != column + 1:
-        return None
-    return values[:, column].copy()
-
-
-def _read_prediction_rows(p: Path) -> np.ndarray:
-    """``_read_predictions`` one row at a time: the reference reader."""
-    values = []
-    with p.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv_records(fh, p)
-        header = next(reader, None)
-        column = _predictions_column(p, header)
-        width = len(header)
-        for rownum, row in enumerate(reader, start=2):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != width:
-                raise DataError(
-                    f"{p}: row {rownum} has {len(row)} fields, expected {width}"
-                )
-            try:
-                value = float(row[column])
-            except ValueError:
-                raise DataError(
-                    f"{p}: cannot parse prediction {row[column]!r} at row {rownum}"
-                ) from None
-            if not np.isfinite(value):
-                raise DataError(f"{p}: prediction {row[column]!r} at row {rownum} is not finite")
-            values.append(value)
-    return np.asarray(values)
 
 
 def _write_predictions(path, values, header: str = "prediction") -> None:

@@ -26,6 +26,7 @@ import functools
 import hashlib
 import io
 import itertools
+import math
 import sys
 import warnings
 from collections.abc import Sequence
@@ -378,12 +379,14 @@ def collect_levels(data: Dataset, schema: Schema) -> dict[str, tuple[str, ...]]:
     }
 
 
-def load_csv(path, schema: Schema) -> Dataset:
+def load_csv(path, schema: Schema, comments: bool = False) -> Dataset:
     """Read an RFC-4180-style CSV and type its columns per the schema.
 
     Every schema column must be present; extra file columns must be
-    declared ``ignore``. Ignored columns are dropped. Missing cells and
-    unparseable numerics raise DataError naming the row and column.
+    declared ``ignore``. Ignored columns are dropped. Missing cells,
+    unparseable and non-finite numerics raise DataError naming the row and
+    column. With ``comments``, every row whose first cell starts with ``#``
+    is skipped.
 
     The data rows are parsed column-wise by numpy's C reader. Whenever it
     refuses the file (or the header does not match the schema), the row
@@ -394,9 +397,9 @@ def load_csv(path, schema: Schema) -> Dataset:
     if not p.exists():
         raise DataError(f"data file not found: {p}")
     with p.open(newline="", encoding="utf-8-sig") as fh:
-        columns = _parse_columns(fh, next(csv_records(fh, p), None), schema)
+        columns = _parse_columns(fh, next(csv_records(fh, p), None), schema, comments)
     if columns is None:
-        return _load_csv_rows(p, schema)
+        return _load_csv_rows(p, schema, comments)
     return make_dataset(columns)
 
 
@@ -429,26 +432,28 @@ def _ignored_cell(cell: str) -> float:
     return 0.0
 
 
-def read_table(fh, converters: dict) -> np.ndarray:
-    """The rest of ``fh`` as an (n, fields) array, in one C pass.
-
-    Quoting follows the csv module, blank lines are skipped and a row of
-    another width raises ValueError. There is no comment syntax.
-    """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(
-            fh, delimiter=",", comments=None, quotechar='"', ndmin=2, converters=converters
-        )
+def _ends_in_comment(path) -> bool:
+    """Whether the last nonempty line of the file starts with ``#``, from
+    its last 4 KiB."""
+    with open(path, "rb") as raw:
+        raw.seek(max(0, raw.seek(0, 2) - 4096))
+        lines = raw.read().rstrip(b"\r\n").splitlines()
+    return bool(lines) and lines[-1].startswith(b"#")
 
 
-def _parse_columns(fh, header, schema: Schema) -> dict | None:
-    """Schema-ordered kept columns of the data rows left in ``fh``, or None
-    where the row loop must decide (header mismatch, no rows, or any cell
-    numpy does not parse exactly as ``float``/``str.strip`` would).
+def _parse_columns(fh, header, schema: Schema, comments: bool) -> dict | None:
+    """Schema-ordered kept columns of the data rows left in ``fh``, in one
+    C pass, or None where the row loop must decide (header mismatch, no
+    rows, a non-finite number, or any cell numpy does not parse exactly as
+    ``float``/``str.strip`` would).
 
-    Every column is parsed, ignored ones to 0.0, so that a row of the wrong
-    width is refused; categorical cells become first-appearance codes.
+    Quoting follows the csv module and blank lines are skipped. Every
+    column is parsed, ignored ones to 0.0, so that a row of the wrong width
+    is refused; categorical cells become first-appearance codes. With
+    ``comments``, the first column is parsed as a number, which a ``#`` cell
+    is not, and a file that ends in ``#`` lines (as ``correct`` output does)
+    is parsed up to the first line starting with ``#``; the rest of it may
+    hold only such lines and empty ones.
     """
     if header is None:
         return None
@@ -456,16 +461,26 @@ def _parse_columns(fh, header, schema: Schema) -> dict | None:
     specs = {c.name: c for c in schema.columns}
     if len(set(names)) != len(names) or set(names) != set(specs):
         return None
+    if comments and specs[names[0]].categorical:
+        return None
     tables: dict[str, dict] = {}
     converters = {}
     for j, name in enumerate(names):
-        if specs[name].role is Role.IGNORE:
+        if specs[name].role is Role.IGNORE and not (comments and j == 0):
             converters[j] = _ignored_cell
         elif specs[name].categorical:
             converters[j] = functools.partial(_level_code, tables.setdefault(name, {}))
+    lines = fh
+    if comments and _ends_in_comment(fh.name):
+        lines = itertools.takewhile(lambda line: not line.startswith("#"), fh)
     try:
-        values = read_table(fh, converters)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                                converters=converters)
     except ValueError:
+        return None
+    if any(line.strip("\r\n") and line[0] != "#" for line in fh):
         return None
     if values.shape[0] == 0 or values.shape[1] != len(names):
         return None
@@ -476,12 +491,14 @@ def _parse_columns(fh, header, schema: Schema) -> dict | None:
         col = values[:, names.index(spec.name)]
         if spec.categorical:
             columns[spec.name] = Categorical(col.astype(np.intp), tuple(tables[spec.name]))
-        else:
+        elif np.isfinite(col).all():
             columns[spec.name] = col.copy()
+        else:
+            return None
     return columns
 
 
-def _load_csv_rows(p: Path, schema: Schema) -> Dataset:
+def _load_csv_rows(p: Path, schema: Schema, comments: bool = False) -> Dataset:
     """``load_csv`` one row and one cell at a time: the reference reader."""
     with p.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv_records(fh, p)
@@ -503,7 +520,7 @@ def _load_csv_rows(p: Path, schema: Schema) -> Dataset:
         raw: dict[str, list] = {c.name: [] for c in keep}
         width = len(header)
         for rownum, row in enumerate(reader, start=2):
-            if not row:
+            if not row or comments and row[0].startswith("#"):
                 continue
             if len(row) != width:
                 raise DataError(f"{p}: row {rownum} has {len(row)} fields, expected {width}")
@@ -515,14 +532,17 @@ def _load_csv_rows(p: Path, schema: Schema) -> Dataset:
                     )
                 if spec.categorical:
                     raw[spec.name].append(cell)
-                else:
-                    try:
-                        raw[spec.name].append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{p}: cannot parse {cell!r} as number at row {rownum}, "
-                            f"column '{spec.name}'"
-                        ) from None
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{p}: cannot parse {cell!r} as number at row {rownum}, "
+                        f"column '{spec.name}'"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(f"{p}: {spec.name} {cell!r} at row {rownum} is not finite")
+                raw[spec.name].append(value)
     if not raw or not next(iter(raw.values())):
         raise DataError(f"{p}: no data rows")
     # Numeric cells are parsed already; arrays skip make_dataset's type scan.

@@ -171,6 +171,13 @@ def _biased_response(
     chosen = rng.choice(rows, size=count, replace=False)
     shifted = response.copy()
     shifted[chosen] += spec.shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.sum((shifted - shifted.mean()) ** 2)
+    if not np.isfinite(spread):
+        raise DataError(
+            f"bias shift {spec.shift:g} on group {spec.target_group_label!r} is too large: "
+            "the shifted response's squared deviations overflow"
+        )
     return shifted
 
 

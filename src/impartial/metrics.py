@@ -185,7 +185,13 @@ def impartiality_conditions(
         raise ContractError("impartiality conditions need a nonempty sensitive block")
     (n, p_s), p_x = s.shape, x.shape[1]
     s_means = s.mean(axis=0)
-    r = r_factor(np.ones(n), s - s_means, x, w, target - yhat, yhat)
+    # A column's sum of squares, which bounds its variance and is n times
+    # its mean square (rmse's for u), must be finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = r_factor(np.ones(n), s - s_means, x, w, target - yhat, yhat)
+        squares = np.einsum("ij,ij->j", r, r)
+    if not np.all(np.isfinite(squares)):
+        raise DataError("values too large to score: a column's sum of squares is not finite")
     means = regress(r, [0], slice(1, None), n)[0][0]
     c = r[:, 1:] - np.outer(r[:, 0], means)
     var = np.einsum("ij,ij->j", c, c) / n
@@ -275,11 +281,12 @@ def score_predictions(
     values = np.asarray(getattr(predictions, "values", predictions), dtype=float)
     means = group_means(values, design.groups)
     positive_group, negative_group = group_pair(list(means), positive_group, negative_group)
+    is_score = impartiality_score(values, design, truth, mode)  # refuses overflowing values
     return MetricsReport(
         rmse=rmse(values, truth),
         rsse=rsse(values, truth),
         ds=_mean_gap(means, positive_group, negative_group),
-        is_score=impartiality_score(values, design, truth, mode),
+        is_score=is_score,
         is_mode=mode,
         per_group_means=means,
         n=values.shape[0],

@@ -243,6 +243,15 @@ class TestAudit:
         assert code == 1
         assert "note" in capsys.readouterr().err
 
+    def test_repeated_row_header_exits_1(self, loan_files, tmp_path, capsys):
+        data_path, schema_path = loan_files
+        preds = tmp_path / "preds.csv"
+        preds.write_text("row,row\n" + "0,0.5\n" * 1000, encoding="utf-8")
+        argv = ["audit", "--data", str(data_path), "--schema", str(schema_path),
+                "--predictions", str(preds)]
+        assert main(argv) == 1
+        assert "cannot tell the predictions column" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["audit", "correct"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
     def test_non_finite_prediction_exits_1(self, loan_files, tmp_path, capsys, command, cell):
@@ -259,6 +268,23 @@ class TestAudit:
         captured = capsys.readouterr()
         assert f"prediction {cell!r} at row 8 is not finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("scale, code", [(1e160, 1), (1e200, 1), (1e300, 1), (1e150, 0)])
+    def test_overflowing_predictions_exit_1(self, loan_files, tmp_path, capsys, scale, code):
+        # finite predictions whose squares overflow used to score is 0, rmse inf
+        data_path, schema_path = loan_files
+        noise = np.random.default_rng(3).standard_normal(1000) * scale
+        preds = tmp_path / "preds.csv"
+        preds.write_text("prediction\n" + "\n".join(map(repr, noise.tolist())) + "\n",
+                         encoding="utf-8")
+        argv = ["audit", "--data", str(data_path), "--schema", str(schema_path),
+                "--predictions", str(preds)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "sum of squares is not finite" in captured.err and captured.out == ""
+        else:
+            assert "inf" not in captured.out
 
     def test_needs_predictions_or_variant(self, loan_files):
         data_path, schema_path = loan_files
@@ -455,6 +481,18 @@ class TestValidate:
                 "--bias-group", "s+", "--bias-shift", shift]
         assert main(argv) == 2
         assert "bias shift" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shift, code", [("1e308", 1), ("1e200", 1), ("1e150", 0)])
+    def test_overflowing_bias_shift_exits_1(self, capsys, shift, code):
+        # 1e200 used to print a table of rmse inf with is 0 and exit 0
+        argv = ["validate", "--simulate", "simple", "--reps", "1", "--folds", "2",
+                "--variants", "full,feo", "--bias-group", "s+", "--bias-shift", shift]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert f"bias shift {float(shift):g} on group 's+'" in captured.err
+        else:
+            assert "rmse_raw" in captured.out
 
     @pytest.mark.parametrize("threads", ["abc", "0"])
     def test_bad_thread_count_exits_2(self, monkeypatch, capsys, threads):

@@ -1,10 +1,11 @@
 """Differential tests of the column-wise CSV readers and writers.
 
-The readers parse with numpy's C reader and hand any file it refuses to
-the row loops ``data._load_csv_rows`` and ``cli._read_prediction_rows``;
-on every input both must give the same result bit for bit, or the same
-DataError message. The writers must produce the bytes of the
-``csv.writer`` loops kept below as the reference writers.
+``load_csv`` parses with numpy's C reader and hands any file it refuses
+to the row loop ``data._load_csv_rows``, for data files and, with ``#``
+rows skipped, for predictions files; on every input both must give the
+same result bit for bit, or the same DataError message. The writers must
+produce the bytes of the ``csv.writer`` loops kept below as the reference
+writers.
 """
 
 import csv
@@ -47,6 +48,7 @@ LABEL_CELLS = [
     "a", " b ", "b", '"c,d"', '"he said ""x"""', '"multi\nline"', '"cr\r\nlf"',
     "#g", "é", "日本", "", "  ", '"1"', "1_0", ' "q"', 'in"side', '"open', LONG_CELLS[0],
 ]
+COMMENT_CELLS = ["#", "# n", "#1", '"#q"', " #s"]
 IGNORED_CELLS = ["", "text", '"q,q"', "  ", "#", "1", LONG_CELLS[0]]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 
@@ -134,6 +136,28 @@ class TestLoadCsv:
         path.write_text("y,g,a,z\n" + "\n".join(rows) + "\n", encoding="utf-8")
         assert outcome(load_csv, path, SCHEMA) == outcome(data._load_csv_rows, path, SCHEMA)
 
+    @_SETTINGS
+    @given(text=csv_texts(["y", "g", "a", "z"],
+                          [cells + COMMENT_CELLS for cells in data_cells(all_tokens=False)]))
+    def test_comment_rows_match_row_loop(self, tmp_path, text):
+        # whichever column comes first, including a categorical or ignored one
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (outcome(load_csv, path, SCHEMA, True)
+                == outcome(data._load_csv_rows, path, SCHEMA, True))
+
+    @pytest.mark.parametrize("first", ["y", "g", "a", "z"])
+    def test_comment_row_is_skipped_whatever_the_first_column(self, tmp_path, first):
+        header = [first, *(h for h in "ygaz" if h != first)]
+        row = {"y": "1", "g": "b", "a": "2", "z": "q"}
+        lines = [header, [row[h] for h in header], ['"#q"', *(row[h] for h in header[1:])],
+                 [row[h] for h in header]]
+        path = tmp_path / "d.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+        expected = outcome(data._load_csv_rows, path, SCHEMA, True)
+        assert expected[:3] == ("dataset", ("y", "g", "a"), 2)
+        assert outcome(load_csv, path, SCHEMA, True) == expected
+
     @pytest.mark.parametrize(
         "header", ["y,g,a", "y,g,a,z,extra", "y,g,a,a,z", "", "y;g;a;z"]
     )
@@ -190,10 +214,16 @@ PREDICTION_CELLS = [
 ROW_CELLS = ["0", "12", "", "x", "#", "# n", '"#q"', " #s", '"a,b"', LONG_CELLS[0]]
 
 
+def prediction_rows(path):
+    """The row loop's predictions, under the schema of the file's header."""
+    schema = cli._predictions_schema(path)
+    return data._load_csv_rows(path, schema, comments=True).columns[schema.response.name]
+
+
 class TestReadPredictions:
     @staticmethod
     def compare(path):
-        expected = outcome(cli._read_prediction_rows, path)
+        expected = outcome(prediction_rows, path)
         n = expected[2][0] if expected[0] == "array" else 0
         assert outcome(cli._read_predictions, path, n) == expected
 
@@ -236,7 +266,7 @@ class TestReadPredictions:
         def refuse(*args):
             raise AssertionError("row loop used")
 
-        monkeypatch.setattr(cli, "_read_prediction_rows", refuse)
+        monkeypatch.setattr(data, "_load_csv_rows", refuse)
         np.testing.assert_array_equal(cli._read_predictions(path, 4), values)
 
     @pytest.mark.parametrize("row", ["#", "# note", "#7", '"#q"'])
@@ -256,10 +286,10 @@ class TestReadPredictions:
         def refuse(*args):
             raise AssertionError("row loop used")
 
-        monkeypatch.setattr(cli, "_read_prediction_rows", refuse)
+        monkeypatch.setattr(data, "_load_csv_rows", refuse)
         np.testing.assert_array_equal(cli._read_predictions(path, 3), values)
 
-    @pytest.mark.parametrize("tail", ["# a,1\n1,2.0\n", "# a,1\n\n \n"])
+    @pytest.mark.parametrize("tail", ["# a,1\n1,2.0\n", "# a,1\n\n \n", "# a,1\n1,2.0\n# b\n"])
     def test_rows_after_a_comment_go_to_the_row_loop(self, tmp_path, tail):
         path = tmp_path / "c.csv"
         path.write_text("row,prediction\n0,1.5\n" + tail, encoding="utf-8")
