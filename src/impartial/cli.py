@@ -19,11 +19,13 @@ import numpy as np
 
 from .data import (
     ColumnSpec,
+    CsvSource,
     Dataset,
     EncodedDesign,
     Role,
     Schema,
     csv_records,
+    csv_source,
     encode,
     format_schema,
     load_csv,
@@ -74,8 +76,11 @@ def _read_predictions(path, n_expected: int) -> np.ndarray:
     the schema of ``_predictions_schema``, skipping rows whose first cell
     starts with ``#`` (as the audit lines ``correct`` appends do)."""
     p = Path(path)
-    schema = _predictions_schema(p)
-    values = load_csv(p, schema, comments=True).columns[schema.response.name]
+    if not p.exists():
+        raise DataError(f"predictions file not found: {p}")
+    source = CsvSource(p)
+    schema = _predictions_schema(source)
+    values = load_csv(source, schema, comments=True).columns[schema.response.name]
     if len(values) != n_expected:
         raise DataError(
             f"{p}: {len(values)} predictions for {n_expected} data rows"
@@ -83,14 +88,14 @@ def _read_predictions(path, n_expected: int) -> np.ndarray:
     return values
 
 
-def _predictions_schema(p: Path) -> Schema:
+def _predictions_schema(path) -> Schema:
     """The schema a predictions file's header declares. A one-column file
     holds the predictions; a two-column file whose first column is ``row``
     (the layout this tool writes) holds them in the second. Any other
     header is rejected rather than guessed at."""
-    if not p.exists():
-        raise DataError(f"predictions file not found: {p}")
-    with p.open(newline="", encoding="utf-8-sig") as fh:
+    source = csv_source(path)
+    p = source.path
+    with source.open() as fh:
         header = next(csv_records(fh, p), None)
     if header is None:
         raise DataError(f"{p}: file is empty")

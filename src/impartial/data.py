@@ -391,16 +391,50 @@ def load_csv(path, schema: Schema, comments: bool = False) -> Dataset:
     The data rows are parsed column-wise by numpy's C reader. Whenever it
     refuses the file (or the header does not match the schema), the row
     loop ``_load_csv_rows`` reads it instead: that loop defines the result
-    and is the only source of the error messages.
+    and is the only source of the error messages. ``path`` may be a
+    ``CsvSource``, so that a pipe read by another reader too is read once.
     """
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"data file not found: {p}")
-    with p.open(newline="", encoding="utf-8-sig") as fh:
-        columns = _parse_columns(fh, next(csv_records(fh, p), None), schema, comments)
+    if not isinstance(path, CsvSource) and not Path(path).exists():
+        raise DataError(f"data file not found: {Path(path)}")
+    source = csv_source(path)
+    with source.open() as fh:
+        header = next(csv_records(fh, source.path), None)
+        columns = _parse_columns(fh, header, schema, comments, source)
     if columns is None:
-        return _load_csv_rows(p, schema, comments)
+        return _load_csv_rows(source, schema, comments)
     return make_dataset(columns)
+
+
+class CsvSource:
+    """A CSV file that readers open from the start as often as they need.
+
+    A regular file is opened anew each time. Any other file (a pipe,
+    ``/dev/stdin``) can be read only once, so it is read into memory here
+    and each ``open`` reads that copy.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._bytes = None if self.path.is_file() else self.path.read_bytes()
+
+    def open(self):
+        """The text, as ``open(path, newline="", encoding="utf-8-sig")`` reads it."""
+        if self._bytes is None:
+            return self.path.open(newline="", encoding="utf-8-sig")
+        return io.TextIOWrapper(io.BytesIO(self._bytes), encoding="utf-8-sig", newline="")
+
+    def tail(self) -> bytes:
+        """The last 4 KiB of the file."""
+        if self._bytes is not None:
+            return self._bytes[-4096:]
+        with open(self.path, "rb") as raw:
+            raw.seek(max(0, raw.seek(0, 2) - 4096))
+            return raw.read()
+
+
+def csv_source(path) -> CsvSource:
+    """``path`` as a CsvSource (itself, if it is one)."""
+    return path if isinstance(path, CsvSource) else CsvSource(path)
 
 
 def csv_records(fh, p: Path):
@@ -432,16 +466,16 @@ def _ignored_cell(cell: str) -> float:
     return 0.0
 
 
-def _ends_in_comment(path) -> bool:
+def _ends_in_comment(source: CsvSource) -> bool:
     """Whether the last nonempty line of the file starts with ``#``, from
     its last 4 KiB."""
-    with open(path, "rb") as raw:
-        raw.seek(max(0, raw.seek(0, 2) - 4096))
-        lines = raw.read().rstrip(b"\r\n").splitlines()
+    lines = source.tail().rstrip(b"\r\n").splitlines()
     return bool(lines) and lines[-1].startswith(b"#")
 
 
-def _parse_columns(fh, header, schema: Schema, comments: bool) -> dict | None:
+def _parse_columns(
+    fh, header, schema: Schema, comments: bool, source: CsvSource
+) -> dict | None:
     """Schema-ordered kept columns of the data rows left in ``fh``, in one
     C pass, or None where the row loop must decide (header mismatch, no
     rows, a non-finite number, or any cell numpy does not parse exactly as
@@ -471,7 +505,7 @@ def _parse_columns(fh, header, schema: Schema, comments: bool) -> dict | None:
         elif specs[name].categorical:
             converters[j] = functools.partial(_level_code, tables.setdefault(name, {}))
     lines = fh
-    if comments and _ends_in_comment(fh.name):
+    if comments and _ends_in_comment(source):
         lines = itertools.takewhile(lambda line: not line.startswith("#"), fh)
     try:
         with warnings.catch_warnings():
@@ -498,9 +532,11 @@ def _parse_columns(fh, header, schema: Schema, comments: bool) -> dict | None:
     return columns
 
 
-def _load_csv_rows(p: Path, schema: Schema, comments: bool = False) -> Dataset:
+def _load_csv_rows(path, schema: Schema, comments: bool = False) -> Dataset:
     """``load_csv`` one row and one cell at a time: the reference reader."""
-    with p.open(newline="", encoding="utf-8-sig") as fh:
+    source = csv_source(path)
+    p = source.path
+    with source.open() as fh:
         reader = csv_records(fh, p)
         header = next(reader, None)
         if header is None:
@@ -563,7 +599,7 @@ def write_csv(path, data: Dataset) -> None:
         else:
             col = as_categorical(col)
             formats.append("%s")
-            cells.append(np.array(_csv_cells(col.levels, len(cols)), dtype=object)[col.codes])
+            cells.append(Categorical(col.codes, tuple(_csv_cells(col.levels, len(cols)))))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(data.names)
         write_rows(fh, formats, cells)
@@ -585,21 +621,38 @@ def _csv_cells(values, width: int) -> list[str]:
 
 
 _CHUNK_ROWS = 4096
+# The most bytes a chunk's matrix holds: wide text cells take fewer rows.
+_CHUNK_BYTES = 1 << 21
 
 
 def write_rows(fh, formats: list[str], columns: list) -> None:
-    """Write equal-length columns to ``fh`` as CSV rows, CRLF-terminated.
+    """Write equal-length columns to the UTF-8 text file ``fh`` as CSV rows,
+    CRLF-terminated: row i is ``",".join(formats[j] % columns[j][i])``.
 
-    Row i is ``",".join(formats[j] % columns[j][i])``; numeric arrays are
-    converted to Python numbers a chunk of rows at a time. Cells with
-    ``"%.17g"`` are ``format(v, ".17g")``, so with pre-quoted text cells the
-    bytes are those of ``csv.writer``.
+    ``"%.17g"`` takes floats, ``"%d"`` a range of integers in [0, 10**17)
+    and ``"%s"`` a Categorical of text cells; with pre-quoted text the bytes
+    are those of ``csv.writer``. A chunk of rows is one byte matrix with a
+    slot of fixed width per cell (``csvcells``), which one boolean
+    compaction joins for one write to ``fh.buffer``.
     """
-    template = ",".join(formats) + "\r\n"
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        part = [c[start : start + _CHUNK_ROWS] for c in columns]
-        part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
-        fh.write("".join(map(template.__mod__, zip(*part))))
+    # Imported here, so that only a command that writes rows compiles it.
+    from . import csvcells
+
+    slots = [csvcells.SLOTS[f](c) for f, c in zip(formats, columns)]
+    ends = np.cumsum([width + 1 for width, _ in slots])
+    n, rows = len(columns[0]), max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // (ends[-1] + 1)))
+    buf = np.empty((min(n, rows), ends[-1] + 1), np.uint8)
+    buf[:, ends - 1] = ord(",")
+    buf[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    keep = np.empty(buf.shape, bool)
+    fh.flush()
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        part, mask = buf[: stop - start], keep[: stop - start]
+        for (width, fill), end in zip(slots, ends):
+            fill(start, stop, part[:, end - 1 - width : end - 1])
+        np.not_equal(part, csvcells.FREE, out=mask)
+        fh.buffer.write(part[mask])
 
 
 BLOCKS = "sxwb"

@@ -216,6 +216,12 @@ def with_blackbox(design: EncodedDesign, external_predictions) -> EncodedDesign:
         )
     if not np.all(np.isfinite(ext)):
         raise DataError("external predictions contain non-finite values")
+    # The refusal an audit of these predictions gives, before the fit of the
+    # augmented design overflows on them.
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->j", ext, ext)
+    if not np.all(np.isfinite(squares)):
+        raise DataError("values too large to score: a column's sum of squares is not finite")
     means = ext.mean(axis=0)
     start = design.width("b")
     labels = tuple(f"yhat_{start + j}" for j in range(ext.shape[1]))

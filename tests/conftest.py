@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from impartial.data import EncodedDesign, encode
 from impartial.harness import gen_simple_example, simple_example_schema
 from impartial.linalg import column_center
+
+# The check to run before changing the CSV writer: its property tests at
+# 100 times the default number of examples, e.g.
+# pytest tests/test_csv_io.py -k TestCellBytes --hypothesis-profile=formatter
+settings.register_profile("formatter", max_examples=100 * settings.default.max_examples)
 
 
 def build_design(y, s=None, x=None, w=None, b=None, group_labels=None) -> EncodedDesign:

@@ -379,6 +379,27 @@ class TestCorrect:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("scale, code", [(1e300, 1), (1e160, 1), (1e150, 0)])
+    def test_overflowing_predictions_exit_1(self, loan_files, tmp_path, capsys, scale, code):
+        # 1e160 used to overflow in the fit of the augmented design (a
+        # RuntimeWarning), then exit 1 naming the corrected predictions
+        data_path, schema_path = loan_files
+        fitted = tmp_path / "fit.csv"
+        assert main(["fit", "--data", str(data_path), "--schema", str(schema_path),
+                     "--out", str(fitted)]) == 0
+        preds = tmp_path / "scaled.csv"
+        preds.write_text("prediction\n" + "".join(
+            f"{v * scale!r}\n" for v in read_prediction_column(fitted).tolist()), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["correct", "--data", str(data_path), "--schema", str(schema_path),
+                     "--predictions", str(preds), "--out", str(tmp_path / "c.csv")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("error: values too large to score: a column's sum of squares "
+                           "is not finite\n")
+        else:
+            assert err == ""
+
 
 class TestGroupFlags:
     """DS is the positive group's mean minus the negative group's. In the
@@ -974,3 +995,34 @@ class TestSidecar:
                          "--out", str(tmp_path / "p.csv")]) == 1
             assert capsys.readouterr().err == f"error: {expected.value}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.schema"]
+
+
+@pytest.mark.parametrize("kind", ["data", "malformed data", "predictions"])
+def test_a_pipe_reads_like_the_file(loan_files, tmp_path, kind):
+    # A pipe can be read only once: the header read, the C pass and the row
+    # loop used to open it one after another.
+    data_path, schema_path = loan_files
+    fed = data_path
+    if kind == "malformed data":
+        lines = data_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[50] = "x" + lines[50][lines[50].index(","):]
+        fed = tmp_path / "bad.csv"
+        fed.write_text("".join(lines), encoding="utf-8")
+    elif kind == "predictions":
+        fed = tmp_path / "p.csv"
+        assert main(["fit", "--data", str(data_path), "--schema", str(schema_path),
+                     "--out", str(fed)]) == 0
+
+    def audit(path, stdin):
+        inputs = (["--predictions", path, "--data", str(data_path)] if kind == "predictions"
+                  else ["--variant", "total", "--data", path])
+        return subprocess.run([sys.executable, "-m", "impartial.cli", "audit",
+                               "--schema", str(schema_path), *inputs], input=stdin,
+                              capture_output=True, env=_cli_env(), timeout=60)
+
+    from_file, from_pipe = audit(str(fed), None), audit("/dev/stdin", fed.read_bytes())
+    assert from_pipe.returncode == from_file.returncode == int(kind == "malformed data")
+    assert from_pipe.stdout == from_file.stdout
+    assert from_pipe.stderr == from_file.stderr.replace(str(fed).encode(), b"/dev/stdin")
+    if kind == "malformed data":
+        assert b"cannot parse 'x' as number at row 51" in from_pipe.stderr

@@ -9,6 +9,8 @@ writers.
 """
 
 import csv
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,3 +450,76 @@ class TestCliFiles:
         expected = (tmp_path / "ref.csv").read_bytes()
         assert written[: len(expected)] == expected
         assert written[len(expected):].startswith(b"# n,600\n")
+
+
+def written_cells(values) -> bytes:
+    """The bytes ``data.write_rows`` writes for one ``"%.17g"`` column."""
+    fh = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    data.write_rows(fh, ["%.17g"], [np.asarray(values, dtype=float)])
+    return fh.buffer.getvalue()
+
+
+def formatted_cells(values) -> bytes:
+    return "".join(format(v, ".17g") + "\r\n" for v in np.asarray(values).tolist()).encode()
+
+
+def float_corpus() -> np.ndarray:
+    """Seeded values for the fast path's every branch and its fallback."""
+    rng = np.random.default_rng(2016)
+    # Random significands under every biased exponent (subnormals, NaN and
+    # inf included), with both signs.
+    exponents = np.repeat(np.arange(2048, dtype=np.uint64), 40)
+    bits = exponents << np.uint64(52) | rng.integers(0, 2**52, exponents.size, dtype=np.uint64)
+    bits = np.concatenate([bits, bits | np.uint64(1 << 63)])
+    # 10**k and its neighbours one ulp away, for every k.
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    # Exact ties: x * 10**k ends in .5 where 10**k is exact, i.e. x = m / 2**(k+1)
+    # with m odd and m * 5**k of 17 digits (k in 1..22); and values with few
+    # fraction bits above 1e12.
+    ties = []
+    for k in range(1, 23):
+        low, high = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        m = rng.integers(low, high, 2000) | 1
+        ties.append(m / 2.0 ** (k + 1))
+    few_bits = rng.integers(2**40, 2**53, 20_000) / 2.0 ** rng.integers(1, 12, 20_000)
+    edges = np.array([0.0, 1e-5, 1e-4, 1e16, 1e17, 1e100, 1e-100, 1e-280, 1e280, 5e-324])
+    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    values = np.concatenate([bits.view(np.float64), powers, *ties, few_bits, edges])
+    return np.concatenate([values, -values])
+
+
+class TestCellBytes:
+    """Every ``"%.17g"`` cell the writer makes is ``format(v, ".17g")``.
+
+    Before changing the writer, run these at 100 times the examples:
+    ``pytest tests/test_csv_io.py -k TestCellBytes --hypothesis-profile=formatter``.
+    """
+
+    def test_corpus_matches_format(self):
+        values = float_corpus()
+        assert written_cells(values) == formatted_cells(values)
+
+    @given(values=st.lists(st.floats(), max_size=50))
+    def test_floats_match_format(self, values):
+        assert written_cells(values) == formatted_cells(values)
+
+    def test_nul_in_labels_is_kept(self, tmp_path):
+        dataset = make_dataset({"g": ["\0", "a\0", "\0\0b", "é\0"], "y": [1.0, 2.5, -0.0, 1e300]})
+        write_csv(tmp_path / "new.csv", dataset)
+        ref_write_csv(tmp_path / "ref.csv", dataset)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_wide_labels_take_fewer_rows_per_chunk(self, tmp_path):
+        # 300 rows of a 100,000-character label would make a 30 MB chunk.
+        labels = ["x" * 100_000, "a,b"] * 150
+        dataset = make_dataset({"g": labels, "y": np.arange(300.0)})
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "new.csv", dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        ref_write_csv(tmp_path / "ref.csv", dataset)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

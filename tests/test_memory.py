@@ -3,13 +3,15 @@
 ``correct`` holds one numeric design (the data's columns plus the black
 box's) and no per-row Python objects: its peak allocation, traced in-process
 on a warm data sidecar, stays a small multiple of the parsed data's bytes.
-``r_factor`` copies one block of rows at a time, so factoring a tall matrix
-allocates a small fraction of the matrix's bytes.
+``decompose`` writes its per-row file a chunk of rows at a time, so its
+peak does too. ``r_factor`` copies one block of rows at a time, so factoring
+a tall matrix allocates a small fraction of the matrix's bytes.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from impartial.cli import main
 from impartial.linalg import r_factor
@@ -21,25 +23,50 @@ PARSED_BYTES = N_ROWS * 12 * 8
 # keeps the parsed Dataset, a second design and per-row labels alongside the
 # design measured 6.0x.
 PEAK_BOUND = 5.0
+# decompose measured 3.2x while it wrote each row with one % per cell, and
+# 3.4x with the chunked writer; a writer that formats whole columns at once
+# measured 10.1x.
+DECOMPOSE_PEAK_BOUND = 4.0
 
 
-def test_correct_peak_allocation_is_a_small_multiple_of_the_data(tmp_path):
-    data, out = tmp_path / "data.csv", tmp_path / "out.csv"
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """The 20,000-row data file, its schema and full-variant predictions;
+    the data sidecar is warm."""
+    tmp_path = tmp_path_factory.mktemp("memory")
+    data = tmp_path / "data.csv"
     assert main(["simulate", "dag", "--n", str(N_ROWS), "--px", "6", "--pw", "4",
                  "--seed", "11", "--out", str(data)]) == 0
     schema = data.with_suffix(".schema")
     predictions = tmp_path / "predictions.csv"
     assert main(["fit", "--variant", "full", "--data", str(data), "--schema", str(schema),
                  "--out", str(predictions)]) == 0  # also writes the data sidecar
-    argv = ["correct", "--predictions", str(predictions), "--data", str(data),
-            "--schema", str(schema), "--out", str(out)]
+    return data, schema, predictions
+
+
+def traced_peak(argv) -> int:
+    """Peak traced allocation of one in-process CLI run."""
     tracemalloc.start()
     try:
         assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_correct_peak_allocation_is_a_small_multiple_of_the_data(tmp_path, cli_files):
+    data, schema, predictions = cli_files
+    peak = traced_peak(["correct", "--predictions", str(predictions), "--data", str(data),
+                        "--schema", str(schema), "--out", str(tmp_path / "out.csv")])
     assert peak / PARSED_BYTES < PEAK_BOUND, f"peak {peak / PARSED_BYTES:.2f}x the parsed data"
+
+
+def test_decompose_peak_allocation_is_a_small_multiple_of_the_data(tmp_path, cli_files):
+    data, schema, _ = cli_files
+    peak = traced_peak(["decompose", "--mode", "total", "--data", str(data),
+                        "--schema", str(schema), "--out", str(tmp_path / "out.csv")])
+    assert peak / PARSED_BYTES < DECOMPOSE_PEAK_BOUND, (
+        f"peak {peak / PARSED_BYTES:.2f}x the parsed data")
 
 
 def test_r_factor_peak_allocation_is_a_fraction_of_the_matrix():
