@@ -114,7 +114,7 @@ def _write_predictions(path, values, header: str = "prediction") -> None:
     values = np.asarray(values, dtype=float)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["row", header])
-        write_rows(fh, ["%d", "%.17g"], [range(len(values)), values])
+        write_rows(fh, [range(len(values)), values])
 
 
 def _audit_lines(report) -> list[tuple[str, str]]:
@@ -197,11 +197,7 @@ def cmd_decompose(args) -> int:
     columns = [report.component(name) for name in COMPONENT_NAMES]
     with out.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["row", *COMPONENT_NAMES, "fitted_sum"])
-        write_rows(
-            fh,
-            ["%d"] + ["%.17g"] * (len(columns) + 1),
-            [range(design.n_rows), *columns, report.rowwise_sum()],
-        )
+        write_rows(fh, [range(design.n_rows), *columns, report.rowwise_sum()])
     print(f"wrote {out}")
     return 0
 

@@ -2,10 +2,10 @@
 
 ``data.write_rows`` lays a chunk of rows out as one byte matrix, each cell
 in a slot of fixed width whose unused bytes are ``FREE``, and joins the
-chunk with one boolean compaction. ``SLOTS`` maps a cell format to the
-maker of its slots. A ``"%.17g"`` cell is ``format(x, ".17g")`` exactly,
-made from numpy integer and float arithmetic rather than one Python ``%``
-per cell (``format_floats``).
+chunk with one boolean compaction. ``slot`` picks a column's cell rule
+from its type. A float cell is ``format(x, ".17g")`` exactly, made from
+numpy integer and float arithmetic rather than one Python ``%`` per cell
+(``format_floats``).
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import functools
 import itertools
 
 import numpy as np
+
+from .data import Categorical
 
 # The filler of a slot's unused bytes: no UTF-8 text holds it.
 FREE = 0xFF
@@ -44,9 +46,15 @@ def _range_slot(col: range):
         np.arange(col[start], col[start] + (stop - start) * col.step, col.step, dtype=float), out)
 
 
-# Each maker takes a column and returns the width of its slots and a
-# function that writes the slots of rows [start, stop) to ``out``.
-SLOTS = {"%d": _range_slot, "%s": _text_slot, "%.17g": _float_slot}
+def slot(col):
+    """The width of ``col``'s slots and a function that writes the slots of
+    rows [start, stop) to ``out``: a range gives row numbers, a Categorical
+    text cells, anything else ``"%.17g"`` floats."""
+    if isinstance(col, range):
+        return _range_slot(col)
+    if isinstance(col, Categorical):
+        return _text_slot(col)
+    return _float_slot(col)
 
 
 @functools.cache
@@ -105,10 +113,12 @@ def format_floats(v: np.ndarray, out: np.ndarray) -> None:
     E = floor(log10|x|), from ``_scaled``; where the scaled value leaves
     [1e16, 1e17], E moves by one. A tie rounds half to even where the
     product is exact; any other x within 1e-6 of a tie, and every x out of
-    that range (0, -0, non-finite, tiny or huge), is formatted by Python.
+    that range (non-finite, tiny or huge), is formatted by Python. A zero
+    is D = 0 with E = 0, which shows as "0" or "-0".
     """
     groups, zeros, pow10, modes, literal, left, right = _tables()
     a = np.abs(v)
+    zero = a == 0
     fast = (a > 1e-280) & (a < 1e280)
     a[~fast] = 1.0
     e10 = np.floor(np.log10(a)).astype(np.int64)
@@ -128,6 +138,7 @@ def format_floats(v: np.ndarray, out: np.ndarray) -> None:
     d[top], e10[top] = 10**16, e10[top] + 1
     fast &= (d >= 10**16) & (d < 10**17)
     d[~fast] = 10**16
+    d[zero], fast[zero] = 0, True
     # D as d0 and four 4-digit groups, from D // 10**8 and D % 10**8 in
     # uint32 (where a - a // b * b is faster than a % b).
     high = d // 10**8

@@ -591,18 +591,15 @@ def write_csv(path, data: Dataset) -> None:
     """Write a Dataset as CSV: numeric cells with 17 significant digits,
     labels quoted as ``csv.writer`` quotes them, CRLF line endings."""
     cols = [data.columns[n] for n in data.names]
-    formats, cells = [], []
+    cells = []
     for col in cols:
-        if isinstance(col, np.ndarray):
-            formats.append("%.17g")
-            cells.append(col)
-        else:
+        if not isinstance(col, np.ndarray):
             col = as_categorical(col)
-            formats.append("%s")
-            cells.append(Categorical(col.codes, tuple(_csv_cells(col.levels, len(cols)))))
+            col = Categorical(col.codes, tuple(_csv_cells(col.levels, len(cols))))
+        cells.append(col)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(data.names)
-        write_rows(fh, formats, cells)
+        write_rows(fh, cells)
 
 
 def _csv_cells(values, width: int) -> list[str]:
@@ -625,20 +622,21 @@ _CHUNK_ROWS = 4096
 _CHUNK_BYTES = 1 << 21
 
 
-def write_rows(fh, formats: list[str], columns: list) -> None:
+def write_rows(fh, columns: list) -> None:
     """Write equal-length columns to the UTF-8 text file ``fh`` as CSV rows,
-    CRLF-terminated: row i is ``",".join(formats[j] % columns[j][i])``.
+    CRLF-terminated, one cell per column and row.
 
-    ``"%.17g"`` takes floats, ``"%d"`` a range of integers in [0, 10**17)
-    and ``"%s"`` a Categorical of text cells; with pre-quoted text the bytes
-    are those of ``csv.writer``. A chunk of rows is one byte matrix with a
+    A column's type picks its cells (``csvcells.slot``): a range of integers
+    in [0, 10**17) gives row numbers, a Categorical its text cells (with
+    pre-quoted text the bytes are those of ``csv.writer``), and anything
+    else floats as ``"%.17g"``. A chunk of rows is one byte matrix with a
     slot of fixed width per cell (``csvcells``), which one boolean
     compaction joins for one write to ``fh.buffer``.
     """
     # Imported here, so that only a command that writes rows compiles it.
     from . import csvcells
 
-    slots = [csvcells.SLOTS[f](c) for f, c in zip(formats, columns)]
+    slots = [csvcells.slot(c) for c in columns]
     ends = np.cumsum([width + 1 for width, _ in slots])
     n, rows = len(columns[0]), max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // (ends[-1] + 1)))
     buf = np.empty((min(n, rows), ends[-1] + 1), np.uint8)

@@ -15,16 +15,13 @@ suspect; such a re-assignment only moves block boundaries of the design
 matrix. The dataset is assembled into that matrix once; every fold's
 training and test designs are row slices of it, re-centered within the
 fold. All randomness derives from one master seed via a 64-bit mix,
-so results are reproducible bit for bit; repetitions are independent and
-may run on a small thread pool (capped by the IMPARTIAL_THREADS
-environment variable), reduced in deterministic order.
+so results are reproducible bit for bit. Repetitions run in order, and
+each is scored as soon as it ends.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,15 +282,6 @@ def kfold_validate(
         raise ContractError(
             f"{config.folds} folds exceed the {data.n_rows} available rows"
         )
-    threads_text = os.environ.get("IMPARTIAL_THREADS", "1") or "1"
-    try:
-        threads = int(threads_text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ContractError(
-            f"IMPARTIAL_THREADS must be an integer >= 1, got {threads_text!r}"
-        )
     raw = assemble(data, schema)
     groups = raw.groups.rows()
     # By default the bias target is the positive group.
@@ -305,18 +293,9 @@ def kfold_validate(
     }
     y_raw = enc_full.y
 
-    def task(rep):
-        return _run_repetition(raw, groups, config, bias, rep)
-
-    reps = range(config.repetitions)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(task, reps))
-    else:
-        results = [task(rep) for rep in reps]
-
     sums = {v.value: {m: 0.0 for m in METRIC_NAMES} for v in config.variants}
-    for y_biased, pooled, bb_pooled in results:  # repetition order
+    for rep in range(config.repetitions):
+        y_biased, pooled, bb_pooled = _run_repetition(raw, groups, config, bias, rep)
         for variant in config.variants:
             values = pooled[variant.value]
             design = roled[_role_view(variant)]

@@ -453,9 +453,9 @@ class TestCliFiles:
 
 
 def written_cells(values) -> bytes:
-    """The bytes ``data.write_rows`` writes for one ``"%.17g"`` column."""
+    """The bytes ``data.write_rows`` writes for one float column."""
     fh = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
-    data.write_rows(fh, ["%.17g"], [np.asarray(values, dtype=float)])
+    data.write_rows(fh, [np.asarray(values, dtype=float)])
     return fh.buffer.getvalue()
 
 

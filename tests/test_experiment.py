@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -160,44 +158,6 @@ class TestKfoldValidate:
         cfg = ExperimentConfig(folds=2000, repetitions=1, master_seed=0)
         with pytest.raises(ContractError, match="folds"):
             kfold_validate(table1_data, table1_schema, cfg)
-
-    def test_thread_pool_matches_serial(self, table1_data, table1_schema, monkeypatch):
-        cfg = ExperimentConfig(
-            folds=3,
-            repetitions=2,
-            variants=(Variant.FULL, Variant.FEO),
-            master_seed=5,
-        )
-        bias = BiasSpec("s+", 0.4, 0.25)
-        monkeypatch.delenv("IMPARTIAL_THREADS", raising=False)
-        serial = kfold_validate(table1_data, table1_schema, cfg, bias)
-        monkeypatch.setenv("IMPARTIAL_THREADS", "4")
-        threaded = kfold_validate(table1_data, table1_schema, cfg, bias)
-        assert serial == threaded
-
-    def test_thread_pool_matches_serial_with_blackbox(self, monkeypatch):
-        # four repetitions on four threads grow trees concurrently; the tree
-        # kernel shares no state between fits, so the tables agree exactly
-        data, schema = gen_wine_like(n=600, seed=4)
-        cfg = ExperimentConfig(
-            folds=3,
-            repetitions=4,
-            variants=(Variant.FULL, Variant.BLACKBOX_CORRECTED),
-            master_seed=6,
-            blackbox_trees=6,
-            blackbox_depth=4,
-        )
-        bias = BiasSpec("white", 0.7, 1.0)
-        monkeypatch.delenv("IMPARTIAL_THREADS", raising=False)
-        serial = kfold_validate(data, schema, cfg, bias)
-        monkeypatch.setenv("IMPARTIAL_THREADS", "4")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            threaded = kfold_validate(data, schema, cfg, bias)
-        finally:
-            sys.setswitchinterval(interval)
-        assert serial == threaded
 
     def test_table_text_shape(self, table1_data, table1_schema):
         cfg = ExperimentConfig(
