@@ -36,7 +36,7 @@ from .data import (
 from .decomposition import COMPONENT_NAMES, Mode, decompose
 from .errors import ContractError, DataError, ImpartialError
 from .estimators import Variant, fit_total, predict, with_blackbox
-from .metrics import ScoreMode, natural_mode, score_predictions
+from .metrics import MetricsReport, ScoreMode, natural_mode, score_predictions
 from .sidecar import load_data
 
 _FIT_VARIANTS = {
@@ -117,27 +117,31 @@ def _write_predictions(path, values, header: str = "prediction") -> None:
         write_rows(fh, [range(len(values)), values])
 
 
-def _audit_lines(report) -> list[tuple[str, str]]:
+def _score(args, values, design: EncodedDesign, variant: Variant | None) -> MetricsReport:
+    """``values`` scored in ``--mode``, else in the variant's natural mode."""
+    mode = ScoreMode(args.mode) if args.mode else natural_mode(variant)
+    return score_predictions(values, design, design.y, mode, args.positive_group,
+                             args.negative_group)
+
+
+def _audit_lines(report: MetricsReport, fmt=_fmt) -> list[tuple[str, str]]:
+    """The audit's (key, value) lines, numbers but ``n`` formatted by ``fmt``."""
     rows = [
         ("n", str(report.n)),
-        ("ds", _fmt(report.ds)),
-        ("is", _fmt(report.is_score)),
+        ("ds", fmt(report.ds)),
+        ("is", fmt(report.is_score)),
         ("is_mode", report.is_mode.value),
-        ("rmse", _fmt(report.rmse)),
-        ("rsse", _fmt(report.rsse)),
+        ("rmse", fmt(report.rmse)),
+        ("rsse", fmt(report.rsse)),
     ]
     for group, mean in report.per_group_means.items():
-        rows.append((f"group_mean[{group}]", _fmt(mean)))
+        rows.append((f"group_mean[{group}]", fmt(mean)))
     return rows
 
 
-def _print_audit(report) -> None:
-    for key, value in _audit_lines(report):
-        try:
-            pretty = format(float(value), ".6g")
-        except ValueError:
-            pretty = value
-        print(f"{key:<22}{pretty}")
+def _print_audit(report: MetricsReport) -> None:
+    for key, value in _audit_lines(report, lambda v: format(v, ".6g")):
+        print(f"{key:<22}{value}")
 
 
 def cmd_fit(args) -> int:
@@ -171,15 +175,7 @@ def cmd_audit(args) -> int:
         values = predict(fit_total(design), design, variant).values
     else:
         raise ContractError("audit needs --predictions or --variant")
-    mode = ScoreMode(args.mode) if args.mode else natural_mode(variant)
-    report = score_predictions(
-        values,
-        design,
-        design.y,
-        mode,
-        positive_group=args.positive_group,
-        negative_group=args.negative_group,
-    )
+    report = _score(args, values, design, variant)
     _print_audit(report)
     if args.out:
         with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
@@ -210,14 +206,7 @@ def cmd_correct(args) -> int:
     # the audit.
     design = with_blackbox(design, _read_predictions(args.predictions, design.n_rows))
     pred = predict(fit_total(design), design, Variant.BLACKBOX_CORRECTED)
-    audited = score_predictions(
-        pred.values,
-        design,
-        design.y,
-        ScoreMode(args.mode) if args.mode else natural_mode(Variant.BLACKBOX_CORRECTED),
-        positive_group=args.positive_group,
-        negative_group=args.negative_group,
-    )
+    audited = _score(args, pred.values, design, Variant.BLACKBOX_CORRECTED)
     out = Path(args.out)
     _write_predictions(out, pred.values, header="corrected")
     with out.open("a", encoding="utf-8") as fh:
@@ -259,9 +248,13 @@ def cmd_validate(args) -> int:
         data, schema = _simulated_inputs(args)
     else:
         data, schema = _load_inputs(args)
-    variants = tuple(
-        _VALIDATE_VARIANTS[v.strip()] for v in args.variants.split(",") if v.strip()
-    )
+    names = [v.strip() for v in args.variants.split(",") if v.strip()]
+    unknown = [v for v in names if v not in _VALIDATE_VARIANTS]
+    if unknown:
+        raise ContractError(
+            f"unknown variant(s) {unknown}; choose from {','.join(sorted(_VALIDATE_VARIANTS))}"
+        )
+    variants = tuple(_VALIDATE_VARIANTS[v] for v in names)
     config = ExperimentConfig(
         folds=args.folds,
         repetitions=args.reps,

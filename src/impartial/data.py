@@ -484,10 +484,11 @@ def _parse_columns(
     Quoting follows the csv module and blank lines are skipped. Every
     column is parsed, ignored ones to 0.0, so that a row of the wrong width
     is refused; categorical cells become first-appearance codes. With
-    ``comments``, the first column is parsed as a number, which a ``#`` cell
-    is not, and a file that ends in ``#`` lines (as ``correct`` output does)
-    is parsed up to the first line starting with ``#``; the rest of it may
-    hold only such lines and empty ones.
+    ``comments``, a file that ends in ``#`` lines (as ``correct`` output
+    does) is parsed up to the first line starting with ``#``; the rest of it
+    may hold only such lines and empty ones. That cut can fall inside a
+    quoted cell, so quotes are then not parsed: every column is read as a
+    number, which neither a ``#`` cell nor a cell holding a quote is.
     """
     if header is None:
         return None
@@ -495,12 +496,13 @@ def _parse_columns(
     specs = {c.name: c for c in schema.columns}
     if len(set(names)) != len(names) or set(names) != set(specs):
         return None
-    if comments and specs[names[0]].categorical:
-        return None
     tables: dict[str, dict] = {}
     converters = {}
     for j, name in enumerate(names):
-        if specs[name].role is Role.IGNORE and not (comments and j == 0):
+        if comments:
+            if specs[name].categorical:
+                return None
+        elif specs[name].role is Role.IGNORE:
             converters[j] = _ignored_cell
         elif specs[name].categorical:
             converters[j] = functools.partial(_level_code, tables.setdefault(name, {}))
@@ -510,8 +512,8 @@ def _parse_columns(
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                                converters=converters)
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                                quotechar=None if comments else '"', converters=converters)
     except ValueError:
         return None
     if any(line.strip("\r\n") and line[0] != "#" for line in fh):
@@ -732,7 +734,6 @@ class EncodedDesign(BlockLayout):
     y: np.ndarray
     z: np.ndarray
     groups: Categorical
-    response_name: str = "y"
     _r: list = dataclasses.field(default_factory=list, compare=False, repr=False)
 
     def replace(self, **changes):
@@ -757,7 +758,7 @@ class EncodedDesign(BlockLayout):
     s_group_labels = property(lambda self: self.groups)
 
     @classmethod
-    def from_blocks(cls, y, blocks: dict, s_group_labels, response_name: str = "y"):
+    def from_blocks(cls, y, blocks: dict, s_group_labels):
         """Stack per-block ``(columns, labels, means)`` into one design.
 
         ``blocks`` is keyed by "s", "x", "w", "b" (a missing key is an
@@ -773,7 +774,6 @@ class EncodedDesign(BlockLayout):
             y=y,
             z=np.column_stack(cols) if cols else np.zeros((len(y), 0)),
             groups=as_categorical(s_group_labels),
-            response_name=response_name,
         )
 
     @property
@@ -898,7 +898,6 @@ def assemble(
         y,
         {key: (pre[key], labels[key], np.zeros(len(pre[key]))) for key in BLOCKS},
         _groups(data, schema),
-        response_name=resp.name,
     )
 
 

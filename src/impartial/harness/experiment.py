@@ -12,11 +12,12 @@ Covariate roles are re-assigned per variant to match each estimator's
 worldview: the formal-equality variant treats every non-sensitive
 covariate as legitimate, the substantive-equality ones treat them all as
 suspect; such a re-assignment only moves block boundaries of the design
-matrix. The dataset is assembled into that matrix once; every fold's
-training and test designs are row slices of it, re-centered within the
-fold. All randomness derives from one master seed via a 64-bit mix,
-so results are reproducible bit for bit. Repetitions run in order, and
-each is scored as soon as it ends.
+matrix. Scores need none, since a score mode is itself a role view: every
+variant is scored on the whole design. The dataset is assembled into that
+matrix once; every fold's training and test designs are row slices of it,
+re-centered within the fold. All randomness derives from one master seed
+via a 64-bit mix, so results are reproducible bit for bit. Repetitions
+run in order, and each is scored as soon as it ends.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ class ExperimentConfig:
             require_count(name, getattr(self, name), 1)
         if not self.variants:
             raise ContractError("no variants configured")
+        repeated = sorted({v.value for v in self.variants if self.variants.count(v) > 1})
+        if repeated:
+            raise ContractError(f"variant(s) {repeated} configured more than once")
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ def _as_declared(design: EncodedDesign) -> EncodedDesign:
 
 
 def _role_view(variant: Variant):
-    """The role re-assignment a variant is trained, predicted and scored under."""
+    """The role re-assignment a variant is trained and predicted under."""
     if variant is Variant.FEO:
         return as_all_legitimate
     if variant in (Variant.FSEO, Variant.CALDERS_BASELINE, Variant.BLACKBOX_CORRECTED):
@@ -288,9 +292,6 @@ def kfold_validate(
     target = bias.target_group_label if bias is not None else None
     pos_group, neg_group = group_pair(list(groups), target)
     enc_full = center(raw)
-    roled = {
-        view: view(enc_full) for view in set(map(_role_view, config.variants))
-    }
     y_raw = enc_full.y
 
     sums = {v.value: {m: 0.0 for m in METRIC_NAMES} for v in config.variants}
@@ -298,9 +299,9 @@ def kfold_validate(
         y_biased, pooled, bb_pooled = _run_repetition(raw, groups, config, bias, rep)
         for variant in config.variants:
             values = pooled[variant.value]
-            design = roled[_role_view(variant)]
+            design = enc_full
             if variant is Variant.BLACKBOX_CORRECTED:
-                design = with_blackbox(design, bb_pooled)
+                design = with_blackbox(enc_full, bb_pooled)
             entry = sums[variant.value]
             entry["rmse_biased"] += rmse(values, y_biased)
             entry["rmse_raw"] += rmse(values, y_raw)

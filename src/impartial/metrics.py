@@ -240,19 +240,13 @@ def impartiality_score(
     normalizer is 1 + (number of covariate columns), counting sensitive,
     legitimate, suspect, and black-box columns alike.
     """
-    non_sensitive = design.z[:, design.index("xwb")]
-    empty = non_sensitive[:, :0]
-    if mode is ScoreMode.FEO:
-        x_block, w_block = non_sensitive, empty
-    elif mode is ScoreMode.SEO:
-        x_block, w_block = empty, non_sensitive
-    else:
+    if not isinstance(mode, ScoreMode):
         raise ContractError(f"unknown impartiality mode {mode!r}")
+    view = design.merged("xwb", "x" if mode is ScoreMode.FEO else "w")
     gaps = impartiality_conditions(
-        predictions, residual_target, design.s, x_block, w_block, design.s_labels
+        predictions, residual_target, view.s, view.x, view.block("wb"), view.s_labels
     )
-    denom = 1 + design.s.shape[1] + non_sensitive.shape[1]
-    return gaps.total_abs() / denom
+    return gaps.total_abs() / (1 + view.z.shape[1])
 
 
 def compare_estimators(a, b, group_labels) -> ComparisonReport:

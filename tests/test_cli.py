@@ -13,10 +13,11 @@ import pytest
 
 import impartial
 
-from impartial import sidecar
+from impartial import cli, sidecar
 from impartial.cli import main
 from impartial.data import load_csv, load_schema, make_dataset, parse_schema, write_csv
 from impartial.errors import DataError
+from impartial.metrics import MetricsReport, ScoreMode
 from impartial.harness import default_dag_spec, gen_dag, gen_simple_example, simple_example_schema
 from impartial.data import format_schema, Role
 
@@ -186,6 +187,21 @@ class TestAudit:
         assert float(ds_line.split()[-1]) == 0.0
         audit_csv = (tmp_path / "audit.csv").read_text()
         assert "rmse" in audit_csv
+
+    def test_row_count_prints_as_an_integer(self, capsys):
+        # .6g used to print n 1.23457e+06 while --out and the footer held 1234567
+        report = MetricsReport(
+            rmse=0.5, rsse=1234.5678, ds=-0.25, is_score=1e-17, is_mode=ScoreMode.SEO,
+            per_group_means={"a": 0.125}, n=1_234_567,
+        )
+        cli._print_audit(report)
+        assert capsys.readouterr().out.splitlines() == [
+            f"{key:<22}{value}" for key, value in [
+                ("n", "1234567"), ("ds", "-0.25"), ("is", "1e-17"), ("is_mode", "seo"),
+                ("rmse", "0.5"), ("rsse", "1234.57"), ("group_mean[a]", "0.125"),
+            ]
+        ]
+        assert ("n", "1234567") in cli._audit_lines(report)
 
     def test_missing_predictions_file_exits_1(self, loan_files, tmp_path):
         data_path, schema_path = loan_files
@@ -494,6 +510,16 @@ class TestValidate:
 
     def test_needs_data_or_simulate(self, capsys):
         assert main(["validate", "--reps", "1"]) == 2
+
+    @pytest.mark.parametrize("variants, message", [
+        ("full,bogus", "unknown variant(s) ['bogus']; choose from calders,corrected,"),
+        # a repeated variant used to add its metrics twice into one mean
+        ("full,feo,full", "variant(s) ['full'] configured more than once"),
+    ])
+    def test_bad_variant_list_exits_2(self, capsys, variants, message):
+        argv = ["validate", "--simulate", "simple", "--reps", "1", "--variants", variants]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("shift", ["nan", "inf"])
     def test_non_finite_bias_shift_exits_2(self, capsys, shift):

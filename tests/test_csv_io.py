@@ -50,7 +50,9 @@ LABEL_CELLS = [
     "a", " b ", "b", '"c,d"', '"he said ""x"""', '"multi\nline"', '"cr\r\nlf"',
     "#g", "é", "日本", "", "  ", '"1"', "1_0", ' "q"', 'in"side', '"open', LONG_CELLS[0],
 ]
-COMMENT_CELLS = ["#", "# n", "#1", '"#q"', " #s"]
+COMMENT_CELLS = ["#", "# n", "#1", '"#q"', " #s", '#"']
+# a quote that a cut at the first "#" line would leave open
+OPEN_QUOTE_CELLS = ['"open', '"2']
 IGNORED_CELLS = ["", "text", '"q,q"', "  ", "#", "1", LONG_CELLS[0]]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 
@@ -139,8 +141,9 @@ class TestLoadCsv:
         assert outcome(load_csv, path, SCHEMA) == outcome(data._load_csv_rows, path, SCHEMA)
 
     @_SETTINGS
-    @given(text=csv_texts(["y", "g", "a", "z"],
-                          [cells + COMMENT_CELLS for cells in data_cells(all_tokens=False)]))
+    @given(text=csv_texts(["y", "g", "a", "z"], [
+        cells + COMMENT_CELLS + OPEN_QUOTE_CELLS for cells in data_cells(all_tokens=False)
+    ]))
     def test_comment_rows_match_row_loop(self, tmp_path, text):
         # whichever column comes first, including a categorical or ignored one
         path = tmp_path / "d.csv"
@@ -211,9 +214,9 @@ class TestLoadCsv:
 
 PREDICTION_CELLS = [
     "0.25", " -1.5 ", "+2", ".5", "1e-300", "nan", "-nan", "inf", "1_0", "0x10",
-    "", "x", "#3", '"4"', '"#5"', "1e999", *LONG_CELLS[1:],
+    "", "x", "#3", '"4"', '"#5"', "1e999", *OPEN_QUOTE_CELLS, *LONG_CELLS[1:],
 ]
-ROW_CELLS = ["0", "12", "", "x", "#", "# n", '"#q"', " #s", '"a,b"', LONG_CELLS[0]]
+ROW_CELLS = ["0", "12", "", "x", "#", "# n", '"#q"', " #s", '#"', '"a,b"', LONG_CELLS[0]]
 
 
 def prediction_rows(path):
@@ -290,6 +293,14 @@ class TestReadPredictions:
 
         monkeypatch.setattr(data, "_load_csv_rows", refuse)
         np.testing.assert_array_equal(cli._read_predictions(path, 3), values)
+
+    @pytest.mark.parametrize("text", ['row,p\n0,"1\n#"\n', 'p\n"1\n#"\n# n,1\n'])
+    def test_quote_left_open_by_a_comment_cut_matches_row_loop(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = outcome(prediction_rows, path)
+        assert expected[0] == "error" and "cannot parse" in expected[1]
+        self.compare(path)
 
     @pytest.mark.parametrize("tail", ["# a,1\n1,2.0\n", "# a,1\n\n \n", "# a,1\n1,2.0\n# b\n"])
     def test_rows_after_a_comment_go_to_the_row_loop(self, tmp_path, tail):

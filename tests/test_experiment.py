@@ -183,6 +183,8 @@ class TestKfoldValidate:
             ExperimentConfig(repetitions=0)
         with pytest.raises(ContractError):
             ExperimentConfig(variants=())
+        with pytest.raises(ContractError, match=r"\['full'\] configured more than once"):
+            ExperimentConfig(variants=(Variant.FULL, Variant.FEO, Variant.FULL))
 
     @pytest.mark.parametrize(
         "field",

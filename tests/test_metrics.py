@@ -117,6 +117,11 @@ class TestImpartialityScore:
         score = impartiality_score(pred, table1_design, table1_design.y, ScoreMode.SEO)
         assert score > 0.01
 
+    def test_unknown_mode_rejected(self, table1_design, table1_fit):
+        pred = predict(table1_fit, table1_design, Variant.FULL).values
+        with pytest.raises(ContractError, match="unknown impartiality mode 'feo'"):
+            impartiality_score(pred, table1_design, table1_design.y, "feo")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["predictions", "residual_target"])
     def test_non_finite_input_rejected(self, table1_design, table1_fit, which, bad):
