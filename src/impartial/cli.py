@@ -36,7 +36,7 @@ from .data import (
 from .decomposition import COMPONENT_NAMES, Mode, decompose
 from .errors import ContractError, DataError, ImpartialError
 from .estimators import Variant, fit_total, predict, with_blackbox
-from .metrics import MetricsReport, ScoreMode, natural_mode, score_predictions
+from .metrics import MetricsReport, ScoreMode, score_predictions
 from .sidecar import load_data
 
 _FIT_VARIANTS = {
@@ -73,14 +73,13 @@ def _load_design(args) -> EncodedDesign:
 
 def _read_predictions(path, n_expected: int) -> np.ndarray:
     """Per-row predictions from a CSV with a header row: ``load_csv`` under
-    the schema of ``_predictions_schema``, skipping rows whose first cell
-    starts with ``#`` (as the audit lines ``correct`` appends do)."""
+    the schema of ``_predictions_schema``."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"predictions file not found: {p}")
     source = CsvSource(p)
     schema = _predictions_schema(source)
-    values = load_csv(source, schema, comments=True).columns[schema.response.name]
+    values = load_csv(source, schema).columns[schema.response.name]
     if len(values) != n_expected:
         raise DataError(
             f"{p}: {len(values)} predictions for {n_expected} data rows"
@@ -117,9 +116,9 @@ def _write_predictions(path, values, header: str = "prediction") -> None:
         write_rows(fh, [range(len(values)), values])
 
 
-def _score(args, values, design: EncodedDesign, variant: Variant | None) -> MetricsReport:
-    """``values`` scored in ``--mode``, else in the variant's natural mode."""
-    mode = ScoreMode(args.mode) if args.mode else natural_mode(variant)
+def _score(args, values, design: EncodedDesign) -> MetricsReport:
+    """``values`` scored in ``--mode``, else under the design's declared roles."""
+    mode = ScoreMode(args.mode or "declared")
     return score_predictions(values, design, design.y, mode, args.positive_group,
                              args.negative_group)
 
@@ -166,16 +165,16 @@ def cmd_fit(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if not (args.predictions or args.variant):
+        raise ContractError("audit needs --predictions or --variant")
+    if args.predictions and args.variant:
+        raise ContractError("audit takes --predictions or --variant, not both")
     design = _load_design(args)
-    variant = None
     if args.predictions:
         values = _read_predictions(args.predictions, design.n_rows)
-    elif args.variant:
-        variant = _FIT_VARIANTS[args.variant]
-        values = predict(fit_total(design), design, variant).values
     else:
-        raise ContractError("audit needs --predictions or --variant")
-    report = _score(args, values, design, variant)
+        values = predict(fit_total(design), design, _FIT_VARIANTS[args.variant]).values
+    report = _score(args, values, design)
     _print_audit(report)
     if args.out:
         with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
@@ -202,17 +201,15 @@ def cmd_correct(args) -> int:
     design = _load_design(args)
     if not args.predictions:
         raise ContractError("correct needs --predictions")
-    # estimators.correct_blackbox, with the one augmented design kept for
-    # the audit.
-    design = with_blackbox(design, _read_predictions(args.predictions, design.n_rows))
-    pred = predict(fit_total(design), design, Variant.BLACKBOX_CORRECTED)
-    audited = _score(args, pred.values, design, Variant.BLACKBOX_CORRECTED)
-    out = Path(args.out)
-    _write_predictions(out, pred.values, header="corrected")
-    with out.open("a", encoding="utf-8") as fh:
-        for key, value in _audit_lines(audited):
-            fh.write(f"# {key},{value}\n")
-    _print_audit(audited)
+    # estimators.correct_blackbox. The corrected values are scored on the
+    # data's own columns, as an audit of the output file scores them: a
+    # view of the augmented Z, so that Z is held once.
+    augmented = with_blackbox(design, _read_predictions(args.predictions, design.n_rows))
+    design = design.replace(z=augmented.z[:, : design.z.shape[1]])
+    pred = predict(fit_total(augmented), augmented, Variant.BLACKBOX_CORRECTED)
+    report = _score(args, pred.values, design)
+    _write_predictions(args.out, pred.values, header="corrected")
+    _print_audit(report)
     return 0
 
 
@@ -225,7 +222,7 @@ def _simulated_inputs(args) -> tuple[Dataset, Schema]:
         return gen_simple_example(), simple_example_schema()
     if name == "dag":
         spec = default_dag_spec(
-            n=args.n or 2000,
+            n=2000 if args.n is None else args.n,
             p_s=args.ps,
             p_x_observed=args.px,
             p_x_unobserved=args.pxu,
@@ -235,7 +232,7 @@ def _simulated_inputs(args) -> tuple[Dataset, Schema]:
         )
         return gen_dag(spec)
     if name == "wine":
-        return gen_wine_like(n=args.n or 6497, seed=args.seed)
+        return gen_wine_like(n=6497 if args.n is None else args.n, seed=args.seed)
     raise ContractError(f"unknown generator {name!r}")
 
 

@@ -379,14 +379,13 @@ def collect_levels(data: Dataset, schema: Schema) -> dict[str, tuple[str, ...]]:
     }
 
 
-def load_csv(path, schema: Schema, comments: bool = False) -> Dataset:
+def load_csv(path, schema: Schema) -> Dataset:
     """Read an RFC-4180-style CSV and type its columns per the schema.
 
     Every schema column must be present; extra file columns must be
     declared ``ignore``. Ignored columns are dropped. Missing cells,
     unparseable and non-finite numerics raise DataError naming the row and
-    column. With ``comments``, every row whose first cell starts with ``#``
-    is skipped.
+    column.
 
     The data rows are parsed column-wise by numpy's C reader. Whenever it
     refuses the file (or the header does not match the schema), the row
@@ -399,9 +398,9 @@ def load_csv(path, schema: Schema, comments: bool = False) -> Dataset:
     source = csv_source(path)
     with source.open() as fh:
         header = next(csv_records(fh, source.path), None)
-        columns = _parse_columns(fh, header, schema, comments, source)
+        columns = _parse_columns(fh, header, schema)
     if columns is None:
-        return _load_csv_rows(source, schema, comments)
+        return _load_csv_rows(source, schema)
     return make_dataset(columns)
 
 
@@ -422,14 +421,6 @@ class CsvSource:
         if self._bytes is None:
             return self.path.open(newline="", encoding="utf-8-sig")
         return io.TextIOWrapper(io.BytesIO(self._bytes), encoding="utf-8-sig", newline="")
-
-    def tail(self) -> bytes:
-        """The last 4 KiB of the file."""
-        if self._bytes is not None:
-            return self._bytes[-4096:]
-        with open(self.path, "rb") as raw:
-            raw.seek(max(0, raw.seek(0, 2) - 4096))
-            return raw.read()
 
 
 def csv_source(path) -> CsvSource:
@@ -466,16 +457,7 @@ def _ignored_cell(cell: str) -> float:
     return 0.0
 
 
-def _ends_in_comment(source: CsvSource) -> bool:
-    """Whether the last nonempty line of the file starts with ``#``, from
-    its last 4 KiB."""
-    lines = source.tail().rstrip(b"\r\n").splitlines()
-    return bool(lines) and lines[-1].startswith(b"#")
-
-
-def _parse_columns(
-    fh, header, schema: Schema, comments: bool, source: CsvSource
-) -> dict | None:
+def _parse_columns(fh, header, schema: Schema) -> dict | None:
     """Schema-ordered kept columns of the data rows left in ``fh``, in one
     C pass, or None where the row loop must decide (header mismatch, no
     rows, a non-finite number, or any cell numpy does not parse exactly as
@@ -483,12 +465,7 @@ def _parse_columns(
 
     Quoting follows the csv module and blank lines are skipped. Every
     column is parsed, ignored ones to 0.0, so that a row of the wrong width
-    is refused; categorical cells become first-appearance codes. With
-    ``comments``, a file that ends in ``#`` lines (as ``correct`` output
-    does) is parsed up to the first line starting with ``#``; the rest of it
-    may hold only such lines and empty ones. That cut can fall inside a
-    quoted cell, so quotes are then not parsed: every column is read as a
-    number, which neither a ``#`` cell nor a cell holding a quote is.
+    is refused; categorical cells become first-appearance codes.
     """
     if header is None:
         return None
@@ -499,24 +476,16 @@ def _parse_columns(
     tables: dict[str, dict] = {}
     converters = {}
     for j, name in enumerate(names):
-        if comments:
-            if specs[name].categorical:
-                return None
-        elif specs[name].role is Role.IGNORE:
+        if specs[name].role is Role.IGNORE:
             converters[j] = _ignored_cell
         elif specs[name].categorical:
             converters[j] = functools.partial(_level_code, tables.setdefault(name, {}))
-    lines = fh
-    if comments and _ends_in_comment(source):
-        lines = itertools.takewhile(lambda line: not line.startswith("#"), fh)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                                quotechar=None if comments else '"', converters=converters)
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, quotechar='"',
+                                converters=converters)
     except ValueError:
-        return None
-    if any(line.strip("\r\n") and line[0] != "#" for line in fh):
         return None
     if values.shape[0] == 0 or values.shape[1] != len(names):
         return None
@@ -534,7 +503,7 @@ def _parse_columns(
     return columns
 
 
-def _load_csv_rows(path, schema: Schema, comments: bool = False) -> Dataset:
+def _load_csv_rows(path, schema: Schema) -> Dataset:
     """``load_csv`` one row and one cell at a time: the reference reader."""
     source = csv_source(path)
     p = source.path
@@ -558,7 +527,7 @@ def _load_csv_rows(path, schema: Schema, comments: bool = False) -> Dataset:
         raw: dict[str, list] = {c.name: [] for c in keep}
         width = len(header)
         for rownum, row in enumerate(reader, start=2):
-            if not row or comments and row[0].startswith("#"):
+            if not row:
                 continue
             if len(row) != width:
                 raise DataError(f"{p}: row {rownum} has {len(row)} fields, expected {width}")

@@ -12,12 +12,13 @@ Covariate roles are re-assigned per variant to match each estimator's
 worldview: the formal-equality variant treats every non-sensitive
 covariate as legitimate, the substantive-equality ones treat them all as
 suspect; such a re-assignment only moves block boundaries of the design
-matrix. Scores need none, since a score mode is itself a role view: every
-variant is scored on the whole design. The dataset is assembled into that
-matrix once; every fold's training and test designs are row slices of it,
-re-centered within the fold. All randomness derives from one master seed
-via a 64-bit mix, so results are reproducible bit for bit. Repetitions
-run in order, and each is scored as soon as it ends.
+matrix. One table (``_ROLES``) holds each variant's training view and the
+score mode (FEO or SEO) of its held-out predictions, which are scored on
+the whole design. The dataset is assembled into that matrix once; every
+fold's training and test designs are row slices of it, re-centered
+within the fold. All randomness derives from one master seed via a
+64-bit mix, so results are reproducible bit for bit. Repetitions run in
+order, and each is scored as soon as it ends.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..estimators import (
     predict,
     with_blackbox,
 )
-from ..metrics import discrimination_score, group_pair, impartiality_score, natural_mode, rmse
+from ..metrics import ScoreMode, discrimination_score, group_pair, impartiality_score, rmse
 from .calders import fit_calders, predict_calders
 from .trees import BaggedTrees, raw_features, require_count
 
@@ -182,17 +183,14 @@ def _biased_response(
     return shifted
 
 
-def _as_declared(design: EncodedDesign) -> EncodedDesign:
-    return design
-
-
-def _role_view(variant: Variant):
-    """The role re-assignment a variant is trained and predicted under."""
-    if variant is Variant.FEO:
-        return as_all_legitimate
-    if variant in (Variant.FSEO, Variant.CALDERS_BASELINE, Variant.BLACKBOX_CORRECTED):
-        return as_all_suspect
-    return _as_declared
+# Per variant, the role view of the declared design it is trained and
+# predicted under, and the mode its held-out predictions are scored in.
+_ROLES = dict.fromkeys(Variant, (lambda design: design, ScoreMode.SEO)) | {
+    Variant.FEO: (as_all_legitimate, ScoreMode.FEO),
+    Variant.FSEO: (as_all_suspect, ScoreMode.SEO),
+    Variant.CALDERS_BASELINE: (as_all_suspect, ScoreMode.SEO),
+    Variant.BLACKBOX_CORRECTED: (as_all_suspect, ScoreMode.SEO),
+}
 
 
 def _fold_bounds(n: int, folds: int) -> np.ndarray:
@@ -241,7 +239,7 @@ def _run_repetition(
 
         fits: dict = {}  # one total fit per role view, shared by its variants
         for variant in config.variants:
-            view = _role_view(variant)
+            view = _ROLES[variant][0]
             test = view(enc_test)
             if variant is Variant.CALDERS_BASELINE:
                 cfit = fit_calders(view(enc_train), bins=config.calders_bins)
@@ -308,9 +306,7 @@ def kfold_validate(
             entry["ds"] += discrimination_score(
                 values, enc_full.groups, pos_group, neg_group
             )
-            entry["is"] += impartiality_score(
-                values, design, y_biased, natural_mode(variant)
-            )
+            entry["is"] += impartiality_score(values, design, y_biased, _ROLES[variant][1])
     count = config.repetitions
     means = {
         vname: {m: s / count for m, s in metric_sums.items()}

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..data import Categorical, ColumnSpec, Dataset, Role, Schema, make_dataset
 from ..errors import ContractError
+from .trees import require_count
 
 
 def simple_example_schema(edu_role: Role = Role.LEGITIMATE) -> Schema:
@@ -122,6 +123,11 @@ def default_dag_spec(
     seed: int = 0,
 ) -> DagSpec:
     """Draw a random DagSpec with moderate edge weights."""
+    for name, value, minimum in (
+        ("n", n, 1), ("p_s", p_s, 1), ("p_x_observed", p_x_observed, 0),
+        ("p_x_unobserved", p_x_unobserved, 0), ("p_w", p_w, 0), ("seed", seed, 0),
+    ):
+        require_count(name, value, minimum)
     rng = np.random.default_rng(seed)
     p_x = p_x_observed + p_x_unobserved
     zeros_s, zeros_w = np.zeros(p_s), np.zeros(p_w)
@@ -225,8 +231,8 @@ def gen_wine_like(n: int = 6497, seed: int = 0) -> tuple[Dataset, Schema]:
     in them plus a direct group term and Gaussian noise. Red wines make
     up 25% of rows (exact count, shuffled order).
     """
-    if n < 8:
-        raise ContractError("need at least 8 rows")
+    require_count("n", n, 8)
+    require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     n_red = int(np.floor(_WINE_P_RED * n + 0.5))
     white = np.ones(n)

@@ -18,29 +18,24 @@ import numpy as np
 
 from .data import Categorical, EncodedDesign
 from .errors import ContractError, DataError
-from .estimators import Variant
 from .linalg import r_factor, regress
 
 VAR_GUARD = 1e-12
 
 
 class ScoreMode(enum.Enum):
-    """Which impartiality flavor to score against.
+    """Which roles the impartiality conditions read.
 
-    FEO treats every non-sensitive covariate as legitimate (the suspect
-    condition is vacuous); SEO treats every non-sensitive covariate as
-    suspect (the legitimate condition is vacuous and the projection in the
-    last condition degrades to the prediction mean).
+    DECLARED reads the design's own roles, with the black-box block
+    suspect. FEO treats every non-sensitive covariate as legitimate (the
+    suspect condition is vacuous); SEO treats every non-sensitive
+    covariate as suspect (the legitimate condition is vacuous and the
+    projection in the last condition degrades to the prediction mean).
     """
 
     FEO = "feo"
     SEO = "seo"
-
-
-def natural_mode(variant: Variant | None) -> ScoreMode:
-    """The mode a variant's predictions are scored in by default: FEO
-    predictions in FEO mode, any other (or external) predictions in SEO."""
-    return ScoreMode.FEO if variant is Variant.FEO else ScoreMode.SEO
+    DECLARED = "declared"
 
 
 @dataclass(frozen=True)
@@ -242,11 +237,12 @@ def impartiality_score(
     """
     if not isinstance(mode, ScoreMode):
         raise ContractError(f"unknown impartiality mode {mode!r}")
-    view = design.merged("xwb", "x" if mode is ScoreMode.FEO else "w")
+    if mode is not ScoreMode.DECLARED:
+        design = design.merged("xwb", "x" if mode is ScoreMode.FEO else "w")
     gaps = impartiality_conditions(
-        predictions, residual_target, view.s, view.x, view.block("wb"), view.s_labels
+        predictions, residual_target, design.s, design.x, design.block("wb"), design.s_labels
     )
-    return gaps.total_abs() / (1 + view.z.shape[1])
+    return gaps.total_abs() / (1 + design.z.shape[1])
 
 
 def compare_estimators(a, b, group_labels) -> ComparisonReport:

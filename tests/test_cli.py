@@ -50,7 +50,7 @@ def read_prediction_column(path):
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            if row and not row[0].startswith("#"):
+            if row:
                 values.append(float(row[-1]))
     return np.asarray(values)
 
@@ -309,6 +309,23 @@ class TestAudit:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("variant, maximum", [("total", 1e-12), ("full", None)])
+    def test_default_mode_reads_the_declared_roles(self, tmp_path, capsys, variant, maximum):
+        # total predictions are impartial under the roles they were fit
+        # under; full predictions, which use S directly, are not
+        data = tmp_path / "dag.csv"
+        assert main(["simulate", "dag", "--n", "500", "--seed", "3", "--out", str(data)]) == 0
+        argv = ["audit", "--variant", variant, "--data", str(data),
+                "--schema", str(data.with_suffix(".schema"))]
+        capsys.readouterr()
+        assert main(argv) == 0
+        lines = dict(ln.split(None, 1) for ln in capsys.readouterr().out.splitlines())
+        assert lines["is_mode"] == "declared"
+        if maximum is not None:
+            assert float(lines["is"]) <= maximum
+        else:
+            assert float(lines["is"]) > 1e-3
+
 
 class TestDecompose:
     def test_feo_components_sum(self, loan_files, tmp_path):
@@ -377,8 +394,8 @@ class TestCorrect:
         for g in ("s-", "s+"):
             expected = y[groups == g] - y[groups == g].mean() + y.mean()
             np.testing.assert_allclose(corrected[groups == g], expected, atol=1e-9)
-        # audit summary appended as comment lines
-        assert "# ds," in out.read_text()
+        # a plain predictions file: the audit goes to stdout only
+        assert "#" not in out.read_text()
 
     def test_alignment_mismatch_exits_1(self, loan_files, tmp_path):
         data_path, schema_path = loan_files
@@ -415,6 +432,27 @@ class TestCorrect:
                            "is not finite\n")
         else:
             assert err == ""
+
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "feo"], ["--mode", "seo"]])
+    def test_stdout_is_the_audit_of_the_output_file(self, tmp_path, capsys, mode):
+        data = tmp_path / "dag.csv"
+        assert main(["simulate", "dag", "--n", "400", "--seed", "7", "--out", str(data)]) == 0
+        common = ["--data", str(data), "--schema", str(data.with_suffix(".schema")), *mode]
+        y = load_csv(data, load_schema(data.with_suffix(".schema"))).columns["y"]
+        noisy = y + np.random.default_rng(7).standard_normal(y.size)
+        preds = tmp_path / "bb.csv"
+        preds.write_text("prediction\n" + "".join(f"{v!r}\n" for v in noisy.tolist()),
+                         encoding="utf-8")
+        out = tmp_path / "corrected.csv"
+        capsys.readouterr()
+        assert main(["correct", "--predictions", str(preds), "--out", str(out), *common]) == 0
+        corrected = capsys.readouterr().out
+        assert main(["audit", "--predictions", str(out), *common]) == 0
+        assert capsys.readouterr().out == corrected
+        lines = dict(ln.split(None, 1) for ln in corrected.splitlines())
+        if not mode:
+            assert lines["is_mode"] == "declared" and float(lines["is"]) <= 1e-12
 
 
 class TestGroupFlags:
@@ -551,6 +589,43 @@ class TestValidate:
         monkeypatch.setenv("IMPARTIAL_THREADS", "abc")
         assert main(argv) == 0
         assert capsys.readouterr().out == unset
+
+
+def _bad_input_cases():
+    simulate = ["simulate", "--out", "{tmp}/sim.csv"]
+    loan = ["--data", "{data}", "--schema", "{schema}"]
+    return [
+        pytest.param(["simulate", "dag", "--seed", "-5", "--out", "{tmp}/s.csv"], 2, id="dag-seed"),
+        pytest.param(["simulate", "wine", "--seed", "-5", "--out", "{tmp}/s.csv"], 2,
+                     id="wine-seed"),
+        pytest.param(["validate", "--simulate", "wine", "--seed", "-1"], 2, id="validate-seed"),
+        *(pytest.param(["simulate", "dag", flag, "-1", "--out", "{tmp}/s.csv"], 2, id=flag)
+          for flag in ("--pw", "--px", "--pxu")),
+        *(pytest.param(["simulate", name, "--n", "0", "--out", "{tmp}/s.csv"], 2,
+                       id=f"{name}-n0") for name in ("dag", "wine")),
+        pytest.param(["audit", "--variant", "total", "--predictions", "{tmp}/p.csv", *loan], 2,
+                     id="variant-and-predictions"),
+        pytest.param(["validate", "--simulate", "simple", "--variants", "bogus"], 2,
+                     id="unknown-variant"),
+        pytest.param(["validate", "--simulate", "dag", "--n", "30", "--folds", "40"], 2,
+                     id="folds-over-rows"),
+        pytest.param(["validate", "--simulate", "simple", "--bias-group", "s+",
+                      "--bias-frac", "2"], 2, id="bias-frac"),
+        pytest.param(["audit", "--predictions", "{tmp}/bad_header.csv", *loan], 1,
+                     id="predictions-header"),
+    ]
+
+
+@pytest.mark.parametrize("argv, code", _bad_input_cases())
+def test_bad_input_exits_with_one_error_line(loan_files, tmp_path, capsys, argv, code):
+    data_path, schema_path = loan_files
+    (tmp_path / "p.csv").write_text("prediction\n" + "0.5\n" * 1000, encoding="utf-8")
+    (tmp_path / "bad_header.csv").write_text("a,b,c\n1,2,3\n", encoding="utf-8")
+    argv = [a.format(tmp=tmp_path, data=data_path, schema=schema_path) for a in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: " if code == 2 else "error: ")
+    assert not (tmp_path / "s.csv").exists()
 
 
 class TestSimulate:

@@ -1,11 +1,10 @@
 """Differential tests of the column-wise CSV readers and writers.
 
 ``load_csv`` parses with numpy's C reader and hands any file it refuses
-to the row loop ``data._load_csv_rows``, for data files and, with ``#``
-rows skipped, for predictions files; on every input both must give the
-same result bit for bit, or the same DataError message. The writers must
-produce the bytes of the ``csv.writer`` loops kept below as the reference
-writers.
+to the row loop ``data._load_csv_rows``, for data files and predictions
+files alike; on every input both must give the same result bit for bit,
+or the same DataError message. The writers must produce the bytes of the
+``csv.writer`` loops kept below as the reference writers.
 """
 
 import csv
@@ -51,7 +50,7 @@ LABEL_CELLS = [
     "#g", "é", "日本", "", "  ", '"1"', "1_0", ' "q"', 'in"side', '"open', LONG_CELLS[0],
 ]
 COMMENT_CELLS = ["#", "# n", "#1", '"#q"', " #s", '#"']
-# a quote that a cut at the first "#" line would leave open
+# a quote left open, so that the rest of the file is one cell
 OPEN_QUOTE_CELLS = ['"open', '"2']
 IGNORED_CELLS = ["", "text", '"q,q"', "  ", "#", "1", LONG_CELLS[0]]
 LINE_ENDS = ["\n", "\r\n", "\r"]
@@ -145,23 +144,11 @@ class TestLoadCsv:
         cells + COMMENT_CELLS + OPEN_QUOTE_CELLS for cells in data_cells(all_tokens=False)
     ]))
     def test_comment_rows_match_row_loop(self, tmp_path, text):
-        # whichever column comes first, including a categorical or ignored one
+        # a row starting with "#" is read like any other, whichever column
+        # comes first
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert (outcome(load_csv, path, SCHEMA, True)
-                == outcome(data._load_csv_rows, path, SCHEMA, True))
-
-    @pytest.mark.parametrize("first", ["y", "g", "a", "z"])
-    def test_comment_row_is_skipped_whatever_the_first_column(self, tmp_path, first):
-        header = [first, *(h for h in "ygaz" if h != first)]
-        row = {"y": "1", "g": "b", "a": "2", "z": "q"}
-        lines = [header, [row[h] for h in header], ['"#q"', *(row[h] for h in header[1:])],
-                 [row[h] for h in header]]
-        path = tmp_path / "d.csv"
-        path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
-        expected = outcome(data._load_csv_rows, path, SCHEMA, True)
-        assert expected[:3] == ("dataset", ("y", "g", "a"), 2)
-        assert outcome(load_csv, path, SCHEMA, True) == expected
+        assert outcome(load_csv, path, SCHEMA) == outcome(data._load_csv_rows, path, SCHEMA)
 
     @pytest.mark.parametrize(
         "header", ["y,g,a", "y,g,a,z,extra", "y,g,a,a,z", "", "y;g;a;z"]
@@ -222,7 +209,7 @@ ROW_CELLS = ["0", "12", "", "x", "#", "# n", '"#q"', " #s", '#"', '"a,b"', LONG_
 def prediction_rows(path):
     """The row loop's predictions, under the schema of the file's header."""
     schema = cli._predictions_schema(path)
-    return data._load_csv_rows(path, schema, comments=True).columns[schema.response.name]
+    return data._load_csv_rows(path, schema).columns[schema.response.name]
 
 
 class TestReadPredictions:
@@ -252,33 +239,21 @@ class TestReadPredictions:
         path.write_text(header + "\n1,2\n", encoding="utf-8")
         self.compare(path)
 
-    def test_corrected_output_reads_back(self, tmp_path):
-        values = np.array([0.5, -2.0, 1e-17])
-        path = tmp_path / "c.csv"
-        cli._write_predictions(path, values, header="corrected")
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write("# n,3\n# is_mode,seo\n# group_mean[a],0.25\n")
-        np.testing.assert_array_equal(cli._read_predictions(path, 3), values)
-        self.compare(path)
-
-    def test_corrected_output_takes_the_column_path(self, tmp_path, monkeypatch):
-        values = np.array([0.5, -2.0, 1e-17, 3.25])
-        path = tmp_path / "c.csv"
-        cli._write_predictions(path, values, header="corrected")
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write("# n,4\n# is_mode,seo\n\n# group_mean[a],0.25\n")
-
-        def refuse(*args):
-            raise AssertionError("row loop used")
-
-        monkeypatch.setattr(data, "_load_csv_rows", refuse)
-        np.testing.assert_array_equal(cli._read_predictions(path, 4), values)
-
     @pytest.mark.parametrize("row", ["#", "# note", "#7", '"#q"'])
-    def test_comment_row_with_a_numeric_prediction_is_skipped(self, tmp_path, row):
+    def test_comment_row_is_read_like_any_row(self, tmp_path, row):
+        # the row column is ignored, whatever it holds
         path = tmp_path / "p.csv"
         path.write_text(f"row,prediction\n0,1.5\n{row},2.5\n1,3.5\n", encoding="utf-8")
-        np.testing.assert_array_equal(cli._read_predictions(path, 2), [1.5, 3.5])
+        np.testing.assert_array_equal(cli._read_predictions(path, 3), [1.5, 2.5, 3.5])
+        self.compare(path)
+
+    def test_footer_of_an_earlier_correct_is_refused(self, tmp_path):
+        path = tmp_path / "c.csv"
+        cli._write_predictions(path, np.array([0.5, -2.0, 1e-17]), header="corrected")
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("# n,3\n# ds,0.25\n# is,0.125\n# is_mode,seo\n")
+        with pytest.raises(DataError, match="cannot parse 'seo' as number at row 8"):
+            cli._read_predictions(path, 3)
         self.compare(path)
 
     @pytest.mark.parametrize("header", ["row,prediction", "prediction"])
@@ -457,10 +432,7 @@ class TestCliFiles:
         design = encode(load_csv(data_path, schema), schema)
         ref_write_predictions(tmp_path / "ref.csv",
                               correct_blackbox(design, external)[1].values, header="corrected")
-        written = out.read_bytes()
-        expected = (tmp_path / "ref.csv").read_bytes()
-        assert written[: len(expected)] == expected
-        assert written[len(expected):].startswith(b"# n,600\n")
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def written_cells(values) -> bytes:

@@ -120,14 +120,6 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"default '{cell}' at row 3 is not finite"):
             load_csv(path, parse_schema(SCHEMA_TEXT))
 
-    def test_comment_rows_skipped_only_when_asked(self, tmp_path):
-        path = self.write(tmp_path, "default,edu,group\n1,low,s-\n#0,high,s+\n0,high,s+\n")
-        schema = parse_schema(SCHEMA_TEXT)
-        with pytest.raises(DataError, match="'#0'"):
-            load_csv(path, schema)
-        data = load_csv(path, schema, comments=True)
-        np.testing.assert_array_equal(data.columns["default"], [1.0, 0.0])
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "nope.csv", parse_schema(SCHEMA_TEXT))

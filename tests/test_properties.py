@@ -6,7 +6,8 @@ sensitive attribute, and a row count close to the column count. On every
 one, at ``RECONSTRUCTION_RTOL``:
 
 - the total decomposition sums to the full model's fitted values;
-- FEO, FSEO and black-box-corrected predictions score IS = 0 in-sample;
+- FEO, FSEO and black-box-corrected predictions score IS = 0 in-sample,
+  and total and corrected ones under the declared roles too;
 - refitting after ``residualize_suspect`` gives the same fitted values,
   and the same suspect coefficients when no column is aliased or
   near-collinear.
@@ -134,6 +135,13 @@ def test_impartial_predictions_score_zero_in_sample(case):
     assert impartiality_score(
         corrected.values, with_blackbox(suspect, external), y, ScoreMode.SEO
     ) <= R
+    # under the declared roles, with X and W both present as drawn
+    total = predict(fitted(design)[0], design, Variant.TOTAL).values
+    assert impartiality_score(total, design, y, ScoreMode.DECLARED) <= R
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, corrected = correct_blackbox(design, external)
+    assert impartiality_score(corrected.values, design, y, ScoreMode.DECLARED) <= R
 
 
 @_SETTINGS
