@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -73,13 +74,13 @@ def _load_design(args) -> EncodedDesign:
 
 def _read_predictions(path, n_expected: int) -> np.ndarray:
     """Per-row predictions from a CSV with a header row: ``load_csv`` under
-    the schema of ``_predictions_schema``."""
+    the schema of ``_predictions_schema``, checked by ``_predictions``."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"predictions file not found: {p}")
     source = CsvSource(p)
     schema = _predictions_schema(source)
-    values = load_csv(source, schema).columns[schema.response.name]
+    values = _predictions(source, schema, load_csv(source, schema))
     if len(values) != n_expected:
         raise DataError(
             f"{p}: {len(values)} predictions for {n_expected} data rows"
@@ -87,11 +88,27 @@ def _read_predictions(path, n_expected: int) -> np.ndarray:
     return values
 
 
+def _predictions(source: CsvSource, schema: Schema, data: Dataset) -> np.ndarray:
+    """The predictions of ``data``, read from ``source`` under ``schema``.
+    A ``row`` column must number the rows 0, 1, ... as ``fit`` and
+    ``correct`` write it; the first row that does not is a DataError."""
+    rows = data.columns["row"] if len(schema.columns) == 2 else np.zeros(0)
+    bad = np.flatnonzero(rows != np.arange(rows.size))
+    if bad.size:  # name the record as the row loop counts it
+        with source.open() as fh:
+            records = enumerate(csv_records(fh, source.path), start=1)
+            at = [h.strip() for h in next(records)[1]].index("row")
+            num, row = next(itertools.islice(((k, r) for k, r in records if r), bad[0], None))
+        raise DataError(f"{source.path}: row number {row[at].strip()!r} at row {num}, "
+                        f"column 'row', is not {bad[0]}")
+    return data.columns[schema.response.name]
+
+
 def _predictions_schema(path) -> Schema:
     """The schema a predictions file's header declares. A one-column file
     holds the predictions; a two-column file whose first column is ``row``
-    (the layout this tool writes) holds them in the second. Any other
-    header is rejected rather than guessed at."""
+    (the layout this tool writes, read as numbers) holds them in the
+    second. Any other header is rejected rather than guessed at."""
     source = csv_source(path)
     p = source.path
     with source.open() as fh:
@@ -102,7 +119,7 @@ def _predictions_schema(path) -> Schema:
     if len(names) == 1:
         return Schema((ColumnSpec(names[0], Role.RESPONSE),))
     if len(names) == 2 and names[0] == "row" and names[1] != "row":
-        return Schema((ColumnSpec("row", Role.IGNORE), ColumnSpec(names[1], Role.RESPONSE)))
+        return Schema((ColumnSpec("row", Role.LEGITIMATE), ColumnSpec(names[1], Role.RESPONSE)))
     raise DataError(
         f"{p}: cannot tell the predictions column from header {names}; "
         "expected a single column, or 'row' plus one column"

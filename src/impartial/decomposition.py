@@ -103,14 +103,13 @@ def decompose_coefficients(
         )
     if fit.width("x") == 0:
         raise ContractError("no legitimate columns to decompose")
-    del design  # only the fit's frozen regressions are needed
-    direct = fit.beta_x
-    indirect = fit.lambda_x_for_s @ fit.beta_s
+    del design  # only the fit's regressions are needed
+    lambda_x = fit.lambda_x_for_s
     return CoefDecomposition(
-        marginal=fit.marginal_coefs.copy(),
-        direct=direct,
-        indirect=indirect,
-        lambda_x=fit.lambda_x_for_s,
+        marginal=fit.marginal_coefs,
+        direct=fit.beta_x,
+        indirect=lambda_x @ fit.beta_s,
+        lambda_x=lambda_x,
     )
 
 

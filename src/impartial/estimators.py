@@ -8,8 +8,8 @@ predictors (see ``linalg``). Blocks are column ranges of Z, so every
 regression and every rule slices by column range, and a role change
 (``as_all_*``, ``residualize_suspect``) moves block boundaries instead of
 restacking. ``predict`` then produces any variant's predictions from that
-one fit; only the exclude-sensitive variant needs a refit, which is also
-computed (and frozen) at fit time. Prediction-time data is always
+one fit; only the exclude-sensitive variant needs a refit, which the fit
+derives from its training R when read. Prediction-time data is always
 re-centered with the training means.
 """
 
@@ -46,25 +46,33 @@ class TotalModelFit(BlockLayout):
     Z = [S|X|W|B], and ``beta_s`` ... ``beta_b`` (with ``beta_wb``, the
     suspect and black-box blocks fitted jointly) are read-only slices of
     it. ``lambda_sx_for_wb`` regresses each [W|B] column on [S|X] (rows: S
-    columns first, then X); ``lambda_x_for_s`` regresses each S column on
-    X. ``marginal_coefs`` comes from the exclude-sensitive refit on [X|W|B].
-    ``dropped_labels`` names the columns the joint fit dropped as aliased
-    (their coefficients are 0.0).
+    columns first, then X). ``dropped_labels`` names the columns the joint
+    fit dropped as aliased (their coefficients are 0.0).
+
+    ``r`` is the training design's read-only R of [Z|y]. ``lambda_x_for_s``
+    (each S column on X, for the decomposition) and ``marginal_coefs`` (the
+    exclude-sensitive refit on [X|W|B]) are derived from it on each read,
+    by the ``regress`` call a fit-time computation makes: the same bits.
     """
 
     beta0: float
     coefficients: np.ndarray
     lambda_sx_for_wb: np.ndarray
-    lambda_x_for_s: np.ndarray
-    marginal_coefs: np.ndarray
     n: int
     dropped_labels: tuple[str, ...]
+    r: np.ndarray
 
     beta_s = property(lambda self: self.coefficients[self.index("s")])
     beta_x = property(lambda self: self.coefficients[self.index("x")])
     beta_w = property(lambda self: self.coefficients[self.index("w")])
     beta_b = property(lambda self: self.coefficients[self.index("b")])
     beta_wb = property(lambda self: self.coefficients[self.index("wb")])
+    lambda_x_for_s = property(
+        lambda self: regress(self.r, self.index("x"), self.index("s"), self.n)[0]
+    )
+    marginal_coefs = property(
+        lambda self: regress(self.r, self.index("xwb"), [len(self.columns)], self.n)[0][:, 0]
+    )
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,7 @@ class ImpartialPrediction:
 
 
 def fit_total(design: EncodedDesign) -> TotalModelFit:
-    """Fit the joint model and every auxiliary regression the variants need."""
+    """Fit the joint model and the regression the total rule reads."""
     n = design.n_rows
     if n < 1:
         raise ContractError("design has no rows")
@@ -99,10 +107,9 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
         beta0=float(design.y.mean()),
         coefficients=coefficients[:, 0],
         lambda_sx_for_wb=regress(r, design.index("sx"), design.index("wb"), n)[0],
-        lambda_x_for_s=regress(r, design.index("x"), design.index("s"), n)[0],
-        marginal_coefs=regress(r, design.index("xwb"), y_col, n)[0][:, 0],
         n=n,
         dropped_labels=tuple(design.columns[j] for j in dropped),
+        r=r,
     )
 
 
@@ -133,7 +140,7 @@ def predict(
     the design must have the fit's columns and block widths):
 
     - FULL:       beta0 + S bs + X bx + W bw + B bb
-    - EXCLUDE_S:  beta0 + [X|W|B] marginal_coefs   (frozen refit)
+    - EXCLUDE_S:  beta0 + [X|W|B] marginal_coefs   (the training refit)
     - MARGINAL:   beta0
     - TOTAL:      beta0 + X bx + ([W|B] - S Ls) bwb  (Ls = S-rows of the
                   joint [S|X] regression of [W|B]; algebraically equal to

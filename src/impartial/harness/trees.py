@@ -7,12 +7,19 @@ one level are scored with two bincount passes, which keeps repeated
 fitting inside cross-validation cheap. Deterministic under the seed.
 
 Work is hoisted out of the level loop. Each fit bins the features once
-into (feature, row) codes offset by ``feature * n_bins``. Each tree
-gathers its in-bag rows' codes and their feature-tiled ``w`` and ``w*y``
-once and reuses them on every level; it gathers again only when a node
-stops splitting and its rows leave the open set. Out-of-bag rows are
-routed to their nodes while the tree grows, so ``fit`` reads every
-row's leaf directly; ``_route`` walks a grown tree only in ``predict``.
+into (feature, row) codes offset by ``feature * n_bins``, sorting each
+column once: its quantile edges are the same order statistics read off
+the sorted column, so they carry the same bits (but for the sign of a
+zero edge, which no comparison sees), and its codes come from searching
+the sorted column, scattered back. Each tree gathers its in-bag rows'
+codes and their feature-tiled ``w`` and ``w*y`` once, in row-major order
+(``take``, ``compress``) so that each level flattens them without a copy,
+and gathers again only when a node stops splitting and its rows leave
+the open set. Out-of-bag rows are routed to their nodes while the tree
+grows, so ``fit`` reads every row's leaf directly. ``predict`` walks all
+trees of the bag at once, ``BLOCK_ROWS`` rows at a time, on their joined
+node tables; routing is integer work and the leaf values are added in
+tree order into zeros, so the predictions keep their bits.
 
 Every histogram is a ``bincount`` over the level's open in-bag rows, which
 adds each bin's weights in row order. That order is part of the output:
@@ -29,6 +36,7 @@ import numpy as np
 
 from ..data import EncodedDesign
 from ..errors import ContractError, DataError
+from ..linalg import BLOCK_ROWS
 
 
 def require_count(name: str, value, minimum: int) -> None:
@@ -95,8 +103,13 @@ class BaggedTrees:
         _require_finite(y, "response")
         self._fallback = float(y.mean())
         qs = np.arange(1, self.n_bins) / self.n_bins
-        self._edges = [np.unique(np.quantile(x[:, j], qs)) for j in range(x.shape[1])]
-        codes = self._bin(x)
+        codes = np.empty((x.shape[1], n), dtype=np.int64)
+        self._edges = []
+        for j in range(x.shape[1]):  # one sort gives edges and codes
+            order = np.argsort(x[:, j])
+            col = x[order, j]
+            self._edges.append(np.unique(np.quantile(col, qs)))
+            codes[j, order] = np.searchsorted(self._edges[j], col, side="right")
         codes += np.arange(x.shape[1], dtype=np.int64)[:, None] * self.n_bins
         rng = np.random.default_rng(self.seed)
         self._trees = []
@@ -110,8 +123,8 @@ class BaggedTrees:
             values = tree.value[leaf]
             inbag_sum += values
             oob = weights == 0
-            oob_sum[oob] += values[oob]
-            oob_count[oob] += 1
+            np.add(oob_sum, values, out=oob_sum, where=oob)
+            np.add(oob_count, 1, out=oob_count, where=oob)
         covered = oob_count > 0
         self._oob = np.where(
             covered,
@@ -142,10 +155,27 @@ class BaggedTrees:
             )
         _require_finite(x, "features")
         codes = self._bin(x)
+        trees = self._trees
+        first = np.cumsum([0] + [t.value.size for t in trees[:-1]])
+        feature = np.concatenate([t.feature for t in trees])
+        split_bin = np.concatenate([t.split_bin for t in trees])
+        left = np.concatenate([t.left + f for t, f in zip(trees, first)])
+        value = np.concatenate([t.value for t in trees])
+        # a leaf sends every code left, to itself: rows stay at their leaf
+        leaf = np.flatnonzero(feature < 0)
+        feature[leaf], split_bin[leaf], left[leaf] = 0, self.n_bins, leaf
+        depth = max(t.depth for t in trees)
         total = np.zeros(x.shape[0])
-        for tree in self._trees:
-            total += self._route(tree, codes)
-        return total / len(self._trees)
+        for lo in range(0, x.shape[0], BLOCK_ROWS):
+            block = codes[:, lo : lo + BLOCK_ROWS]
+            m = block.shape[1]
+            flat, at, rows = block.ravel(), feature * m, np.arange(m)
+            node = np.repeat(first[:, None], m, axis=1)  # (trees, rows)
+            for _ in range(depth):
+                node = left[node] + (flat[at[node] + rows] > split_bin[node])
+            for tree_values in value[node]:
+                total[lo : lo + m] += tree_values
+        return total / len(trees)
 
     def _bin(self, x: np.ndarray) -> np.ndarray:
         """(features, rows) bin codes: code c means edges[c-1] <= x < edges[c]."""
@@ -181,7 +211,7 @@ class BaggedTrees:
         rows = np.concatenate((inbag, np.flatnonzero(w == 0)))
         loc = np.zeros(n, dtype=np.int64)
         m = inbag.size
-        codes_in = offset_codes[:, inbag]
+        codes_in = np.take(offset_codes, inbag, axis=1)
         w_in = np.tile(w[inbag], n_feat)
         wy_in = np.tile(w[inbag] * y[inbag], n_feat)
         stride = n_feat * bins
@@ -220,9 +250,9 @@ class BaggedTrees:
                 rows, loc = rows[keep], loc[keep]
                 keep_in = keep[:m]
                 m = int(np.count_nonzero(keep_in))
-                codes_in = codes_in[:, keep_in]
-                w_in = w_in.reshape(n_feat, -1)[:, keep_in].ravel()
-                wy_in = wy_in.reshape(n_feat, -1)[:, keep_in].ravel()
+                codes_in = np.compress(keep_in, codes_in, axis=1)
+                w_in = np.compress(keep_in, w_in.reshape(n_feat, -1), axis=1).ravel()
+                wy_in = np.compress(keep_in, wy_in.reshape(n_feat, -1), axis=1).ravel()
             child = np.zeros(n_nodes, dtype=np.int64)
             child[split_nodes] = 2 * np.arange(k)
             offset_cut = cut + feat * bins
@@ -293,21 +323,8 @@ class BaggedTrees:
             left=left,
             right=np.where(left >= 0, left + 1, -1),
             value=np.concatenate(value),
-            depth=self.max_depth,
+            depth=len(value) - 1,
         )
-
-    def _route(self, tree: _Tree, codes: np.ndarray) -> np.ndarray:
-        node = np.zeros(codes.shape[1], dtype=np.int64)
-        for _ in range(tree.depth):
-            feat = tree.feature[node]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            rows = np.where(internal)[0]
-            sub = node[rows]
-            go_left = codes[tree.feature[sub], rows] <= tree.split_bin[sub]
-            node[rows] = np.where(go_left, tree.left[sub], tree.right[sub])
-        return tree.value[node]
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:

@@ -9,6 +9,7 @@ or the same DataError message. The writers must produce the bytes of the
 
 import csv
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -207,9 +208,11 @@ ROW_CELLS = ["0", "12", "", "x", "#", "# n", '"#q"', " #s", '#"', '"a,b"', LONG_
 
 
 def prediction_rows(path):
-    """The row loop's predictions, under the schema of the file's header."""
-    schema = cli._predictions_schema(path)
-    return data._load_csv_rows(path, schema).columns[schema.response.name]
+    """The row loop's predictions, under the schema of the file's header,
+    with the ``row`` column checked as ``cli._read_predictions`` checks it."""
+    source = data.CsvSource(path)
+    schema = cli._predictions_schema(source)
+    return cli._predictions(source, schema, data._load_csv_rows(source, schema))
 
 
 class TestReadPredictions:
@@ -241,18 +244,65 @@ class TestReadPredictions:
 
     @pytest.mark.parametrize("row", ["#", "# note", "#7", '"#q"'])
     def test_comment_row_is_read_like_any_row(self, tmp_path, row):
-        # the row column is ignored, whatever it holds
+        # a '#' row is data, and its row cell is not a row number
         path = tmp_path / "p.csv"
         path.write_text(f"row,prediction\n0,1.5\n{row},2.5\n1,3.5\n", encoding="utf-8")
+        cell = row.strip('"')
+        with pytest.raises(DataError, match=f"cannot parse '{cell}' as number at row 3, "
+                                            "column 'row'"):
+            cli._read_predictions(path, 3)
+        self.compare(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1.5\n2,2.5\n1,3.5\n", "row number '2' at row 3, column 'row', is not 1"),
+        ("0,1.5\n\n1,2.5\n1,3.5\n", "row number '1' at row 5, column 'row', is not 2"),
+        ("1,1.5\n2,2.5\n3,3.5\n", "row number '1' at row 2, column 'row', is not 0"),
+        ("0,1.5\n1,2.5\n-2,3.5\n", "row number '-2' at row 4, column 'row', is not 2"),
+        ("0,1.5\n0.5,2.5\n2,3.5\n", "row number '0.5' at row 3, column 'row', is not 1"),
+        ("0,1.5\n1,2.5\n,3.5\n", "missing value at row 4, column 'row'"),
+        ("0,1.5\nx,2.5\n2,3.5\n", "cannot parse 'x' as number at row 3, column 'row'"),
+    ])
+    def test_row_cell_other_than_the_row_number_is_refused(self, tmp_path, rows, message):
+        path = tmp_path / "p.csv"
+        path.write_text("row,prediction\n" + rows, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            cli._read_predictions(path, 3)
+        self.compare(path)
+
+    def test_one_column_named_row_holds_the_predictions(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("row\n2.5\n-1\n7\n", encoding="utf-8")
+        np.testing.assert_array_equal(cli._read_predictions(path, 3), [2.5, -1.0, 7.0])
+        self.compare(path)
+
+    def test_row_numbers_as_numbers_are_accepted(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("row,prediction\n0,1.5\n\n 1.0 ,2.5\n2e0,3.5\n", encoding="utf-8")
         np.testing.assert_array_equal(cli._read_predictions(path, 3), [1.5, 2.5, 3.5])
         self.compare(path)
+
+    def test_refusal_exits_one_naming_file_row_and_column(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("y,g,a\n1,u,0.5\n2,v,1.5\n3,u,2.0\n", encoding="utf-8")
+        schema_path = tmp_path / "d.schema"
+        schema_path.write_text("y = response\ng = sensitive,categorical\na = legitimate\n",
+                               encoding="utf-8")
+        path = tmp_path / "p.csv"
+        path.write_text("row,prediction\n0,1.5\n7,2.5\n2,3.5\n", encoding="utf-8")
+        for command in ("audit", "correct"):
+            argv = [command, "--data", str(data_path), "--schema", str(schema_path),
+                    "--predictions", str(path)]
+            assert main(argv + ["--out", str(tmp_path / "o.csv")] * (command == "correct")) == 1
+            err = capsys.readouterr().err
+            assert f"{path}: row number '7' at row 3, column 'row', is not 1" in err
 
     def test_footer_of_an_earlier_correct_is_refused(self, tmp_path):
         path = tmp_path / "c.csv"
         cli._write_predictions(path, np.array([0.5, -2.0, 1e-17]), header="corrected")
         with path.open("a", encoding="utf-8") as fh:
             fh.write("# n,3\n# ds,0.25\n# is,0.125\n# is_mode,seo\n")
-        with pytest.raises(DataError, match="cannot parse 'seo' as number at row 8"):
+        # refused at the first footer row, whose row cell is not a number
+        with pytest.raises(DataError, match="cannot parse '# n' as number at row 5, column 'row'"):
             cli._read_predictions(path, 3)
         self.compare(path)
 

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import build_design, cell_values, random_design
 from impartial.data import Role, encode, take_design
-from impartial.decomposition import Mode, decompose
+from impartial import estimators
+from impartial.decomposition import Mode, decompose, decompose_coefficients
 from impartial.errors import ContractError, DataError, VariantError
 from impartial.estimators import (
     Variant,
@@ -16,7 +17,7 @@ from impartial.estimators import (
     with_blackbox,
 )
 from impartial.harness import simple_example_schema
-from impartial.linalg import solve_least_squares
+from impartial.linalg import regress, solve_least_squares
 
 ALL_PREDICTABLE = (
     Variant.FULL,
@@ -423,3 +424,64 @@ class TestCoefficientIdentity:
             np.testing.assert_allclose(
                 fit.marginal_coefs, fit.beta_x + indirect, rtol=1e-8, atol=1e-10
             )
+
+
+class TestRegressionCount:
+    """``fit_total`` runs the two regressions predictions read; the other
+    two are derived from the training R each time they are read."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = [0]
+
+        def counted(*args):
+            counter[0] += 1
+            return regress(*args)
+
+        monkeypatch.setattr(estimators, "regress", counted)
+        return counter
+
+    @staticmethod
+    def design():
+        return random_design(np.random.default_rng(31), n=300, p_s=2, p_x=3, p_w=2)
+
+    def test_fit_and_predictions_make_two_regressions(self, calls):
+        design = self.design()
+        views = [
+            (design, (Variant.FULL, Variant.TOTAL, Variant.MARGINAL)),
+            (as_all_legitimate(design), (Variant.FEO, Variant.FULL)),
+            (as_all_suspect(design), (Variant.FSEO, Variant.TOTAL)),
+        ]
+        for view, variants in views:
+            calls[0] = 0
+            fit = fit_total(view)
+            for variant in variants:
+                predict(fit, view, variant)
+            assert calls[0] == 2, variants
+
+    def test_each_read_derives_one_regression(self, calls):
+        design = self.design()
+        fit = fit_total(design)
+        calls[0] = 0
+        for expected, read in enumerate(
+            [lambda: fit.lambda_x_for_s, lambda: fit.marginal_coefs] * 2, start=1
+        ):
+            read()
+            assert calls[0] == expected
+
+    def test_derived_regressions_carry_the_fit_time_bits(self):
+        design = random_design(np.random.default_rng(32), n=300, p_s=2, p_x=3, p_w=0)
+        fit = fit_total(design)
+        r, n = design.r, design.n_rows
+        lambda_x = regress(r, design.index("x"), design.index("s"), n)[0]
+        marginal = regress(r, design.index("xwb"), [design.z.shape[1]], n)[0][:, 0]
+        assert fit.lambda_x_for_s.tobytes() == lambda_x.tobytes()
+        assert fit.marginal_coefs.tobytes() == marginal.tobytes()
+        parts = decompose_coefficients(fit, design)
+        assert parts.marginal.tobytes() == marginal.tobytes()
+        assert parts.lambda_x.tobytes() == lambda_x.tobytes()
+        assert parts.indirect.tobytes() == (lambda_x @ fit.beta_s).tobytes()
+        assert parts.direct.tobytes() == fit.beta_x.tobytes()
+        excluded = predict(fit, design, Variant.EXCLUDE_S).values
+        want = fit.beta0 + design.z[:, design.index("xwb")] @ marginal
+        assert excluded.tobytes() == want.tobytes()

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from impartial.data import encode
 from impartial.harness import BaggedTrees, gen_wine_like
 from impartial.harness.trees import raw_features
+from impartial.linalg import BLOCK_ROWS
 
 
 def _ref_bin(edges, x):
@@ -186,6 +187,9 @@ def _closes_early(left, max_depth):
 def assert_matches_reference(x, y, x_test, **params):
     model = BaggedTrees(**params).fit(x, y)
     edges, trees, oob = reference_fit(x, y, **params)
+    assert len(model._edges) == len(edges)
+    for got, want in zip(model._edges, edges):  # the sign of a zero edge may differ
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
     assert len(model._trees) == len(trees)
     for got, want in zip(model._trees, trees):
         for name, ref in zip(("feature", "split_bin", "left", "right", "value"), want):
@@ -290,4 +294,54 @@ class TestKernelMatchesReference:
             x, y, rng.standard_normal((9, p)),
             n_trees=3, max_depth=max_depth, min_leaf=min_leaf,
             n_bins=n_bins, seed=seed,
+        )
+
+    def test_prediction_over_several_row_blocks(self):
+        rng = np.random.default_rng(95)
+        x = rng.standard_normal((600, 3))
+        y = np.sin(2 * x[:, 0]) + x[:, 1] * x[:, 2] + 0.2 * rng.standard_normal(600)
+        x_test = rng.standard_normal((2 * BLOCK_ROWS + 808, 3))
+        assert_matches_reference(
+            x, y, x_test, n_trees=7, max_depth=6, min_leaf=3, n_bins=32, seed=11,
+        )
+
+    def test_signed_zeros_on_quantile_positions(self):
+        # half of the column is zero of either sign, so several quantiles
+        # fall on zeros, and the test rows hold both signs too; at this seed
+        # the sorted column's zero edge has the other sign
+        rng = np.random.default_rng(4)
+        signs = rng.choice([-0.0, 0.0], size=400)
+        x = np.column_stack([
+            np.where(rng.random(400) < 0.5, signs, rng.standard_normal(400)),
+            rng.standard_normal(400),
+        ])
+        y = (x[:, 0] > 0) + x[:, 1] + 0.1 * rng.standard_normal(400)
+        x_test = np.column_stack([np.tile([-0.0, 0.0, 1e-300, -1e-300], 25),
+                                  rng.standard_normal(100)])
+        assert np.count_nonzero(np.quantile(x[:, 0], np.arange(1, 16) / 16) == 0) > 1
+        assert_matches_reference(
+            x, y, x_test, n_trees=5, max_depth=5, min_leaf=2, n_bins=16, seed=12,
+        )
+
+    def test_values_equal_to_edges(self):
+        # few distinct values, so the edges are data values, and the test
+        # rows sit exactly on every edge and one step to either side
+        rng = np.random.default_rng(97)
+        x = rng.integers(0, 9, size=(500, 2)) * 0.25
+        y = x[:, 0] - x[:, 1] ** 2 + rng.standard_normal(500)
+        on = np.unique(np.quantile(x[:, 0], np.arange(1, 8) / 8))
+        cells = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])
+        x_test = np.column_stack([cells, cells[::-1]])
+        assert_matches_reference(
+            x, y, x_test, n_trees=5, max_depth=5, min_leaf=4, n_bins=8, seed=13,
+        )
+
+    def test_more_bins_than_distinct_values(self):
+        rng = np.random.default_rng(98)
+        x = np.column_stack([rng.integers(0, 5, 300).astype(float),
+                             rng.standard_normal(300)])
+        y = x[:, 0] + np.abs(x[:, 1]) + rng.standard_normal(300)
+        assert_matches_reference(
+            x, y, np.column_stack([np.arange(-1.0, 6.0), np.zeros(7)]),
+            n_trees=5, max_depth=6, min_leaf=3, n_bins=128, seed=14,
         )
