@@ -40,7 +40,6 @@ from .estimators import (
 from .linalg import (
     LeastSquaresFit,
     ProjectionPair,
-    column_center,
     project,
     solve_least_squares,
 )

@@ -175,8 +175,7 @@ def cmd_fit(args) -> int:
         writer.writerow(["intercept", "", _fmt(fit.beta0)])
         for block, label, beta in zip(fit.column_blocks, fit.columns, fit.coefficients):
             writer.writerow([block, label, _fmt(beta)])
-        for label in fit.dropped_labels:
-            fh.write(f"# dropped,{label}\n")
+        writer.writerows(["# dropped", label] for label in fit.dropped_labels)
     print(f"wrote {out} and {coef_path}")
     return 0
 
@@ -259,6 +258,8 @@ def cmd_validate(args) -> int:
     from .harness import BiasSpec, ExperimentConfig, kfold_validate
 
     if args.simulate:
+        if args.data or args.schema:
+            raise ContractError("validate takes --data/--schema or --simulate, not both")
         data, schema = _simulated_inputs(args)
     else:
         data, schema = _load_inputs(args)

@@ -11,10 +11,12 @@ module is the only one that knows how blocks map to columns: the others
 ask a design for a block or a block combination (``index``), and a role
 change moves block boundaries (``merged``) instead of copying columns.
 Encoding is two steps: ``assemble`` builds the uncentered matrix and
-``center`` centers it. Centering means are retained so the identical
-shift can be applied to prediction-time data, and a row subset of an
-assembled design (``take_design``) is exactly the encoding of the same
-rows.
+``center`` centers it. This module is also the only one that removes or
+restores column means: the removed means are kept on the design, which
+gives back raw columns (``uncentered``), re-centers new rows at a fit's
+means (``centered_at``) and centers the columns it gains (``appended``).
+A row subset of an assembled design (``take_design``) is exactly the
+encoding of the same rows.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, SchemaError
-from .linalg import column_center, r_factor
+from .linalg import r_factor
 
 
 class Role(enum.Enum):
@@ -752,10 +754,30 @@ class EncodedDesign(BlockLayout):
     def block(self, key: str) -> np.ndarray:
         return self.z[:, self.index(key)]
 
-    def appended(self, values: np.ndarray, labels, means) -> "EncodedDesign":
-        """Copy with centered columns appended to Z, i.e. to the B block."""
+    def uncentered(self, keys: str = BLOCKS) -> np.ndarray:
+        """The named blocks' columns with their means added back: z + means,
+        whose last bits can differ from the assembled columns'."""
+        cols = self.index(keys)
+        return self.z[:, cols] + self.column_means[cols]
+
+    def centered_at(self, layout: BlockLayout) -> np.ndarray:
+        """Z re-centered at ``layout``'s means (a fit's training means); ``z``
+        itself when they are the design's own. The design must have the
+        layout's columns in the layout's blocks."""
+        if (self.columns, self.widths) != (layout.columns, layout.widths):
+            raise ContractError(
+                f"design columns {self.columns} in blocks of {self.widths} do "
+                f"not match the fit's training columns {layout.columns} in "
+                f"blocks of {layout.widths}"
+            )
+        shift = self.column_means - layout.column_means
+        return self.z + shift if shift.any() else self.z
+
+    def appended(self, values: np.ndarray, labels) -> "EncodedDesign":
+        """Copy with ``values`` appended to Z, i.e. to the B block, centered."""
+        means = values.mean(axis=0)
         return self.replace(
-            z=np.hstack([self.z, values]),
+            z=np.hstack([self.z, values - means]),
             columns=self.columns + tuple(labels),
             column_means=np.concatenate([self.column_means, means]),
             widths=self.widths[:3] + (self.widths[3] + len(labels),),
@@ -870,10 +892,14 @@ def assemble(
     )
 
 
-def center(design: EncodedDesign) -> EncodedDesign:
-    """Center every column of z; the removed means are added to ``column_means``."""
-    centered, shift = column_center(design.z)
-    return design.replace(z=centered, column_means=design.column_means + shift)
+def center(design: EncodedDesign, out=None) -> EncodedDesign:
+    """Center every column of z, into ``out`` when given (``design.z``
+    centers in place); the removed means are added to ``column_means``."""
+    if not np.all(np.isfinite(design.z)):
+        raise DataError("design matrix contains non-finite values")
+    shift = design.z.mean(axis=0)
+    z = np.subtract(design.z, shift, out=out)
+    return design.replace(z=z, column_means=design.column_means + shift)
 
 
 def encode(
@@ -886,27 +912,26 @@ def encode(
     so it is centered in place.
     """
     design = assemble(data, schema, levels)
-    z, shift = column_center(design.z, out=design.z)
-    return design.replace(z=z, column_means=design.column_means + shift)
+    return center(design, out=design.z)
 
 
 def take_design(design: EncodedDesign, indices) -> EncodedDesign:
     """Row subset of an EncodedDesign, re-centered within the subset.
 
     The recorded means are updated so they still equal the raw column
-    means of the retained rows. On an ``assemble`` result this equals
+    means of the retained rows; the gathered ``z`` is this call's own, so
+    it is centered in place. On an ``assemble`` result this equals
     ``encode(take(data, indices), schema, levels)`` bit for bit.
     """
     idx = np.asarray(indices, dtype=int)
     if idx.size < 1:
         raise DataError("design subset must keep at least one row")
-    return center(
-        design.replace(
-            y=design.y[idx],
-            z=design.z[idx],
-            groups=Categorical(design.groups.codes[idx], design.groups.levels),
-        )
+    part = design.replace(
+        y=design.y[idx],
+        z=design.z[idx],
+        groups=Categorical(design.groups.codes[idx], design.groups.levels),
     )
+    return center(part, out=part.z)
 
 
 def _groups(data: Dataset, schema: Schema) -> Categorical:

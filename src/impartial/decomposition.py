@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import EncodedDesign
 from .errors import ContractError
-from .estimators import TotalModelFit, _aligned_z
+from .estimators import TotalModelFit
 from .linalg import r_factor, regress
 
 
@@ -126,7 +126,7 @@ def decompose(
     """
     if not isinstance(mode, Mode):
         raise ContractError(f"unknown decomposition mode {mode!r}")
-    z = _aligned_z(fit, design)
+    z = design.centered_at(fit)
     if mode is Mode.FEO and fit.width("wb"):
         raise ContractError("FEO decomposition requires empty suspect blocks")
     if mode is Mode.FSEO and fit.width("x"):

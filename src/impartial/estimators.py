@@ -113,24 +113,6 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
     )
 
 
-def _aligned_z(fit: TotalModelFit, design: EncodedDesign) -> np.ndarray:
-    """The design's Z re-centered at the training means.
-
-    The design's own centering is undone by adding back its means and the
-    training means are removed instead. When the means agree (the design
-    *is* the training design) this is ``design.z`` itself. The design must
-    have the fit's columns in the fit's blocks.
-    """
-    if (design.columns, design.widths) != (fit.columns, fit.widths):
-        raise ContractError(
-            f"design columns {design.columns} in blocks of {design.widths} do "
-            f"not match the fit's training columns {fit.columns} in blocks of "
-            f"{fit.widths}"
-        )
-    shift = design.column_means - fit.column_means
-    return design.z + shift if shift.any() else design.z
-
-
 def predict(
     fit: TotalModelFit, design: EncodedDesign, variant: Variant
 ) -> ImpartialPrediction:
@@ -156,7 +138,7 @@ def predict(
         raise VariantError(
             "calders_baseline predictions are produced by harness.calders_baseline"
         )
-    z = _aligned_z(fit, design)
+    z = design.centered_at(fit)
     s, x, wb = z[:, fit.index("s")], z[:, fit.index("x")], z[:, fit.index("wb")]
 
     if variant is Variant.FEO and fit.width("wb"):
@@ -229,10 +211,8 @@ def with_blackbox(design: EncodedDesign, external_predictions) -> EncodedDesign:
         squares = np.einsum("ij,ij->j", ext, ext)
     if not np.all(np.isfinite(squares)):
         raise DataError("values too large to score: a column's sum of squares is not finite")
-    means = ext.mean(axis=0)
     start = design.width("b")
-    labels = tuple(f"yhat_{start + j}" for j in range(ext.shape[1]))
-    return design.appended(ext - means, labels, means)
+    return design.appended(ext, tuple(f"yhat_{start + j}" for j in range(ext.shape[1])))
 
 
 def correct_blackbox(

@@ -19,7 +19,7 @@ from .generators import (
     simple_example_schema,
     wine_like_schema,
 )
-from .trees import BaggedTrees, raw_features
+from .trees import BaggedTrees
 
 __all__ = [
     "BaggedTrees",
@@ -38,7 +38,6 @@ __all__ = [
     "inject_bias",
     "kfold_validate",
     "predict_calders",
-    "raw_features",
     "simple_example_schema",
     "wine_like_schema",
 ]

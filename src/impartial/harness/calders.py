@@ -53,13 +53,8 @@ def _check_design(design: EncodedDesign) -> None:
         raise ContractError("the stratified baseline needs exactly two sensitive groups")
 
 
-def _raw_covariates(design: EncodedDesign) -> np.ndarray:
-    cols = design.index("xwb")
-    return design.z[:, cols] + design.column_means[cols]
-
-
 def _propensity(fit_means, coefs, intercept, design: EncodedDesign) -> np.ndarray:
-    return intercept + (_raw_covariates(design) - fit_means) @ coefs
+    return intercept + (design.uncentered("xwb") - fit_means) @ coefs
 
 
 def _bins(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -79,7 +74,7 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
     covariates = design.index("xwb")
     coefs = regress(design.r, covariates, design.index("s"), design.n_rows)[0][:, 0]
     cov_means = design.column_means[covariates]
-    intercept = float((design.s[:, 0] + design.s_means[0]).mean())
+    intercept = float(design.uncentered("s")[:, 0].mean())
     scores = _propensity(cov_means, coefs, intercept, design)
 
     edges = np.quantile(scores, np.arange(1, bins) / bins) if bins > 1 else np.zeros(0)

@@ -40,7 +40,7 @@ from ..estimators import (
 )
 from ..metrics import ScoreMode, discrimination_score, group_pair, impartiality_score, rmse
 from .calders import fit_calders, predict_calders
-from .trees import BaggedTrees, raw_features, require_count
+from .trees import BaggedTrees, require_count
 
 METRIC_NAMES = ("rmse_biased", "rmse_raw", "ds", "is")
 
@@ -250,8 +250,8 @@ def _run_repetition(
                     max_depth=config.blackbox_depth,
                     min_leaf=config.blackbox_min_leaf,
                     seed=derive_seed(config.master_seed, rep, fold),
-                ).fit(raw_features(enc_train), enc_train.y)
-                bb_test = model.predict(raw_features(enc_test))
+                ).fit(enc_train.uncentered(), enc_train.y)
+                bb_test = model.predict(enc_test.uncentered())
                 fit = fit_total(
                     with_blackbox(view(enc_train), model.oob_train_predictions())
                 )

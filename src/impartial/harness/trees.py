@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data import EncodedDesign
 from ..errors import ContractError, DataError
 from ..linalg import BLOCK_ROWS
 
@@ -46,11 +45,6 @@ def require_count(name: str, value, minimum: int) -> None:
         raise ContractError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ContractError(f"{name} must be at least {minimum}, got {value}")
-
-
-def raw_features(design: EncodedDesign) -> np.ndarray:
-    """Un-centered [S|X|W|B] feature matrix (tree thresholds need raw units)."""
-    return design.z + design.column_means
 
 
 class _Tree:

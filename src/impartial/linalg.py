@@ -1,4 +1,4 @@
-"""Dense least squares on one R factor, column-space projection, centering.
+"""Dense least squares on one R factor and column-space projection.
 
 Every estimate in the package is an OLS regression among the columns of
 one matrix M (a design, its response, external predictions). When M = QR
@@ -16,7 +16,7 @@ rank tolerance. Rank rule: keep pivot k while |r_kk| > max(n, |P|) *
 machine epsilon * |r_00|, where n is the row count of M, not of R.
 Predictors past the rank are aliased: they get coefficient 0 and are
 reported, never an error. Everything here is deterministic, and no
-function mutates its inputs except into an ``out`` it is given.
+function mutates its inputs.
 """
 
 from __future__ import annotations
@@ -188,15 +188,3 @@ def project(basis, target) -> ProjectionPair:
     coef, _ = regress(r_factor(b, t), slice(0, p), slice(p, None), b.shape[0])
     projected = b @ coef
     return ProjectionPair(projected=projected, orthogonal=t - projected)
-
-
-def column_center(m, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract each column's mean; return (centered, means).
-
-    Constant columns center to all-zero. Means are kept so the same shift
-    can be re-applied to prediction-time data. The centered matrix is
-    written to ``out`` when given (``m`` itself centers in place).
-    """
-    x = _as_matrix(m, "matrix")
-    means = x.mean(axis=0) if x.shape[1] else np.zeros(0)
-    return np.subtract(x, means, out=out), means

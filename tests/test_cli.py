@@ -82,18 +82,24 @@ class TestFit:
         data, schema = gen_dag(default_dag_spec(n=200, seed=5))
         columns = dict(data.columns)
         columns["x0_twice"] = 2 * columns["x0"]
+        # A level holding a comma, whose dummy copies the earlier column d_flag.
+        columns["d_flag"] = np.arange(200) % 2.0
+        columns["d"] = ["p", "q,r"] * 100
         write_csv(tmp_path / "d.csv", make_dataset(columns))
         (tmp_path / "d.schema").write_text(
-            format_schema(schema) + "x0_twice = legitimate\n", encoding="utf-8"
+            format_schema(schema)
+            + "x0_twice = legitimate\nd_flag = legitimate\nd = legitimate,categorical\n",
+            encoding="utf-8",
         )
         assert main(["fit", "--data", str(tmp_path / "d.csv"), "--schema",
                      str(tmp_path / "d.schema"), "--out", str(tmp_path / "p.csv")]) == 0
-        lines = (tmp_path / "p.coef.csv").read_text().splitlines()
-        dropped = [ln.split(",")[1] for ln in lines if ln.startswith("# dropped,")]
-        assert len(dropped) == 1 and dropped[0] in ("x0", "x0_twice")
-        assert len([ln for ln in lines if ln.startswith("#")]) == 1
-        rows = list(csv.reader(ln for ln in lines if not ln.startswith("#")))
-        assert ["x", dropped[0], "0"] in rows
+        text = (tmp_path / "p.coef.csv").read_bytes().decode("utf-8")
+        assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
+        rows = list(csv.reader(text.splitlines()))
+        dropped = [row[1:] for row in rows if row[0].startswith("#")]
+        assert sorted(dropped) in ([["d=q,r"], ["x0"]], [["d=q,r"], ["x0_twice"]])
+        assert all(row[0] == "# dropped" for row in rows if row[0].startswith("#"))
+        assert ["x", "d=q,r", "0"] in rows and ["x", min(dropped)[0], "0"] in rows
 
     def test_full_rank_coef_file_has_no_comment_lines(self, loan_files, tmp_path):
         data_path, schema_path = loan_files
@@ -605,6 +611,8 @@ def _bad_input_cases():
                        id=f"{name}-n0") for name in ("dag", "wine")),
         pytest.param(["audit", "--variant", "total", "--predictions", "{tmp}/p.csv", *loan], 2,
                      id="variant-and-predictions"),
+        *(pytest.param(["validate", "--simulate", "simple", flag, "/nonexistent.csv"], 2,
+                       id=f"simulate-and{flag[1:]}") for flag in ("--data", "--schema")),
         pytest.param(["validate", "--simulate", "simple", "--variants", "bogus"], 2,
                      id="unknown-variant"),
         pytest.param(["validate", "--simulate", "dag", "--n", "30", "--folds", "40"], 2,

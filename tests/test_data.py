@@ -18,7 +18,9 @@ from impartial.data import (
     take_design,
     write_csv,
 )
-from impartial.errors import DataError, SchemaError
+from impartial.errors import ContractError, DataError, SchemaError
+from impartial.estimators import fit_total, with_blackbox
+from impartial.harness import gen_wine_like
 
 
 SCHEMA_TEXT = """\
@@ -377,6 +379,42 @@ class TestSubsets:
             assert sliced.means(key).tobytes() == direct.means(key).tobytes()
             assert sliced.labels(key) == direct.labels(key)
         assert sliced.s_group_labels == direct.s_group_labels
+
+
+class TestCentering:
+    """The encoded design removes and restores its own column means."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        return encode(*gen_wine_like(n=300, seed=3))
+
+    def test_subset_uncentered_is_the_rows_uncentered(self, design):
+        idx = np.arange(0, 300, 3)
+        raw = design.uncentered()
+        np.testing.assert_allclose(
+            take_design(design, idx).uncentered(), raw[idx], rtol=0,
+            atol=1e-12 * np.abs(raw).max(),
+        )
+
+    def test_take_design_leaves_its_source_unchanged(self, design):
+        before = design.z.tobytes()
+        take_design(design, np.arange(0, 300, 2))
+        assert design.z.tobytes() == before
+
+    def test_centered_at_its_own_fit_is_z(self, design):
+        assert design.centered_at(fit_total(design)) is design.z
+
+    def test_subset_centered_at_the_fit_means(self, design):
+        sub = take_design(design, np.arange(1, 300, 2))
+        fit = fit_total(design)
+        want = sub.z + (sub.column_means - fit.column_means)
+        assert sub.centered_at(fit).tobytes() == want.tobytes()
+
+    def test_centered_at_other_blocks_is_refused(self, design):
+        fit = fit_total(design)
+        for other in (with_blackbox(design, np.arange(300.0)), design.merged("xw", "w")):
+            with pytest.raises(ContractError, match="training columns"):
+                other.centered_at(fit)
 
 
 class TestCategorical:

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from impartial.errors import ContractError, DataError
 from impartial.harness import simple_example_schema
-from impartial.data import encode
+from impartial.data import EncodedDesign, center, encode
 from impartial.linalg import (
-    column_center,
     project,
     r_factor,
     regress,
@@ -206,14 +205,25 @@ class TestProject:
             project(np.ones((3, 1)), np.ones((4, 1)))
 
 
+def center_rows(rows):
+    """``data.center`` of a design whose X block holds ``rows``: (z, means)."""
+    m = np.asarray(rows, dtype=float)
+    labels = tuple(f"x{j}" for j in range(m.shape[1]))
+    design = EncodedDesign.from_blocks(
+        np.zeros(len(m)), {"x": (list(m.T), labels, np.zeros(len(labels)))}, ("",) * len(m)
+    )
+    centered = center(design)
+    return centered.z, centered.column_means
+
+
 class TestColumnCenter:
     def test_simple(self):
-        centered, means = column_center([[1.0], [3.0]])
+        centered, means = center_rows([[1.0], [3.0]])
         np.testing.assert_allclose(centered, [[-1.0], [1.0]])
         assert means == pytest.approx([2.0])
 
     def test_constant_column(self):
-        centered, means = column_center([[5.0], [5.0], [5.0]])
+        centered, means = center_rows([[5.0], [5.0], [5.0]])
         assert np.all(centered == 0.0)
         assert means == pytest.approx([5.0])
 
@@ -231,5 +241,5 @@ class TestColumnCenter:
     )
     def test_centered_mean_is_zero(self, values):
         arr = np.asarray(values).reshape(-1, 1)
-        centered, _ = column_center(arr)
+        centered, _ = center_rows(arr)
         assert abs(centered.mean()) <= 1e-12 * max(1.0, np.abs(arr).max())

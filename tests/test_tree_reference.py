@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from impartial.data import encode
 from impartial.harness import BaggedTrees, gen_wine_like
-from impartial.harness.trees import raw_features
 from impartial.linalg import BLOCK_ROWS
 
 
@@ -205,7 +204,7 @@ def assert_matches_reference(x, y, x_test, **params):
 def _wine_features(n, seed):
     data, schema = gen_wine_like(n=n, seed=seed)
     design = encode(data, schema)
-    return raw_features(design), design.y
+    return design.uncentered(), design.y
 
 
 class TestKernelMatchesReference:

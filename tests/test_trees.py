@@ -4,7 +4,6 @@ import pytest
 from conftest import build_design
 from impartial.errors import ContractError, DataError
 from impartial.harness import BaggedTrees
-from impartial.harness.trees import raw_features
 
 
 class TestBaggedTrees:
@@ -135,7 +134,7 @@ class TestBaggedTrees:
 
 class TestDesignWrapper:
     def test_raw_features_uncenters(self, table1_design):
-        feats = raw_features(table1_design)
+        feats = table1_design.uncentered()
         assert feats.shape == (1000, 2)
         assert set(np.unique(feats)) == {0.0, 1.0}
 
@@ -149,6 +148,6 @@ class TestDesignWrapper:
             group_labels=["g1" if v else "g0" for v in s],
         )
         model = BaggedTrees(n_trees=10, max_depth=3, seed=4)
-        pred = model.fit(raw_features(design), design.y).predict(raw_features(design))
+        pred = model.fit(design.uncentered(), design.y).predict(design.uncentered())
         gap = pred[s == 1].mean() - pred[s == 0].mean()
         assert gap == pytest.approx(2.0, abs=0.2)
