@@ -227,6 +227,10 @@ class TestColumnCenter:
         assert np.all(centered == 0.0)
         assert means == pytest.approx([5.0])
 
+    def test_non_finite_refused(self):
+        with pytest.raises(DataError, match="non-finite"):
+            center_rows([[1.0], [np.inf]])
+
     def test_loan_table_sensitive_share(self, table1_data):
         design = encode(table1_data, simple_example_schema())
         assert design.s_means == pytest.approx([0.45])
