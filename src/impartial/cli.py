@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import logging
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,8 +398,15 @@ def _add_sim_params(p) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Each warning, raised or logged, prints as one line; the warnings and
+    # logging state is restored on return, so main can run in-process.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logging.getLogger("impartial").addHandler(handler)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -407,6 +416,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logging.getLogger("impartial").removeHandler(handler)
 
 
 if __name__ == "__main__":

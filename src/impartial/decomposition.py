@@ -88,9 +88,7 @@ class RedliningSummary:
     uninformative_redlining: float
 
 
-def decompose_coefficients(
-    fit: TotalModelFit, design: EncodedDesign
-) -> CoefDecomposition:
+def decompose_coefficients(fit: TotalModelFit) -> CoefDecomposition:
     """marginal = direct + indirect split of the legitimate coefficients.
 
     Only defined when no suspect/black-box columns are present: the
@@ -103,7 +101,6 @@ def decompose_coefficients(
         )
     if fit.width("x") == 0:
         raise ContractError("no legitimate columns to decompose")
-    del design  # only the fit's regressions are needed
     lambda_x = fit.lambda_x_for_s
     return CoefDecomposition(
         marginal=fit.marginal_coefs,

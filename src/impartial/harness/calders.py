@@ -25,6 +25,7 @@ from ..estimators import (
     predict,
 )
 from ..linalg import regress
+from .trees import require_count
 
 log = logging.getLogger(__name__)
 
@@ -67,8 +68,7 @@ def _bins(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
 def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
     """Fit the propensity model and the per-bin equalizing sub-models."""
     _check_design(design)
-    if bins < 1:
-        raise ContractError("need at least one bin")
+    require_count("bins", bins, 1)
     # The centered indicator is the S column of the design, so the linear
     # probability fit is a regression among the columns of design.r.
     covariates = design.index("xwb")

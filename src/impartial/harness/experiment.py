@@ -23,7 +23,6 @@ order, and each is scored as soon as it ends.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,9 @@ from .calders import fit_calders, predict_calders
 from .trees import BaggedTrees, require_count
 
 METRIC_NAMES = ("rmse_biased", "rmse_raw", "ds", "is")
+# Quantile bins of the Calders baseline and the black box's least leaf weight.
+CALDERS_BINS = 5
+BLACKBOX_MIN_LEAF = 5
 
 _MASK64 = (1 << 64) - 1
 
@@ -73,7 +75,6 @@ class BiasSpec:
     target_group_label: str
     fraction: float
     shift: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
@@ -94,16 +95,12 @@ class ExperimentConfig:
         Variant.MARGINAL,
     )
     master_seed: int = 0
-    calders_bins: int = 5
     blackbox_trees: int = 50
     blackbox_depth: int = 8
-    blackbox_min_leaf: int = 5
 
     def __post_init__(self):
         require_count("folds", self.folds, 2)
-        for name in (
-            "repetitions", "calders_bins", "blackbox_trees", "blackbox_depth", "blackbox_min_leaf"
-        ):
+        for name in ("repetitions", "blackbox_trees", "blackbox_depth"):
             require_count(name, getattr(self, name), 1)
         if not self.variants:
             raise ContractError("no variants configured")
@@ -117,46 +114,44 @@ class ValidationTable:
     """Mean metrics per variant across repetitions."""
 
     variants: tuple[str, ...]
-    metrics: tuple[str, ...]
     values: dict[str, dict[str, float]]
 
     def to_text(self) -> str:
         width = max(12, *(len(v) + 2 for v in self.variants))
         header = "metric".ljust(12) + "".join(v.rjust(width) for v in self.variants)
-        lines = [header]
-        for m in self.metrics:
-            row = m.ljust(12) + "".join(
-                format(self.values[v][m], ".6g").rjust(width) for v in self.variants
-            )
-            lines.append(row)
-        return "\n".join(lines) + "\n"
+        rows = [
+            m.ljust(12)
+            + "".join(format(self.values[v][m], ".6g").rjust(width) for v in self.variants)
+            for m in METRIC_NAMES
+        ]
+        return "\n".join([header, *rows]) + "\n"
 
     def csv_rows(self) -> list[tuple[str, str, str]]:
         return [
             (v, m, format(self.values[v][m], ".17g"))
             for v in self.variants
-            for m in self.metrics
+            for m in METRIC_NAMES
         ]
 
 
-def inject_bias(data: Dataset, schema: Schema, spec: BiasSpec) -> Dataset:
+def inject_bias(data: Dataset, schema: Schema, spec: BiasSpec, seed: int = 0) -> Dataset:
     """Response shift for round(fraction * group size) rows of the target group.
 
-    Sampling is without replacement and deterministic under ``spec.seed``;
+    Sampling is without replacement and deterministic under ``seed``;
     fraction 0 returns the data unchanged.
     """
     name = schema.response.name
     response = data.columns[name]
     if not isinstance(response, np.ndarray):
         raise ContractError("bias injection needs a numeric response")
-    shifted = _biased_response(response, spec, _groups(data, schema).rows())
+    shifted = _biased_response(response, spec, _groups(data, schema).rows(), seed)
     if shifted is response:
         return data
     return data.replace_column(name, shifted)
 
 
 def _biased_response(
-    response: np.ndarray, spec: BiasSpec, groups: dict[str, np.ndarray]
+    response: np.ndarray, spec: BiasSpec, groups: dict[str, np.ndarray], seed: int
 ) -> np.ndarray:
     """``response`` shifted as ``inject_bias`` does, given the rows of each
     group (``Categorical.rows``); ``response`` itself when nothing is shifted."""
@@ -169,7 +164,7 @@ def _biased_response(
     count = int(np.floor(spec.fraction * rows.size + 0.5))
     if count == 0 or spec.shift == 0.0:
         return response
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(rows, size=count, replace=False)
     shifted = response.copy()
     shifted[chosen] += spec.shift
@@ -193,10 +188,6 @@ _ROLES = dict.fromkeys(Variant, (lambda design: design, ScoreMode.SEO)) | {
 }
 
 
-def _fold_bounds(n: int, folds: int) -> np.ndarray:
-    return np.linspace(0, n, folds + 1).astype(int)
-
-
 def _run_repetition(
     raw: EncodedDesign,
     groups: dict[str, np.ndarray],
@@ -214,15 +205,14 @@ def _run_repetition(
     n = raw.n_rows
     y_biased = raw.y
     if bias is not None:
-        seeded = dataclasses.replace(
-            bias, seed=derive_seed(config.master_seed, rep, _BIAS_SLOT)
+        y_biased = _biased_response(
+            raw.y, bias, groups, derive_seed(config.master_seed, rep, _BIAS_SLOT)
         )
-        y_biased = _biased_response(raw.y, seeded, groups)
     raw_biased = raw.replace(y=y_biased)
     perm = np.random.default_rng(
         derive_seed(config.master_seed, rep, _PERM_SLOT)
     ).permutation(n)
-    bounds = _fold_bounds(n, config.folds)
+    bounds = np.linspace(0, n, config.folds + 1).astype(int)
 
     pooled = {v.value: np.zeros(n) for v in config.variants}
     bb_pooled = (
@@ -242,13 +232,13 @@ def _run_repetition(
             view = _ROLES[variant][0]
             test = view(enc_test)
             if variant is Variant.CALDERS_BASELINE:
-                cfit = fit_calders(view(enc_train), bins=config.calders_bins)
+                cfit = fit_calders(view(enc_train), bins=CALDERS_BINS)
                 values = predict_calders(cfit, test)
             elif variant is Variant.BLACKBOX_CORRECTED:
                 model = BaggedTrees(
                     n_trees=config.blackbox_trees,
                     max_depth=config.blackbox_depth,
-                    min_leaf=config.blackbox_min_leaf,
+                    min_leaf=BLACKBOX_MIN_LEAF,
                     seed=derive_seed(config.master_seed, rep, fold),
                 ).fit(enc_train.uncentered(), enc_train.y)
                 bb_test = model.predict(enc_test.uncentered())
@@ -312,8 +302,4 @@ def kfold_validate(
         vname: {m: s / count for m, s in metric_sums.items()}
         for vname, metric_sums in sums.items()
     }
-    return ValidationTable(
-        variants=tuple(v.value for v in config.variants),
-        metrics=METRIC_NAMES,
-        values=means,
-    )
+    return ValidationTable(variants=tuple(v.value for v in config.variants), values=means)

@@ -66,8 +66,9 @@ class DagSpec:
     Sensitive columns are thresholded standard normals (levels g0/g1);
     the 0/1 indicators feed the structural equations. Unobserved
     legitimate covariates influence the response but are dropped from the
-    emitted dataset. A fair model has zero direct sensitive->response and
-    suspect->response coefficients.
+    emitted dataset. Every noise term is a unit Gaussian. A fair model
+    has zero direct sensitive->response and suspect->response
+    coefficients.
     """
 
     n: int
@@ -80,9 +81,6 @@ class DagSpec:
     coef_x_to_y: np.ndarray
     coef_s_to_y: np.ndarray
     coef_w_to_y: np.ndarray
-    x_noise: float = 1.0
-    w_noise: float = 1.0
-    y_noise: float = 1.0
     fair: bool = True
     seed: int = 0
 
@@ -102,8 +100,6 @@ class DagSpec:
             if arr.shape != shape:
                 raise ContractError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, arr)
-        if min(self.x_noise, self.w_noise, self.y_noise) <= 0:
-            raise ContractError("noise scales must be positive")
         if self.fair and (
             np.any(self.coef_s_to_y != 0) or np.any(self.coef_w_to_y != 0)
         ):
@@ -153,13 +149,13 @@ def gen_dag(spec: DagSpec) -> tuple[Dataset, Schema]:
     n = spec.n
     s = (rng.standard_normal((n, spec.p_s)) > 0).astype(float)
     p_x = spec.p_x_observed + spec.p_x_unobserved
-    x_all = s @ spec.coef_s_to_x + spec.x_noise * rng.standard_normal((n, p_x))
-    w = s @ spec.coef_s_to_w + spec.w_noise * rng.standard_normal((n, spec.p_w))
+    x_all = s @ spec.coef_s_to_x + rng.standard_normal((n, p_x))
+    w = s @ spec.coef_s_to_w + rng.standard_normal((n, spec.p_w))
     y = (
         s @ spec.coef_s_to_y
         + x_all @ spec.coef_x_to_y
         + w @ spec.coef_w_to_y
-        + spec.y_noise * rng.standard_normal(n)
+        + rng.standard_normal(n)
     )
 
     columns: dict[str, object] = {"y": y}

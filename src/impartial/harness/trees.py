@@ -48,13 +48,12 @@ def require_count(name: str, value, minimum: int) -> None:
 
 
 class _Tree:
-    __slots__ = ("feature", "split_bin", "left", "right", "value", "depth")
+    __slots__ = ("feature", "split_bin", "left", "value", "depth")
 
-    def __init__(self, feature, split_bin, left, right, value, depth):
+    def __init__(self, feature, split_bin, left, value, depth):
         self.feature = feature
         self.split_bin = split_bin
         self.left = left
-        self.right = right
         self.value = value
         self.depth = depth
 
@@ -279,18 +278,18 @@ class BaggedTrees:
         A split at bin b sends codes <= b left. It scores
         s_left**2/c_left + s_right**2/c_right, is allowed when both sides
         keep ``min_leaf`` weight, and is taken when it beats the unsplit
-        node by more than a relative 1e-9. Ties go to the lowest feature,
-        then the lowest bin. The histograms are overwritten by their
-        cumulative sums.
+        node by more than a relative 1e-9. Bag weights are integers, so a
+        feature's last bin sums to the node's weight exactly and ``min_leaf
+        >= 1`` blocks it. The flat argmax sends ties to the lowest feature,
+        then the lowest bin. Histograms become their cumulative sums.
         """
         n_nodes, _, bins = cnt.shape
         tot_c = cnt[:, 0].sum(axis=1)
         tot_s = summ[:, 0].sum(axis=1)
-        c_left = np.cumsum(cnt, axis=2, out=cnt)[:, :, :-1]
-        s_left = np.cumsum(summ, axis=2, out=summ)[:, :, :-1]
+        c_left = np.cumsum(cnt, axis=2, out=cnt)
+        s_left = np.cumsum(summ, axis=2, out=summ)
         other = tot_c[:, None, None] - c_left  # c_right
-        blocked = c_left < self.min_leaf
-        blocked |= other < self.min_leaf
+        blocked = (c_left < self.min_leaf) | (other < self.min_leaf)
         with np.errstate(divide="ignore", invalid="ignore"):
             score = np.subtract(tot_s[:, None, None], s_left)  # s_right
             np.square(score, out=score)
@@ -304,21 +303,15 @@ class BaggedTrees:
         best_score = flat_score[np.arange(n_nodes), best]
         base = tot_s**2 / np.maximum(tot_c, 1e-300)
         splits = best_score > base + 1e-9 * (1.0 + np.abs(base))
-        feat, cut = np.divmod(best, bins - 1)
+        feat, cut = np.divmod(best, bins)
         return splits, feat, cut, c_left, s_left, tot_c, tot_s
 
     def _pack(self, feature, split_bin, left, value) -> _Tree:
-        """Join the per-level node arrays; the last level is all leaves."""
-        width = value[-1].size
-        left = np.concatenate(left + [np.full(width, -1, dtype=np.int64)])
-        return _Tree(
-            feature=np.concatenate(feature + [np.full(width, -1, dtype=np.int64)]),
-            split_bin=np.concatenate(split_bin + [np.full(width, -1, dtype=np.int64)]),
-            left=left,
-            right=np.where(left >= 0, left + 1, -1),
-            value=np.concatenate(value),
-            depth=len(value) - 1,
-        )
+        """Join the per-level node arrays; the last level is all leaves.
+        An internal node's right child is ``left + 1``; it is not stored."""
+        leaves = [np.full(value[-1].size, -1, dtype=np.int64)]
+        feature, split_bin, left = (np.concatenate(a + leaves) for a in (feature, split_bin, left))
+        return _Tree(feature, split_bin, left, np.concatenate(value), len(value) - 1)
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:

@@ -122,6 +122,8 @@ def group_pair(
     Names given are kept. With two groups, a lone name is paired with the
     other group, and with no name the pair is (second, first).
     """
+    if len(labels) == 1:
+        raise DataError(f"DS needs two sensitive groups; the data has only {labels[0]!r}")
     if positive_group is None or negative_group is None:
         if len(labels) != 2:
             raise ContractError(

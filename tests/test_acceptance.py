@@ -124,7 +124,7 @@ def test_criterion_2_algebraic_identities():
         p_s, p_x = rng.integers(1, 4), rng.integers(1, 5)
         design = random_design(rng, n=200, p_s=p_s, p_x=p_x, p_w=0)
         fit = fit_total(design)
-        dec = decompose_coefficients(fit, design)
+        dec = decompose_coefficients(fit)
         scale = max(1.0, np.abs(dec.marginal).max())
         assert np.abs(dec.marginal - (dec.direct + dec.indirect)).max() <= 1e-8 * scale
 
@@ -291,7 +291,7 @@ def test_criterion_7_bias_mechanics(wine):
     shifts_s, shifts_other = [], []
     for seed in range(100):
         biased = inject_bias(
-            data, schema, BiasSpec("white", 0.7, 1.0, seed=seed)
+            data, schema, BiasSpec("white", 0.7, 1.0), seed=seed
         )
         fit = fit_total(encode(biased, schema))
         shifts_s.append(sign * (fit.beta_s[0] - raw_fit.beta_s[0]))

@@ -171,6 +171,12 @@ def test_requires_binary_sensitive():
         fit_calders(design)
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3", None, 0, -1])
+def test_bins_validated(table1_design, value):
+    with pytest.raises(ContractError, match="bins"):
+        fit_calders(as_all_suspect(table1_design), bins=value)
+
+
 def test_out_of_sample_prediction(table1_data):
     from impartial.data import take, collect_levels
 

@@ -1,11 +1,13 @@
 import csv
 import json
+import logging
 import os
 import shutil
 import stat
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -600,6 +602,7 @@ class TestValidate:
 def _bad_input_cases():
     simulate = ["simulate", "--out", "{tmp}/sim.csv"]
     loan = ["--data", "{data}", "--schema", "{schema}"]
+    one_group = ["--data", "{tmp}/one_group.csv", "--schema", "{schema}"]
     return [
         pytest.param(["simulate", "dag", "--seed", "-5", "--out", "{tmp}/s.csv"], 2, id="dag-seed"),
         pytest.param(["simulate", "wine", "--seed", "-5", "--out", "{tmp}/s.csv"], 2,
@@ -621,6 +624,10 @@ def _bad_input_cases():
                       "--bias-frac", "2"], 2, id="bias-frac"),
         pytest.param(["audit", "--predictions", "{tmp}/bad_header.csv", *loan], 1,
                      id="predictions-header"),
+        pytest.param(["audit", "--variant", "total", *one_group], 1, id="one-group-audit"),
+        pytest.param(["correct", "--predictions", "{tmp}/p12.csv", "--out", "{tmp}/s.csv",
+                      *one_group], 1, id="one-group-correct"),
+        pytest.param(["validate", *one_group], 1, id="one-group-validate"),
     ]
 
 
@@ -629,11 +636,45 @@ def test_bad_input_exits_with_one_error_line(loan_files, tmp_path, capsys, argv,
     data_path, schema_path = loan_files
     (tmp_path / "p.csv").write_text("prediction\n" + "0.5\n" * 1000, encoding="utf-8")
     (tmp_path / "bad_header.csv").write_text("a,b,c\n1,2,3\n", encoding="utf-8")
+    (tmp_path / "p12.csv").write_text("prediction\n" + "0.5\n" * 12, encoding="utf-8")
+    (tmp_path / "one_group.csv").write_text(  # every row in group s+
+        "default,edu,group\n" + "".join(f"{i % 2},{'low' if i % 3 else 'high'},s+\n"
+                                         for i in range(12)),
+        encoding="utf-8",
+    )
     argv = [a.format(tmp=tmp_path, data=data_path, schema=schema_path) for a in argv]
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("usage error: " if code == 2 else "error: ")
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_warning_prints_as_one_line(tmp_path, capsys):
+    (tmp_path / "one.csv").write_text("y,g,x\n1.5,a,2.0\n", encoding="utf-8")
+    (tmp_path / "one.schema").write_text(
+        "y = response\ng = sensitive,categorical\nx = legitimate\n", encoding="utf-8"
+    )
+    out = tmp_path / "p.csv"
+    state = (warnings.showwarning, list(logging.getLogger("impartial").handlers))
+    argv = ["fit", "--data", str(tmp_path / "one.csv"), "--schema", str(tmp_path / "one.schema"),
+            "--variant", "total", "--out", str(out)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: only 1 rows for 1 covariate columns; fit may be rank-deficient"
+    ]
+    assert captured.out == f"wrote {out} and {tmp_path / 'p.coef.csv'}\n"
+    assert (warnings.showwarning, list(logging.getLogger("impartial").handlers)) == state
+
+
+def test_logged_warning_prints_as_one_line(capsys):
+    argv = ["validate", "--simulate", "dag", "--n", "20", "--folds", "2", "--reps", "1",
+            "--variants", "calders"]
+    assert main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("warning: propensity bin ") for line in err)
+    assert not any(isinstance(h, logging.StreamHandler)
+                   for h in logging.getLogger("impartial").handlers)
 
 
 class TestSimulate:

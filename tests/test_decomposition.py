@@ -40,13 +40,13 @@ class TestCoefficientDecomposition:
         rng = np.random.default_rng(40)
         design = orthogonal_design(rng, p_w=0)
         fit = fit_total(design)
-        dec = decompose_coefficients(fit, design)
+        dec = decompose_coefficients(fit)
         np.testing.assert_allclose(dec.indirect, 0.0, atol=1e-10)
         np.testing.assert_allclose(dec.marginal, dec.direct, atol=1e-10)
 
     def test_loan_table_values(self, table1_design):
         fit = fit_total(table1_design)
-        dec = decompose_coefficients(fit, table1_design)
+        dec = decompose_coefficients(fit)
         assert dec.direct == pytest.approx([-0.3], abs=1e-10)
         assert dec.marginal == pytest.approx([-0.35], abs=1e-10)
         # regressing the s indicator on education gives slope 0.5
@@ -58,7 +58,7 @@ class TestCoefficientDecomposition:
         for _ in range(10):
             design = random_design(rng, n=200, p_s=2, p_x=3, p_w=0)
             fit = fit_total(design)
-            dec = decompose_coefficients(fit, design)
+            dec = decompose_coefficients(fit)
             np.testing.assert_allclose(
                 dec.marginal, dec.direct + dec.indirect, rtol=1e-8, atol=1e-10
             )
@@ -67,7 +67,7 @@ class TestCoefficientDecomposition:
         rng = np.random.default_rng(42)
         design = random_design(rng, n=100, p_s=1, p_x=2, p_w=1)
         with pytest.raises(ContractError, match="suspect"):
-            decompose_coefficients(fit_total(design), design)
+            decompose_coefficients(fit_total(design))
 
 
 class TestDecompose:
@@ -195,7 +195,7 @@ class TestRedliningReport:
             decompose(raw_fit, raw_design, Mode.FSEO)
         ).disparate_treatment
 
-        biased = inject_bias(data, schema, BiasSpec("white", 0.7, 2.0, seed=9))
+        biased = inject_bias(data, schema, BiasSpec("white", 0.7, 2.0), seed=9)
         b_design = encode(biased, schema)
         b_fit = fit_total(b_design)
         biased_dt = redlining_report(

@@ -477,7 +477,7 @@ class TestRegressionCount:
         marginal = regress(r, design.index("xwb"), [design.z.shape[1]], n)[0][:, 0]
         assert fit.lambda_x_for_s.tobytes() == lambda_x.tobytes()
         assert fit.marginal_coefs.tobytes() == marginal.tobytes()
-        parts = decompose_coefficients(fit, design)
+        parts = decompose_coefficients(fit)
         assert parts.marginal.tobytes() == marginal.tobytes()
         assert parts.lambda_x.tobytes() == lambda_x.tobytes()
         assert parts.indirect.tobytes() == (lambda_x @ fit.beta_s).tobytes()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ class TestSeedDerivation:
 class TestInjectBias:
     def test_fraction_zero_is_identity(self, table1_data, table1_schema):
         out = inject_bias(
-            table1_data, table1_schema, BiasSpec("s+", 0.0, 1.0, seed=1)
+            table1_data, table1_schema, BiasSpec("s+", 0.0, 1.0), seed=1
         )
         np.testing.assert_array_equal(
             out.columns["default"], table1_data.columns["default"]
@@ -42,7 +44,7 @@ class TestInjectBias:
 
     def test_fraction_one_shifts_whole_group(self, table1_data, table1_schema):
         out = inject_bias(
-            table1_data, table1_schema, BiasSpec("s+", 1.0, 1.0, seed=1)
+            table1_data, table1_schema, BiasSpec("s+", 1.0, 1.0), seed=1
         )
         groups = np.asarray(table1_data.columns["group"])
         delta = out.columns["default"] - table1_data.columns["default"]
@@ -51,15 +53,15 @@ class TestInjectBias:
 
     def test_exact_count(self, table1_data, table1_schema):
         out = inject_bias(
-            table1_data, table1_schema, BiasSpec("s+", 0.7, 1.0, seed=2)
+            table1_data, table1_schema, BiasSpec("s+", 0.7, 1.0), seed=2
         )
         delta = out.columns["default"] - table1_data.columns["default"]
         assert int(delta.sum()) == round(0.7 * 450)
 
     def test_deterministic_under_seed(self, table1_data, table1_schema):
-        spec = BiasSpec("s-", 0.3, 0.5, seed=9)
-        a = inject_bias(table1_data, table1_schema, spec)
-        b = inject_bias(table1_data, table1_schema, spec)
+        spec = BiasSpec("s-", 0.3, 0.5)
+        a = inject_bias(table1_data, table1_schema, spec, seed=9)
+        b = inject_bias(table1_data, table1_schema, spec, seed=9)
         np.testing.assert_array_equal(a.columns["default"], b.columns["default"])
 
     def test_unknown_group(self, table1_data, table1_schema):
@@ -78,7 +80,7 @@ class TestInjectBias:
     def test_wine_gap_shift(self, wine):
         # .24 raw group gap becomes roughly .94 after the 70%/+1 shift
         data, schema = wine
-        out = inject_bias(data, schema, BiasSpec("white", 0.7, 1.0, seed=4))
+        out = inject_bias(data, schema, BiasSpec("white", 0.7, 1.0), seed=4)
         q = out.columns["quality"]
         types = data.columns["type"]
         white = np.array([t == "white" for t in types])
@@ -98,7 +100,7 @@ class TestBiasRobustness:
         diffs = []
         for seed in range(30):
             biased = inject_bias(
-                table1_data, table1_schema, BiasSpec("s+", 0.5, 0.4, seed=seed)
+                table1_data, table1_schema, BiasSpec("s+", 0.5, 0.4), seed=seed
             )
             design_b = encode(biased, table1_schema)
             fit_b = fit_total(design_b)
@@ -116,7 +118,7 @@ class TestBiasRobustness:
         raw_fit = fit_total(encode(data, schema))
         shifts_s, shifts_other = [], []
         for seed in range(20):
-            biased = inject_bias(data, schema, BiasSpec("white", 0.7, 1.0, seed=seed))
+            biased = inject_bias(data, schema, BiasSpec("white", 0.7, 1.0), seed=seed)
             fit = fit_total(encode(biased, schema))
             shifts_s.append(abs(fit.beta_s[0] - raw_fit.beta_s[0]))
             shifts_other.append(np.abs(fit.beta_x - raw_fit.beta_x).mean())
@@ -188,7 +190,7 @@ class TestKfoldValidate:
 
     @pytest.mark.parametrize(
         "field",
-        ["repetitions", "blackbox_trees", "blackbox_depth", "blackbox_min_leaf", "calders_bins"],
+        ["repetitions", "blackbox_trees", "blackbox_depth"],
     )
     @pytest.mark.parametrize("value", [2.5, True, "3", None, 0, -1])
     def test_counts_validated(self, field, value):
@@ -202,3 +204,47 @@ class TestKfoldValidate:
 
     def test_numpy_integer_counts_accepted(self):
         assert ExperimentConfig(blackbox_trees=np.int64(3)).blackbox_trees == 3
+
+
+class TestEverySettingReachesResult:
+    """Changing any one field of the protocol's settings changes its table."""
+
+    CONFIG = ExperimentConfig(
+        folds=3,
+        repetitions=2,
+        variants=(Variant.FULL, Variant.CALDERS_BASELINE, Variant.BLACKBOX_CORRECTED),
+        master_seed=5,
+        blackbox_trees=2,
+        blackbox_depth=2,
+    )
+    BIAS = BiasSpec("white", 0.5, 1.0)
+    CHANGED = {
+        "folds": 4,
+        "repetitions": 3,
+        "variants": (Variant.FULL, Variant.BLACKBOX_CORRECTED),
+        "master_seed": 6,
+        "blackbox_trees": 3,
+        "blackbox_depth": 3,
+        "target_group_label": "red",
+        "fraction": 0.6,
+        "shift": 2.0,
+    }
+
+    @pytest.fixture(scope="class")
+    def small_wine(self):
+        return gen_wine_like(n=300, seed=3)
+
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in dataclasses.fields(ExperimentConfig)]
+        + [f.name for f in dataclasses.fields(BiasSpec)],
+    )
+    def test_field_changes_table(self, small_wine, field):
+        data, schema = small_wine
+        config, bias = self.CONFIG, self.BIAS
+        base = kfold_validate(data, schema, config, bias).csv_rows()
+        if hasattr(config, field):
+            config = dataclasses.replace(config, **{field: self.CHANGED[field]})
+        else:
+            bias = dataclasses.replace(bias, **{field: self.CHANGED[field]})
+        assert kfold_validate(data, schema, config, bias).csv_rows() != base

@@ -80,7 +80,7 @@ class TestDagGenerator:
         data, schema = gen_dag(spec)
         fit = fit_total(encode(data, schema))
         se = 1.0 / np.sqrt(spec.n * 0.25)
-        assert abs(fit.beta_s[0]) < 4 * se * spec.y_noise * 3
+        assert abs(fit.beta_s[0]) < 4 * se * 3
 
     def test_unrestricted_dag_recovers_injected_coefficient(self):
         spec = default_dag_spec(
@@ -93,7 +93,7 @@ class TestDagGenerator:
         # the encoded indicator may be for g0 or g1 depending on first appearance
         sign = 1.0 if design.s_labels[0].endswith("g1") else -1.0
         recovered = sign * fit.beta_s[0]
-        se = spec.y_noise / np.sqrt(spec.n * 0.25)
+        se = 1.0 / np.sqrt(spec.n * 0.25)
         assert recovered == pytest.approx(injected, abs=4 * se * 2)
 
     def test_deterministic(self):
@@ -144,12 +144,6 @@ class TestDagGenerator:
                 coef_w_to_y=np.zeros(0),
                 fair=True,
             )
-
-    def test_noise_validation(self):
-        import dataclasses
-
-        with pytest.raises(ContractError, match="noise"):
-            dataclasses.replace(default_dag_spec(n=10), y_noise=0.0)
 
 
 class TestWineLike:

@@ -191,7 +191,11 @@ def assert_matches_reference(x, y, x_test, **params):
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
     assert len(model._trees) == len(trees)
     for got, want in zip(model._trees, trees):
-        for name, ref in zip(("feature", "split_bin", "left", "right", "value"), want):
+        feature, split_bin, left, right, value = want
+        # the kernel stores no right child: it is always the left one's sibling
+        assert right.tobytes() == np.where(left >= 0, left + 1, -1).tobytes()
+        for name, ref in zip(("feature", "split_bin", "left", "value"),
+                             (feature, split_bin, left, value)):
             arr = getattr(got, name)
             assert arr.dtype == ref.dtype, name
             assert arr.tobytes() == ref.tobytes(), name
