@@ -44,10 +44,8 @@ from .linalg import (
     solve_least_squares,
 )
 from .metrics import (
-    ComparisonReport,
     MetricsReport,
     ScoreMode,
-    compare_estimators,
     discrimination_score,
     impartiality_score,
     rmse,

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, SchemaError
-from .linalg import r_factor
+from .linalg import independent, r_factor
 
 
 class Role(enum.Enum):
@@ -652,6 +652,16 @@ class BlockLayout:
         if keys in BLOCKS:
             return slice(spans[0].start, spans[-1].stop)
         return np.array([j for span in spans for j in span], dtype=int)
+
+    def kept_in(self, r: np.ndarray, n_rows: int, keys: str = BLOCKS) -> np.ndarray:
+        """Which of Z's columns a regression on the blocks ``keys`` keeps:
+        ``linalg.independent`` on those columns of ``r``, the R factor of an
+        ``n_rows``-row matrix that begins with Z, blocks in S, X, W, B
+        order; False outside ``keys``."""
+        keys = "".join(key for key in BLOCKS if key in keys)
+        cols, kept = self.index(keys), np.zeros(len(self.columns), dtype=bool)
+        kept[cols] = independent(r[:, cols], n_rows, [self.width(key) for key in keys])
+        return kept
 
     def width(self, keys: str) -> int:
         """Number of columns of the named blocks (e.g. ``"wb"``)."""

@@ -129,7 +129,8 @@ def decompose(
     if mode is Mode.FSEO and fit.width("x"):
         raise ContractError("FSEO decomposition requires an empty legitimate block")
 
-    # The training design's own R factor serves; new rows need their own.
+    # The training design's own R serves; new rows need their own. Each
+    # projection decides rank over its own basis.
     r = design.r if z is design.z else r_factor(z)
     parts = {}
     for block, basis, inside, outside in (
@@ -137,7 +138,7 @@ def decompose(
         ("wb", "xs", "sd_minus_mixed", "unique_w"),
     ):
         beta = fit.coefficients[fit.index(block)]
-        coef, _ = regress(r, fit.index(basis), fit.index(block), design.n_rows)
+        coef = regress(r, fit.index(basis), fit.index(block), fit.kept_in(r, design.n_rows, basis))
         parts[inside] = z[:, fit.index(basis)] @ (coef @ beta)
         parts[outside] = z[:, fit.index(block)] @ beta - parts[inside]
     return ComponentReport(mode=mode, intercept=np.full(design.n_rows, fit.beta0), **parts)

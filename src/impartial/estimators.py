@@ -3,13 +3,14 @@
 ``fit_total`` reads the joint fit of the response on the whole centered
 design Z = [S|X|W|B], and the auxiliary regressions the variants need,
 from one R factor of [Z|y] (``EncodedDesign.r``, factored once per design
-and shared by its role views); each regression pivots over its own
-predictors (see ``linalg``). Blocks are column ranges of Z, so every
-regression and every rule slices by column range, and a role change
-(``as_all_*``, ``residualize_suspect``) moves block boundaries instead of
-restacking. ``predict`` then produces any variant's predictions from that
-one fit; only the exclude-sensitive variant needs a refit, which the fit
-derives from its training R when read. Prediction-time data is always
+and shared by its role views); each regression decides rank over its own
+predictors, blocks in the order S, X, W, B (``BlockLayout.kept_in``; see
+``linalg``). Blocks are column ranges of Z, so every regression and every
+rule slices by column range, and a role change (``as_all_*``,
+``residualize_suspect``) moves block boundaries instead of restacking.
+``predict`` then produces any variant's predictions from that one fit;
+only the exclude-sensitive variant needs a refit, which the fit derives
+from its training R when read. Prediction-time data is always
 re-centered with the training means.
 """
 
@@ -53,6 +54,8 @@ class TotalModelFit(BlockLayout):
     (each S column on X, for the decomposition) and ``marginal_coefs`` (the
     exclude-sensitive refit on [X|W|B]) are derived from it on each read,
     by the ``regress`` call a fit-time computation makes: the same bits.
+    Each decides rank over its own predictors, so a column aliased only
+    with S stays in.
     """
 
     beta0: float
@@ -67,12 +70,12 @@ class TotalModelFit(BlockLayout):
     beta_w = property(lambda self: self.coefficients[self.index("w")])
     beta_b = property(lambda self: self.coefficients[self.index("b")])
     beta_wb = property(lambda self: self.coefficients[self.index("wb")])
-    lambda_x_for_s = property(
-        lambda self: regress(self.r, self.index("x"), self.index("s"), self.n)[0]
-    )
-    marginal_coefs = property(
-        lambda self: regress(self.r, self.index("xwb"), [len(self.columns)], self.n)[0][:, 0]
-    )
+    lambda_x_for_s = property(lambda self: self._refit("x", self.index("s")))
+    marginal_coefs = property(lambda self: self._refit("xwb", [len(self.columns)])[:, 0])
+
+    def _refit(self, keys: str, targets) -> np.ndarray:
+        """``regress`` of ``targets`` on the blocks ``keys``, on their own rank decision."""
+        return regress(self.r, self.index(keys), targets, self.kept_in(self.r, self.n, keys))
 
 
 @dataclass(frozen=True)
@@ -96,19 +99,18 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
             stacklevel=2,
         )
 
-    # Every regression reads the design's one R of [Z|y] and pivots over
-    # its own predictors.
-    r, y_col = design.r, [p_total]
-    coefficients, dropped = regress(r, slice(0, p_total), y_col, n)
+    # Every regression reads the design's one R of [Z|y]; the joint rank
+    # decision also serves [W|B] on [S|X], whose predictors lead Z.
+    r, kept = design.r, design.kept_in(design.r, n)
     return TotalModelFit(
         columns=design.columns,
         column_means=design.column_means,
         widths=design.widths,
         beta0=float(design.y.mean()),
-        coefficients=coefficients[:, 0],
-        lambda_sx_for_wb=regress(r, design.index("sx"), design.index("wb"), n)[0],
+        coefficients=regress(r, slice(0, p_total), [p_total], kept)[:, 0],
+        lambda_sx_for_wb=regress(r, design.index("sx"), design.index("wb"), kept),
         n=n,
-        dropped_labels=tuple(design.columns[j] for j in dropped),
+        dropped_labels=tuple(c for c, k in zip(design.columns, kept) if not k),
         r=r,
     )
 
@@ -183,7 +185,7 @@ def residualize_suspect(design: EncodedDesign) -> EncodedDesign:
     if design.width("wb") == 0:
         return design
     s, wb = design.index("s"), design.index("wb")
-    lambda_s = regress(design.r, s, wb, design.n_rows)[0]
+    lambda_s = regress(design.r, s, wb, design.kept_in(design.r, design.n_rows, "s"))
     z = design.z.copy()
     z[:, wb] -= design.z[:, s] @ lambda_s
     resid = tuple(f"resid_{name}" for name in design.columns[wb])

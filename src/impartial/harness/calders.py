@@ -72,7 +72,8 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
     # The centered indicator is the S column of the design, so the linear
     # probability fit is a regression among the columns of design.r.
     covariates = design.index("xwb")
-    coefs = regress(design.r, covariates, design.index("s"), design.n_rows)[0][:, 0]
+    kept = design.kept_in(design.r, design.n_rows, "xwb")
+    coefs = regress(design.r, covariates, design.index("s"), kept)[:, 0]
     cov_means = design.column_means[covariates]
     intercept = float(design.uncentered("s")[:, 0].mean())
     scores = _propensity(cov_means, coefs, intercept, design)

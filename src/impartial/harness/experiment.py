@@ -276,6 +276,8 @@ def kfold_validate(
         )
     raw = assemble(data, schema)
     groups = raw.groups.rows()
+    if len(groups) > 2:
+        raise ContractError(f"validate needs two sensitive groups; the data has {len(groups)}")
     # By default the bias target is the positive group.
     target = bias.target_group_label if bias is not None else None
     pos_group, neg_group = group_pair(list(groups), target)

@@ -9,14 +9,16 @@ n-row Q is never formed) and reads every regression among its columns
 from that R with ``regress``, which factors only the small R. Per-row
 values are then M[:, P] @ coefficients.
 
-``regress`` runs a Householder QR with column pivoting (Businger & Golub,
-the rule of LAPACK's geqp3) on R[:, P]: each step takes the remaining
-column of largest norm, the lowest index among norms equal to within the
-rank tolerance. Rank rule: keep pivot k while |r_kk| > max(n, |P|) *
-machine epsilon * |r_00|, where n is the row count of M, not of R.
-Predictors past the rank are aliased: they get coefficient 0 and are
-reported, never an error. Everything here is deterministic, and no
-function mutates its inputs.
+Which predictors a regression uses is decided by ``independent`` on
+R's columns for them: Householder QR with column pivoting (Businger &
+Golub, LAPACK's geqp3 rule), each pivot the largest-norm column left in
+the earliest block that has any (for a design S, then X, W, B), the
+lowest index among norms equal within the rank tolerance. A block's
+remaining columns are aliased once their largest norm is at most
+max(n, p) * machine epsilon * the largest of the p columns' norms, n the
+row count of M, not of R. ``regress`` then needs no pivoting. Aliased
+predictors get coefficient 0 and are reported, never an error.
+Everything here is deterministic, and no function mutates its inputs.
 """
 
 from __future__ import annotations
@@ -107,40 +109,70 @@ def r_factor(*blocks) -> np.ndarray:
     return rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")
 
 
-def regress(r: np.ndarray, predictors, targets, n_rows: int):
+def independent(r: np.ndarray, n_rows: int, widths) -> np.ndarray:
+    """Mask of the leading sum(``widths``) columns of the matrix M whose R
+    factor is ``r`` that the rank rule keeps; ``n_rows`` is M's row count.
+
+    ``widths`` splits those columns into consecutive blocks, and each pivot
+    comes from the earliest block with columns left (see the module notes).
+    """
+    p = sum(widths)
+    work = np.array(r[:, :p])
+    piv = np.arange(p)
+    tol = max(n_rows, p) * _EPS
+    limit = tol * np.sqrt(np.einsum("ij,ij->j", work, work)).max(initial=0.0)
+    kept = np.zeros(p, dtype=bool)
+    j = end = 0
+    for width in widths:
+        end += width
+        while j < min(end, work.shape[0]):
+            block = work[j:, j:end]
+            norms = np.sqrt(np.einsum("ij,ij->j", block, block))
+            top = norms.max()
+            if top <= limit:
+                break
+            c = j + int(np.argmax(norms >= top * (1.0 - tol)))
+            work[:, [j, c]] = work[:, [c, j]]
+            piv[[j, c]] = piv[[c, j]]
+            v = work[j:, j].copy()
+            v[0] += top if v[0] >= 0.0 else -top
+            tail = work[j:, j + 1 :]
+            tail -= np.outer(v, (2.0 / (v @ v)) * (v @ tail))
+            kept[piv[j]] = True
+            j += 1
+        if j < end:  # the block's aliased columns leave the work
+            work, piv = np.delete(work, np.s_[j:end], axis=1), np.delete(piv, np.s_[j:end])
+            end = j
+    return kept
+
+
+def regress(r: np.ndarray, predictors, targets, kept: np.ndarray) -> np.ndarray:
     """OLS of the columns ``targets`` on the columns ``predictors`` of the
-    matrix M whose R factor is ``r``; ``n_rows`` is M's row count.
+    matrix M whose R factor is ``r``, using only the predictors that
+    ``kept`` (indexed by column, from ``independent``) marks.
 
     ``predictors`` and ``targets`` index columns of ``r`` (a slice or an
-    index array). Returns ``(coefficients, dropped)``: a
-    (len(predictors), len(targets)) array whose rows for aliased
-    predictors are 0.0, and those predictors' positions, sorted.
+    index array). Returns a (len(predictors), len(targets)) array whose
+    rows for predictors not kept are 0.0.
     """
-    a = r[:, predictors]
-    k = a.shape[1]
-    work = np.hstack([a, r[:, targets]])
-    piv, tol, limit, rank = np.arange(k), max(n_rows, k) * _EPS, 0.0, 0
-    for j in range(min(work.shape[0], k)):
-        block = work[j:, j:k]
-        norms = np.sqrt(np.einsum("ij,ij->j", block, block))
-        top = norms.max()
-        if top <= limit:
-            break
-        limit, rank = limit or tol * top, j + 1
-        c = j + int(np.argmax(norms >= top * (1.0 - tol)))
-        work[:, [j, c]] = work[:, [c, j]]
-        piv[[j, c]] = piv[[c, j]]
-        v = work[j:, j].copy()
-        alpha = -top if v[0] >= 0.0 else top
-        v[0] -= alpha
-        tail = work[j:, j + 1 :]
-        tail -= np.outer(v, (2.0 / (v @ v)) * (v @ tail))
-        work[j, j] = alpha
-    coef = np.zeros((k, work.shape[1] - k))
-    for i in reversed(range(rank)):
-        rhs = work[i, k:] - work[i, i + 1 : rank] @ coef[piv[i + 1 : rank]]
-        coef[piv[i]] = rhs / work[i, i]
-    return coef, tuple(sorted(int(i) for i in piv[rank:]))
+    cols = np.arange(r.shape[1])[predictors]
+    use, t = kept[cols], r[:, targets]
+    coef, k = np.zeros((len(cols), t.shape[1])), int(use.sum())
+    if k and t.shape[1]:
+        f = np.linalg.qr(np.hstack([r[:, cols[use]], t]), mode="r")
+        # f[:k, :k] is upper triangular, so LU's row pivoting is the identity
+        # and this solve is a back substitution.
+        coef[use] = np.linalg.solve(f[:k, :k], f[:k, k:])
+    return coef
+
+
+def _solve(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """OLS coefficients of ``targets`` on every column of ``x`` as one block,
+    and the kept mask."""
+    n, p = x.shape
+    r = r_factor(x, targets)
+    kept = independent(r, n, (p,))
+    return regress(r, slice(0, p), slice(p, None), kept), kept
 
 
 def solve_least_squares(design, response) -> LeastSquaresFit:
@@ -152,16 +184,15 @@ def solve_least_squares(design, response) -> LeastSquaresFit:
     """
     y = _as_vector(response, "response")
     x, _ = _as_pair(design, y[:, None], ("design", "response"))
-    n, p = x.shape
-    coef, dropped = regress(r_factor(x, y), slice(0, p), [p], n)
+    coef, kept = _solve(x, y)
     coef = coef[:, 0]
     fitted = x @ coef
     return LeastSquaresFit(
         coefficients=coef,
         fitted=fitted,
         residuals=y - fitted,
-        rank=p - len(dropped),
-        dropped_columns=dropped,
+        rank=int(kept.sum()),
+        dropped_columns=tuple(np.flatnonzero(~kept).tolist()),
     )
 
 
@@ -171,9 +202,7 @@ def solve_least_squares_multi(design, responses) -> np.ndarray:
     Returns a (p, k) coefficient matrix; aliased design columns get zero
     rows.
     """
-    x, ys = _as_pair(design, responses, ("design", "responses"))
-    p = x.shape[1]
-    return regress(r_factor(x, ys), slice(0, p), slice(p, None), x.shape[0])[0]
+    return _solve(*_as_pair(design, responses, ("design", "responses")))[0]
 
 
 def project(basis, target) -> ProjectionPair:
@@ -184,7 +213,5 @@ def project(basis, target) -> ProjectionPair:
     projects everything to zero.
     """
     b, t = _as_pair(basis, target, ("basis", "target"))
-    p = b.shape[1]
-    coef, _ = regress(r_factor(b, t), slice(0, p), slice(p, None), b.shape[0])
-    projected = b @ coef
+    projected = b @ _solve(b, t)[0]
     return ProjectionPair(projected=projected, orthogonal=t - projected)

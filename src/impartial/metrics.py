@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Categorical, EncodedDesign
 from .errors import ContractError, DataError
-from .linalg import r_factor, regress
+from .linalg import independent, r_factor, regress
 
 VAR_GUARD = 1e-12
 
@@ -65,16 +65,6 @@ class MetricsReport:
     is_mode: ScoreMode
     per_group_means: dict[str, float]
     n: int
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-row and aggregate differences (a - b) between two prediction sets."""
-
-    per_row: np.ndarray
-    mean_diff: float
-    mean_abs_diff: float
-    per_group_mean_diff: dict[str, float]
 
 
 def rmse(predictions, truth) -> float:
@@ -195,15 +185,17 @@ def impartiality_conditions(
         squares = np.einsum("ij,ij->j", r, r)
     if not np.all(np.isfinite(squares)):
         raise DataError("values too large to score: a column's sum of squares is not finite")
-    means = regress(r, [0], slice(1, None), n)[0][0]
+    means = regress(r, [0], slice(1, None), np.ones(1, dtype=bool))[0]  # 1 is never aliased
     c = r[:, 1:] - np.outer(r[:, 0], means)
     var = np.einsum("ij,ij->j", c, c) / n
     cs, cx, cw = slice(0, p_s), slice(p_s, p_s + p_x), slice(p_s + p_x, -2)
     # eta, the residual of yhat on [1|X], replaces c's last column: the
     # centered yhat on the centered X columns that vary (a constant column
-    # lies in the ones column's span).
+    # lies in the ones column's span), decided as one block to keep X's span.
     varying = p_s + np.flatnonzero(var[cx] > VAR_GUARD)
-    c[:, -1] -= c[:, varying] @ regress(c, varying, [-1], n)[0][:, 0]
+    kept = np.zeros(len(var), dtype=bool)
+    kept[varying] = independent(c[:, varying], n, (varying.size,))
+    c[:, -1] -= c[:, varying] @ regress(c, varying, [-1], kept)[:, 0]
     var[-1] = c[:, -1] @ c[:, -1] / n
     ok = var > VAR_GUARD
     sds = np.sqrt(np.where(ok, var, 1.0))
@@ -211,8 +203,8 @@ def impartiality_conditions(
     dead = [s_labels[j] if s_labels else str(j) for j in np.flatnonzero(~ok[cs])]
     if dead:
         raise ContractError(f"sensitive column(s) {dead} are constant; Cor(s) is singular")
-    _, aliased = regress(c[:, cs] / sds[cs], slice(0, p_s), slice(0, 0), n)
-    if aliased:
+    aliased = np.flatnonzero(~independent(c[:, cs] / sds[cs], n, (p_s,)))
+    if aliased.size:
         names = sorted(s_labels[j] if s_labels else str(j) for j in aliased)
         raise ContractError(f"sensitive columns are aliased ({names}); Cor(s) is singular")
 
@@ -245,22 +237,6 @@ def impartiality_score(
         predictions, residual_target, design.s, design.x, design.block("wb"), design.s_labels
     )
     return gaps.total_abs() / (1 + design.z.shape[1])
-
-
-def compare_estimators(a, b, group_labels) -> ComparisonReport:
-    """Row, overall, and per-group differences between two prediction sets.
-
-    Accepts either raw vectors or ImpartialPrediction objects. Swapping
-    the operands negates every signed field.
-    """
-    va, vb = _aligned_pair(getattr(a, "values", a), getattr(b, "values", b))
-    diff = va - vb
-    return ComparisonReport(
-        per_row=diff,
-        mean_diff=float(diff.mean()),
-        mean_abs_diff=float(np.abs(diff).mean()),
-        per_group_mean_diff=group_means(diff, group_labels),
-    )
 
 
 def score_predictions(

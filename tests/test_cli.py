@@ -587,6 +587,16 @@ class TestValidate:
         else:
             assert "rmse_raw" in captured.out
 
+    def test_three_groups_are_refused_without_naming_flags(self, loan_files, tmp_path, capsys):
+        # validate scores DS for two groups and has no flags to pick them
+        write_three_groups(tmp_path / "three.csv")
+        argv = ["validate", "--data", str(tmp_path / "three.csv"), "--schema",
+                str(loan_files[1]), "--bias-group", "a"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "usage error: validate needs two sensitive groups; the data has 3\n"
+        )
+
     def test_thread_setting_is_not_read(self, monkeypatch, capsys):
         # the package reads no environment variable: repetitions run in one
         # loop, and an IMPARTIAL_THREADS value, even an invalid one, is ignored
@@ -629,6 +639,13 @@ def _bad_input_cases():
                       *one_group], 1, id="one-group-correct"),
         pytest.param(["validate", *one_group], 1, id="one-group-validate"),
     ]
+
+
+def write_three_groups(path):
+    """60 loan-schema rows in the three groups a, b and c."""
+    path.write_text("default,edu,group\n" + "".join(
+        f"{i % 2},{'low' if i // 3 % 2 else 'high'},{'abc'[i % 3]}\n" for i in range(60)
+    ), encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv, code", _bad_input_cases())

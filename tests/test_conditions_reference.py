@@ -27,10 +27,49 @@ from hypothesis import strategies as st
 
 from impartial import linalg
 from impartial.errors import ContractError
-from impartial.linalg import r_factor, regress
+from impartial.linalg import r_factor
 from impartial.metrics import VAR_GUARD, impartiality_conditions
 
 TOL = 1e-10
+_EPS = np.finfo(float).eps
+
+
+# The reference regression: each call pivots over its own predictors.
+def regress(r: np.ndarray, predictors, targets, n_rows: int):
+    """OLS of the columns ``targets`` on the columns ``predictors`` of the
+    matrix M whose R factor is ``r``; ``n_rows`` is M's row count.
+
+    ``predictors`` and ``targets`` index columns of ``r`` (a slice or an
+    index array). Returns ``(coefficients, dropped)``: a
+    (len(predictors), len(targets)) array whose rows for aliased
+    predictors are 0.0, and those predictors' positions, sorted.
+    """
+    a = r[:, predictors]
+    k = a.shape[1]
+    work = np.hstack([a, r[:, targets]])
+    piv, tol, limit, rank = np.arange(k), max(n_rows, k) * _EPS, 0.0, 0
+    for j in range(min(work.shape[0], k)):
+        block = work[j:, j:k]
+        norms = np.sqrt(np.einsum("ij,ij->j", block, block))
+        top = norms.max()
+        if top <= limit:
+            break
+        limit, rank = limit or tol * top, j + 1
+        c = j + int(np.argmax(norms >= top * (1.0 - tol)))
+        work[:, [j, c]] = work[:, [c, j]]
+        piv[[j, c]] = piv[[c, j]]
+        v = work[j:, j].copy()
+        alpha = -top if v[0] >= 0.0 else top
+        v[0] -= alpha
+        tail = work[j:, j + 1 :]
+        tail -= np.outer(v, (2.0 / (v @ v)) * (v @ tail))
+        work[j, j] = alpha
+    coef = np.zeros((k, work.shape[1] - k))
+    for i in reversed(range(rank)):
+        rhs = work[i, k:] - work[i, i + 1 : rank] @ coef[piv[i + 1 : rank]]
+        coef[piv[i]] = rhs / work[i, i]
+    return coef, tuple(sorted(int(i) for i in piv[rank:]))
+
 
 
 def _correlations(m: np.ndarray) -> np.ndarray:

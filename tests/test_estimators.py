@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import build_design, cell_values, random_design
-from impartial.data import Role, encode, take_design
+from impartial.data import ColumnSpec, Role, Schema, encode, make_dataset, take_design
 from impartial import estimators
 from impartial.decomposition import Mode, decompose, decompose_coefficients
 from impartial.errors import ContractError, DataError, VariantError
@@ -17,7 +17,7 @@ from impartial.estimators import (
     with_blackbox,
 )
 from impartial.harness import simple_example_schema
-from impartial.linalg import regress, solve_least_squares
+from impartial.linalg import regress, solve_least_squares, solve_least_squares_multi
 
 ALL_PREDICTABLE = (
     Variant.FULL,
@@ -74,6 +74,60 @@ class TestFitTotal:
         with pytest.warns(UserWarning, match="rank"):
             fit_total(design)
 
+
+def scaled_alias_design(c):
+    """200 rows of a two-group sensitive ``s``, a legitimate ``x`` and a
+    legitimate ``xs`` equal to c times the encoded ``s``."""
+    rng = np.random.default_rng(41)
+    s = rng.random(200) < 0.4
+    x = rng.standard_normal(200) + s
+    columns = {"y": 1.0 + 0.8 * s + 0.5 * x + rng.standard_normal(200),
+               "s": tuple("b" if v else "a" for v in s), "x": x, "xs": c * s}
+    if s[0]:
+        columns["xs"] = c * ~s  # the encoded s is the indicator of the second level
+    schema = Schema(columns=(
+        ColumnSpec("y", Role.RESPONSE), ColumnSpec("s", Role.SENSITIVE, True),
+        ColumnSpec("x", Role.LEGITIMATE), ColumnSpec("xs", Role.LEGITIMATE),
+    ))
+    return encode(make_dataset(columns), schema)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 2.0**10, 2.0**-10])
+def test_sensitive_column_survives_a_scaled_legitimate_alias(c):
+    # S comes first in the rank decision, so whatever its units the alias
+    # in X is the column dropped, and FEO predictions carry no S
+    want_design = scaled_alias_design(0.5)
+    want = fit_total(want_design)
+    design = scaled_alias_design(c)
+    fit = fit_total(design)
+    assert fit.dropped_labels == want.dropped_labels == ("xs",)
+    scale = np.max(np.abs(want.beta_s))
+    assert np.max(np.abs(fit.beta_s - want.beta_s)) <= 1e-12 * scale
+    feo = predict(fit, design, Variant.FEO).values
+    want_feo = predict(want, want_design, Variant.FEO).values
+    assert np.max(np.abs(feo - want_feo)) <= 1e-12 * np.max(np.abs(want_feo))
+
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0**10])
+def test_regressions_that_leave_s_out_keep_its_alias(c):
+    # the joint fit drops xs, but without S it is not aliased: the refit and
+    # the projections on a basis without S are OLS on all their predictors
+    design = scaled_alias_design(c)
+    fit = fit_total(design)
+    z, y = design.z, design.y - design.y.mean()
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    xwb, x, s = (z[:, design.index(key)] for key in ("xwb", "x", "s"))
+    close(fit.marginal_coefs, solve_least_squares(xwb, y).coefficients)
+    close(fit.lambda_x_for_s, solve_least_squares_multi(x, s))
+    close(predict(fit, design, Variant.EXCLUDE_S).values,
+          fit.beta0 + xwb @ solve_least_squares(xwb, y).coefficients)
+    report = decompose(fit, design, Mode.TOTAL)
+    close(report.di, solve_least_squares(xwb, s @ fit.beta_s).fitted)
+    close(report.di + report.dt, s @ fit.beta_s)
 
 class TestPredictVariants:
     def test_feo_cells(self, table1_fit, table1_design, table1_data):
@@ -473,8 +527,9 @@ class TestRegressionCount:
         design = random_design(np.random.default_rng(32), n=300, p_s=2, p_x=3, p_w=0)
         fit = fit_total(design)
         r, n = design.r, design.n_rows
-        lambda_x = regress(r, design.index("x"), design.index("s"), n)[0]
-        marginal = regress(r, design.index("xwb"), [design.z.shape[1]], n)[0][:, 0]
+        lambda_x = regress(r, design.index("x"), design.index("s"), design.kept_in(r, n, "x"))
+        marginal = regress(r, design.index("xwb"), [design.z.shape[1]],
+                           design.kept_in(r, n, "xwb"))[:, 0]
         assert fit.lambda_x_for_s.tobytes() == lambda_x.tobytes()
         assert fit.marginal_coefs.tobytes() == marginal.tobytes()
         parts = decompose_coefficients(fit)

@@ -7,6 +7,7 @@ from impartial.errors import ContractError, DataError
 from impartial.harness import simple_example_schema
 from impartial.data import EncodedDesign, center, encode
 from impartial.linalg import (
+    independent,
     project,
     r_factor,
     regress,
@@ -125,27 +126,29 @@ class TestRegress:
         rng = np.random.default_rng(9)
         a = rng.standard_normal(1000)
         c = a + 1e-14 * np.linalg.norm(a) * rng.standard_normal(1000) / np.sqrt(1000)
-        m = np.column_stack([a, c])
-        coef, dropped = regress(r_factor(m), [0, 1], [], 1000)
-        assert dropped == (1,) and coef.shape == (2, 0)
+        r = r_factor(np.column_stack([a, c]))
+        kept = independent(r, 1000, (2,))
+        assert kept.tolist() == [True, False]
+        assert regress(r, [0, 1], [], kept).shape == (2, 0)
 
     def test_each_regression_pivots_over_its_predictors(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
         r = r_factor(x, y)
+        kept = independent(r, 40, (3,))
         for predictors in ([0, 1, 2], [2, 0], [1]):
-            coef, dropped = regress(r, predictors, [3], 40)
+            coef = regress(r, predictors, [3], kept)
             want = solve_least_squares(x[:, predictors], y)
             np.testing.assert_allclose(coef[:, 0], want.coefficients, rtol=1e-12)
-            assert dropped == want.dropped_columns == ()
+            assert kept.all() and want.dropped_columns == ()
 
     def test_empty_predictors_and_targets(self):
         r = r_factor(np.ones((5, 2)))
-        coef, dropped = regress(r, slice(0, 0), [0, 1], 5)
-        assert coef.shape == (0, 2) and dropped == ()
-        coef, dropped = regress(r, [0, 1], slice(0, 0), 5)
-        assert coef.shape == (2, 0) and dropped == (1,)
+        kept = independent(r, 5, (2,))
+        assert kept.tolist() == [True, False]
+        assert regress(r, slice(0, 0), [0, 1], kept).shape == (0, 2)
+        assert regress(r, [0, 1], slice(0, 0), kept).shape == (2, 0)
 
 
 class TestProject:

@@ -5,7 +5,7 @@ are the solvers ``impartial.linalg`` used to be: scipy's economic QR with
 column pivoting of the n-row design, an explicit Q and a triangular solve,
 with the same rank rule. The package now factors each matrix once with
 numpy and pivots only on the small R (``linalg.r_factor`` and
-``linalg.regress``). On awkward designs both must keep the same rank and
+``linalg.independent``). On awkward designs both must keep the same rank and
 drop the same columns, where exact copies of a column count as one: LAPACK
 breaks that tie by rounding, the one-R solver always keeps the first copy.
 
@@ -21,8 +21,12 @@ copy plus 1e-4 noise, kappa up to about 1e6 on a few rows), where both
 solvers are about 1e-9 from a long-double solution.
 
 The estimators are checked the same way: ``fit_total``, ``decompose`` and
-``impartiality_score`` with every regression routed through the reference
-solver on the n-row matrix, against the one-R path.
+``impartiality_score`` with every rank decision and regression routed
+through scipy on the n-row matrix, against the one-R path.
+``reference_independent`` decides block by block, in the order S, X, W, B,
+with scipy's pivoted QR of each block less its projection on the columns
+kept before it; on a design with exact aliases across blocks both paths
+must drop the columns the block order names.
 """
 
 import numpy as np
@@ -31,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impartial import data, decomposition, estimators, metrics
-from impartial.data import encode
+from impartial.data import ColumnSpec, Role, Schema, encode, make_dataset
 from impartial.decomposition import COMPONENT_NAMES, Mode, decompose
 from impartial.estimators import Variant, fit_total, predict, with_blackbox
 from impartial.harness import default_dag_spec, gen_dag, gen_wine_like
@@ -91,9 +95,30 @@ def reference_r_factor(*blocks):
     return np.column_stack([np.reshape(b, (len(b), -1)) for b in blocks])
 
 
-def reference_regress(m, predictors, targets, n_rows):
-    coef, _, dropped = reference_solve_multi(m[:, predictors], m[:, targets])
-    return coef, dropped
+def reference_independent(m, n_rows, widths):
+    """Stand-in for ``independent`` on the n-row matrix ``m``: per block, the
+    pivots of the block less its projection on the columns kept so far that
+    exceed the rank tolerance (max(n, p) * eps * largest column norm)."""
+    p = sum(widths)
+    m = np.asarray(m, dtype=float)[:, :p]
+    limit = max(n_rows, p) * EPS * np.max(np.linalg.norm(m, axis=0), initial=0.0)
+    kept, start = np.zeros(p, dtype=bool), 0
+    for width in widths:
+        block = m[:, start : start + width]
+        rest = block - reference_project(m[:, kept], block)
+        if width:
+            _, r, piv = scipy_linalg.qr(rest, mode="economic", pivoting=True)
+            kept[start + piv[: int(np.sum(np.abs(np.diag(r)) > limit))]] = True
+        start += width
+    return kept
+
+
+def reference_regress(m, predictors, targets, kept):
+    """The old solve on the predictors ``kept`` marks; zero rows for the rest."""
+    cols = np.arange(m.shape[1])[predictors]
+    coef = np.zeros((len(cols), m[:, targets].shape[1]))
+    coef[kept[cols]] = reference_solve_multi(m[:, cols[kept[cols]]], m[:, targets])[0]
+    return coef
 
 
 def copies(x) -> np.ndarray:
@@ -205,6 +230,23 @@ def _dag():
     return encode(*gen_dag(default_dag_spec(n=2000, p_x_observed=6, p_w=4, seed=4)))
 
 
+def _aliased():
+    """400 rows with exact aliases across blocks: a legitimate 2**10 times
+    the sensitive indicator and a suspect -2 times a legitimate column."""
+    rng = np.random.default_rng(5)
+    s = rng.random(400) < 0.4
+    x = rng.standard_normal((400, 2)) + s[:, None]
+    w = 0.5 * x[:, 0] + s + rng.standard_normal(400)
+    columns = {"y": 1.0 + s + x @ [0.5, -0.3] + 0.4 * w + rng.standard_normal(400),
+               "s": tuple("b" if v else "a" for v in s), "x0": x[:, 0], "x1": x[:, 1],
+               "xs": 2.0**10 * (s if not s[0] else ~s), "w": w, "wx": -2.0 * x[:, 1]}
+    roles = {"y": Role.RESPONSE, "s": Role.SENSITIVE, "x0": Role.LEGITIMATE,
+             "x1": Role.LEGITIMATE, "xs": Role.LEGITIMATE, "w": Role.SUSPECT,
+             "wx": Role.SUSPECT}
+    schema = Schema(columns=tuple(ColumnSpec(k, v, k == "s") for k, v in roles.items()))
+    return encode(make_dataset(columns), schema)
+
+
 def _estimates(make_design):
     """fit_total, total decompose and both impartiality scores on a fresh design."""
     design = make_design()
@@ -230,16 +272,20 @@ def _estimates(make_design):
     }
 
 
-@pytest.mark.parametrize("make_design", [_wine, _dag], ids=["wine", "dag_px6_pw4"])
-def test_estimators_match_reference(make_design, monkeypatch):
+@pytest.mark.parametrize("make_design, dropped", [
+    (_wine, ()), (_dag, ()), (_aliased, ("xs", "wx") * 2),
+], ids=["wine", "dag_px6_pw4", "aliased"])
+def test_estimators_match_reference(make_design, dropped, monkeypatch):
     got = _estimates(make_design)
     for module in (data, decomposition, metrics):
         monkeypatch.setattr(module, "r_factor", reference_r_factor)
+    for module in (data, metrics):
+        monkeypatch.setattr(module, "independent", reference_independent)
     for module in (estimators, decomposition, metrics):
         monkeypatch.setattr(module, "regress", reference_regress)
     want = _estimates(make_design)
 
-    assert got["dropped"] == want["dropped"]
+    assert got["dropped"] == want["dropped"] == dropped
     for key in ("coefficients", "lambda_sx_for_wb", "lambda_x_for_s", "marginal_coefs",
                 "corrected_coefficients"):
         assert_close(got[key], want[key], float(np.max(np.abs(want[key]), initial=0.0)))
