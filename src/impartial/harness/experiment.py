@@ -17,12 +17,26 @@ score mode (FEO or SEO) of its held-out predictions, which are scored on
 the whole design. The dataset is assembled into that matrix once; every
 fold's training and test designs are row slices of it, re-centered
 within the fold. All randomness derives from one master seed via a
-64-bit mix, so results are reproducible bit for bit. Repetitions run in
-order, and each is scored as soon as it ends.
+64-bit mix, so results are reproducible bit for bit, whatever the
+number of processes.
+
+Repetitions run in batches of two phases. First a pool of forked
+workers, one per CPU the process may use (``os.sched_getaffinity``) but
+no more than there are bags, grows every black-box bag of the batch, one
+task per (repetition, fold); a batch is one repetition per worker. A
+worker reads the design, config and bias through fork, never pickled,
+and redraws its fold from the seeds. Then this process runs the batch's
+least-squares and stratified fits and scores, repetition by repetition.
+The phases never overlap, so no BLAS thread of this process competes
+with the workers. With one CPU, no ``sched_getaffinity``, no black box
+or in a daemonic process, each bag grows inline when it is read.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,42 +202,90 @@ _ROLES = dict.fromkeys(Variant, (lambda design: design, ScoreMode.SEO)) | {
 }
 
 
-def _run_repetition(
-    raw: EncodedDesign,
-    groups: dict[str, np.ndarray],
-    config: ExperimentConfig,
-    bias: BiasSpec | None,
-    rep: int,
-) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray | None]:
-    """One repetition: biased response, pooled held-out predictions per
-    variant, and (when configured) pooled black-box raw predictions.
-
-    ``raw`` is the whole dataset assembled once (``data.assemble``); each
-    fold's training and test designs are row slices of it, re-centered.
-    ``groups`` is ``raw.groups.rows()``, computed once per protocol.
-    """
-    n = raw.n_rows
+def _split(inputs, rep: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """A repetition's biased response and its folds' sorted (train, test)
+    rows. ``inputs`` is (raw, groups, config, bias); the draws derive from
+    the seeds alone, so the caller and every worker draw the same."""
+    raw, groups, config, bias = inputs
     y_biased = raw.y
     if bias is not None:
         y_biased = _biased_response(
             raw.y, bias, groups, derive_seed(config.master_seed, rep, _BIAS_SLOT)
         )
-    raw_biased = raw.replace(y=y_biased)
-    perm = np.random.default_rng(
-        derive_seed(config.master_seed, rep, _PERM_SLOT)
-    ).permutation(n)
-    bounds = np.linspace(0, n, config.folds + 1).astype(int)
+    rng = np.random.default_rng(derive_seed(config.master_seed, rep, _PERM_SLOT))
+    perm = rng.permutation(raw.n_rows)
+    bounds = np.linspace(0, raw.n_rows, config.folds + 1).astype(int)
+    return y_biased, [
+        (np.sort(np.concatenate([perm[:lo], perm[hi:]])), np.sort(perm[lo:hi]))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
-    pooled = {v.value: np.zeros(n) for v in config.variants}
-    bb_pooled = (
-        np.zeros(n) if Variant.BLACKBOX_CORRECTED in config.variants else None
+
+_inputs = None  # set in each forked worker as it starts, never in the caller
+
+
+def _share(inputs) -> None:
+    global _inputs
+    _inputs = inputs
+
+
+def _grow_bag(rep: int, fold: int, inputs=None) -> tuple[np.ndarray, np.ndarray]:
+    """One fold's black box: its out-of-bag training predictions and its
+    held-out predictions. ``inputs`` defaults to the forked worker's."""
+    inputs = inputs or _inputs
+    raw, _, config, _ = inputs
+    y_biased, folds = _split(inputs, rep)
+    train_idx, test_idx = folds[fold]
+    train = take_design(raw.replace(y=y_biased), train_idx)
+    model = BaggedTrees(config.blackbox_trees, config.blackbox_depth, BLACKBOX_MIN_LEAF,
+                        seed=derive_seed(config.master_seed, rep, fold))
+    model.fit(train.uncentered(), train.y)
+    return model.oob_train_predictions(), model.predict(take_design(raw, test_idx).uncentered())
+
+
+@contextlib.contextmanager
+def _bag_source(inputs, workers: int):
+    """Phase 1: yields ``grow(reps)``, the lookup (rep, fold) -> ``_grow_bag``'s
+    outputs, each read once, which raises a bag's error. ``workers`` forked
+    processes grow every bag of ``reps`` before ``grow`` returns; a daemonic
+    process may have no children. The pool is shut down on every exit."""
+    import multiprocessing
+
+    if workers < 2 or multiprocessing.current_process().daemon:
+        yield lambda reps: functools.partial(_grow_bag, inputs=inputs)
+        return
+    from concurrent.futures import ProcessPoolExecutor, wait
+
+    folds = range(inputs[2].folds)  # inputs is (raw, groups, config, bias)
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), initializer=_share, initargs=(inputs,)
     )
 
-    for fold in range(config.folds):
-        test_idx = np.sort(perm[bounds[fold] : bounds[fold + 1]])
-        train_idx = np.sort(
-            np.concatenate([perm[: bounds[fold]], perm[bounds[fold + 1] :]])
-        )
+    def grow(reps):
+        bags = {(r, f): pool.submit(_grow_bag, r, f) for r in reps for f in folds}
+        wait(bags.values())
+        return lambda rep, fold: bags.pop((rep, fold)).result()
+
+    try:
+        yield grow
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_repetition(
+    inputs, rep: int, bag
+) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray | None]:
+    """Phase 2 of one repetition: biased response, pooled held-out
+    predictions per variant, and (when configured) pooled black-box raw
+    predictions, whose bags ``bag(rep, fold)`` gives."""
+    raw, _, config, _ = inputs
+    y_biased, folds = _split(inputs, rep)
+    raw_biased = raw.replace(y=y_biased)
+
+    pooled = {v.value: np.zeros(raw.n_rows) for v in config.variants}
+    bb_pooled = np.zeros(raw.n_rows) if Variant.BLACKBOX_CORRECTED in config.variants else None
+
+    for fold, (train_idx, test_idx) in enumerate(folds):
         enc_train = take_design(raw_biased, train_idx)
         enc_test = take_design(raw, test_idx)
 
@@ -235,16 +297,8 @@ def _run_repetition(
                 cfit = fit_calders(view(enc_train), bins=CALDERS_BINS)
                 values = predict_calders(cfit, test)
             elif variant is Variant.BLACKBOX_CORRECTED:
-                model = BaggedTrees(
-                    n_trees=config.blackbox_trees,
-                    max_depth=config.blackbox_depth,
-                    min_leaf=BLACKBOX_MIN_LEAF,
-                    seed=derive_seed(config.master_seed, rep, fold),
-                ).fit(enc_train.uncentered(), enc_train.y)
-                bb_test = model.predict(enc_test.uncentered())
-                fit = fit_total(
-                    with_blackbox(view(enc_train), model.oob_train_predictions())
-                )
+                bb_train, bb_test = bag(rep, fold)
+                fit = fit_total(with_blackbox(view(enc_train), bb_train))
                 values = predict(fit, with_blackbox(test, bb_test), variant).values
                 bb_pooled[test_idx] = bb_test
             else:
@@ -285,20 +339,26 @@ def kfold_validate(
     y_raw = enc_full.y
 
     sums = {v.value: {m: 0.0 for m in METRIC_NAMES} for v in config.variants}
-    for rep in range(config.repetitions):
-        y_biased, pooled, bb_pooled = _run_repetition(raw, groups, config, bias, rep)
-        for variant in config.variants:
-            values = pooled[variant.value]
-            design = enc_full
-            if variant is Variant.BLACKBOX_CORRECTED:
-                design = with_blackbox(enc_full, bb_pooled)
-            entry = sums[variant.value]
-            entry["rmse_biased"] += rmse(values, y_biased)
-            entry["rmse_raw"] += rmse(values, y_raw)
-            entry["ds"] += discrimination_score(
-                values, enc_full.groups, pos_group, neg_group
-            )
-            entry["is"] += impartiality_score(values, design, y_biased, _ROLES[variant][1])
+    inputs = (raw, groups, config, bias)
+    tasks = config.repetitions * config.folds * (Variant.BLACKBOX_CORRECTED in config.variants)
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(tasks, len(affinity(0))) if affinity else 1
+    batch = max(workers, 1)  # repetitions whose bags are held at once
+    with _bag_source(inputs, workers) as grow:
+        for rep in range(config.repetitions):
+            if rep % batch == 0:
+                bag = grow(range(rep, config.repetitions)[:batch])
+            y_biased, pooled, bb_pooled = _run_repetition(inputs, rep, bag)
+            for variant in config.variants:
+                values = pooled[variant.value]
+                design = enc_full
+                if variant is Variant.BLACKBOX_CORRECTED:
+                    design = with_blackbox(enc_full, bb_pooled)
+                entry = sums[variant.value]
+                entry["rmse_biased"] += rmse(values, y_biased)
+                entry["rmse_raw"] += rmse(values, y_raw)
+                entry["ds"] += discrimination_score(values, enc_full.groups, pos_group, neg_group)
+                entry["is"] += impartiality_score(values, design, y_biased, _ROLES[variant][1])
     count = config.repetitions
     means = {
         vname: {m: s / count for m, s in metric_sums.items()}

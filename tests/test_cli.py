@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import multiprocessing
 import os
 import shutil
 import stat
@@ -587,6 +588,19 @@ class TestValidate:
         else:
             assert "rmse_raw" in captured.out
 
+    def test_bag_workers_exit_as_one_process_does(self, monkeypatch, capsys):
+        # the bias draw fails in the bag workers too; none may outlive the call
+        argv = ["validate", "--simulate", "wine", "--n", "300", "--folds", "2", "--reps", "2",
+                "--variants", "full,corrected", "--bias-group", "white", "--bias-frac", "0.5",
+                "--bias-shift", "1e308"]
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            runs.append((main(argv), capsys.readouterr().err))
+            assert multiprocessing.active_children() == []
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and runs[0][1].startswith("error: bias shift 1e+308 on group ")
+
     def test_three_groups_are_refused_without_naming_flags(self, loan_files, tmp_path, capsys):
         # validate scores DS for two groups and has no flags to pick them
         write_three_groups(tmp_path / "three.csv")
@@ -692,6 +706,18 @@ def test_logged_warning_prints_as_one_line(capsys):
     assert err and all(line.startswith("warning: propensity bin ") for line in err)
     assert not any(isinstance(h, logging.StreamHandler)
                    for h in logging.getLogger("impartial").handlers)
+
+
+def test_logged_warnings_do_not_depend_on_bag_workers(monkeypatch, capsys):
+    argv = ["validate", "--simulate", "dag", "--n", "20", "--folds", "2", "--reps", "2",
+            "--variants", "calders,corrected"]
+    errs = []
+    for cpus in ({0}, {0, 1}):  # bags grown inline, then in two workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert main(argv) == 0
+        errs.append(capsys.readouterr().err.splitlines())
+    assert errs[0] == errs[1]
+    assert errs[0] and all(line.startswith("warning: propensity bin ") for line in errs[0])
 
 
 class TestSimulate:

@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from impartial.data import encode
 from impartial.errors import ContractError, DataError
 from impartial.estimators import Variant, fit_total, predict
+from impartial.harness import experiment
 from impartial.harness import (
     BiasSpec,
     ExperimentConfig,
@@ -248,3 +251,66 @@ class TestEverySettingReachesResult:
         else:
             bias = dataclasses.replace(bias, **{field: self.CHANGED[field]})
         assert kfold_validate(data, schema, config, bias).csv_rows() != base
+
+
+def _cpus(monkeypatch, count):
+    """Let the protocol see ``count`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _rows_in_daemon():
+    data, schema = gen_wine_like(n=300, seed=3)
+    return kfold_validate(data, schema, TestBagWorkers.CONFIG, TestBagWorkers.BIAS).csv_rows()
+
+
+class TestBagWorkers:
+    """Black-box bags grow in forked workers; the table keeps its bits."""
+
+    CONFIG = ExperimentConfig(
+        folds=3,
+        repetitions=3,
+        variants=(Variant.FULL, Variant.BLACKBOX_CORRECTED),
+        master_seed=5,
+        blackbox_trees=2,
+        blackbox_depth=2,
+    )
+    BIAS = BiasSpec("white", 0.5, 1.0)
+
+    @pytest.fixture(scope="class")
+    def small_wine(self):
+        return gen_wine_like(n=300, seed=3)
+
+    def rows(self, small_wine):
+        return kfold_validate(*small_wine, self.CONFIG, self.BIAS).csv_rows()
+
+    def test_rows_do_not_depend_on_the_worker_count(self, small_wine, monkeypatch):
+        # 2 workers take 3 repetitions as a batch of 2 and a partial batch of 1
+        rows = {}
+        for count in (1, 2, 3):
+            _cpus(monkeypatch, count)
+            rows[count] = self.rows(small_wine)
+            assert multiprocessing.active_children() == []
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on a host without it
+        assert rows[1] == rows[2] == rows[3] == self.rows(small_wine)
+
+    def test_a_bag_error_reaches_the_caller_and_no_worker_outlives_it(
+        self, small_wine, monkeypatch
+    ):
+        class Failing(experiment.BaggedTrees):
+            def fit(self, features, response):
+                raise DataError(f"bag {self.seed} failed")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiment, "BaggedTrees", Failing)
+        first = derive_seed(self.CONFIG.master_seed, 0, 0)
+        with pytest.raises(DataError, match=f"^bag {first} failed$"):
+            self.rows(small_wine)
+        assert multiprocessing.active_children() == []
+
+    def test_a_daemonic_caller_grows_its_bags_inline(self, small_wine, monkeypatch):
+        # a daemonic process may not have children: the protocol must not fork
+        _cpus(monkeypatch, 1)
+        serial = self.rows(small_wine)
+        _cpus(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_rows_in_daemon).get(timeout=120) == serial
