@@ -11,12 +11,13 @@ module is the only one that knows how blocks map to columns: the others
 ask a design for a block or a block combination (``index``), and a role
 change moves block boundaries (``merged``) instead of copying columns.
 Encoding is two steps: ``assemble`` builds the uncentered matrix and
-``center`` centers it. This module is also the only one that removes or
-restores column means: the removed means are kept on the design, which
-gives back raw columns (``uncentered``), re-centers new rows at a fit's
-means (``centered_at``) and centers the columns it gains (``appended``).
-A row subset of an assembled design (``take_design``) is exactly the
-encoding of the same rows.
+``center`` centers it. This module is also the only one that removes
+column means, once, when a design is encoded or subset; nothing adds them
+back. The removed means are kept on the design, which re-centers new
+rows at a fit's means (``centered_at``) and centers the columns it gains
+(``appended``). The raw columns are the ``assemble`` result's. A row
+subset of an assembled design (``take_design``) is exactly the encoding
+of the same rows.
 """
 
 from __future__ import annotations
@@ -763,12 +764,6 @@ class EncodedDesign(BlockLayout):
 
     def block(self, key: str) -> np.ndarray:
         return self.z[:, self.index(key)]
-
-    def uncentered(self, keys: str = BLOCKS) -> np.ndarray:
-        """The named blocks' columns with their means added back: z + means,
-        whose last bits can differ from the assembled columns'."""
-        cols = self.index(keys)
-        return self.z[:, cols] + self.column_means[cols]
 
     def centered_at(self, layout: BlockLayout) -> np.ndarray:
         """Z re-centered at ``layout``'s means (a fit's training means); ``z``

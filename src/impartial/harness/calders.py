@@ -5,7 +5,9 @@ from every non-sensitive covariate; rows are cut into propensity
 quantile bins; within each bin a full substantive-equality fit is run
 with every covariate treated as suspect. Bins whose training rows
 contain a single sensitive class cannot equalize anything and fall back
-to the bin's mean response (logged).
+to the bin's mean response (logged). The fit is the all-suspect layout
+of its training design, whose means re-center new rows
+(``EncodedDesign.centered_at``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import Dataset, EncodedDesign, Schema, encode, take_design
+from ..data import BlockLayout, Dataset, EncodedDesign, Schema, encode, take_design
 from ..errors import ContractError
 from ..estimators import (
     ImpartialPrediction,
@@ -36,10 +38,11 @@ SCORE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
-class CaldersFit:
+class CaldersFit(BlockLayout):
+    """The training design's all-suspect layout, propensity model and bin fits."""
+
     propensity_coefs: np.ndarray  # on covariates centered at the training means
-    propensity_intercept: float
-    covariate_means: np.ndarray  # training means of [X|W|B], frozen for scoring
+    propensity_intercept: float  # the training share of the indicator's level
     bin_edges: np.ndarray
     bin_fits: tuple  # per bin: TotalModelFit, or a float fallback mean
 
@@ -54,8 +57,9 @@ def _check_design(design: EncodedDesign) -> None:
         raise ContractError("the stratified baseline needs exactly two sensitive groups")
 
 
-def _propensity(fit_means, coefs, intercept, design: EncodedDesign) -> np.ndarray:
-    return intercept + (design.uncentered("xwb") - fit_means) @ coefs
+def _propensity(fit: BlockLayout, coefs, intercept, design: EncodedDesign) -> np.ndarray:
+    """Scores of ``design``, an all-suspect view of ``fit``'s training columns."""
+    return intercept + design.centered_at(fit)[:, fit.index("xwb")] @ coefs
 
 
 def _bins(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -69,14 +73,13 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
     """Fit the propensity model and the per-bin equalizing sub-models."""
     _check_design(design)
     require_count("bins", bins, 1)
+    design = as_all_suspect(design)
     # The centered indicator is the S column of the design, so the linear
     # probability fit is a regression among the columns of design.r.
-    covariates = design.index("xwb")
     kept = design.kept_in(design.r, design.n_rows, "xwb")
-    coefs = regress(design.r, covariates, design.index("s"), kept)[:, 0]
-    cov_means = design.column_means[covariates]
-    intercept = float(design.uncentered("s")[:, 0].mean())
-    scores = _propensity(cov_means, coefs, intercept, design)
+    coefs = regress(design.r, design.index("xwb"), design.index("s"), kept)[:, 0]
+    intercept = float(design.means("s")[0])
+    scores = _propensity(design, coefs, intercept, design)
 
     edges = np.quantile(scores, np.arange(1, bins) / bins) if bins > 1 else np.zeros(0)
     assignment = _bins(edges, scores)
@@ -99,12 +102,14 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
             )
             bin_fits.append(float(sub.y.mean()))
             continue
-        bin_fits.append(fit_total(as_all_suspect(sub)))
+        bin_fits.append(fit_total(sub))
 
     return CaldersFit(
+        columns=design.columns,
+        column_means=design.column_means,
+        widths=design.widths,
         propensity_coefs=coefs,
         propensity_intercept=intercept,
-        covariate_means=cov_means,
         bin_edges=edges,
         bin_fits=tuple(bin_fits),
     )
@@ -113,16 +118,11 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
 def predict_calders(fit: CaldersFit, design: EncodedDesign) -> np.ndarray:
     """Route rows through the trained bins and apply each bin's rule.
 
-    New rows may contain a single sensitive group; only training demands
-    both.
+    ``design`` is any role view of the training columns; new rows may
+    contain a single sensitive group, only training demands both.
     """
-    if design.s.shape[1] != 1:
-        raise ContractError(
-            "the stratified baseline needs a single binary sensitive attribute"
-        )
-    scores = _propensity(
-        fit.covariate_means, fit.propensity_coefs, fit.propensity_intercept, design
-    )
+    design = as_all_suspect(design)
+    scores = _propensity(fit, fit.propensity_coefs, fit.propensity_intercept, design)
     assignment = _bins(fit.bin_edges, scores)
     out = np.zeros(design.n_rows)
     for b, bin_fit in enumerate(fit.bin_fits):
@@ -133,7 +133,7 @@ def predict_calders(fit: CaldersFit, design: EncodedDesign) -> np.ndarray:
             out[idx] = bin_fit
             continue
         sub = take_design(design, idx)
-        out[idx] = predict(bin_fit, as_all_suspect(sub), Variant.FSEO).values
+        out[idx] = predict(bin_fit, sub, Variant.FSEO).values
     return out
 
 

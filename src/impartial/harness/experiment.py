@@ -16,7 +16,8 @@ matrix. One table (``_ROLES``) holds each variant's training view and the
 score mode (FEO or SEO) of its held-out predictions, which are scored on
 the whole design. The dataset is assembled into that matrix once; every
 fold's training and test designs are row slices of it, re-centered
-within the fold. All randomness derives from one master seed via a
+within the fold, and the black box reads the assembled rows themselves,
+the data as given. All randomness derives from one master seed via a
 64-bit mix, so results are reproducible bit for bit, whatever the
 number of processes.
 
@@ -24,8 +25,8 @@ Repetitions run in batches of two phases. First a pool of forked
 workers, one per CPU the process may use (``os.sched_getaffinity``) but
 no more than there are bags, grows every black-box bag of the batch, one
 task per (repetition, fold); a batch is one repetition per worker. A
-worker reads the design, config and bias through fork, never pickled,
-and redraws its fold from the seeds. Then this process runs the batch's
+worker reads the assembled rows, config and bias through fork, never
+pickled, and redraws its fold. Then this process runs the batch's
 least-squares and stratified fits and scores, repetition by repetition.
 The phases never overlap, so no BLAS thread of this process competes
 with the workers. With one CPU, no ``sched_getaffinity``, no black box
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import Dataset, EncodedDesign, Schema, _groups, assemble, center, take_design
+from ..data import Dataset, Schema, _groups, assemble, center, take_design
 from ..errors import ContractError, DataError
 from ..estimators import (
     Variant,
@@ -230,17 +231,16 @@ def _share(inputs) -> None:
 
 
 def _grow_bag(rep: int, fold: int, inputs=None) -> tuple[np.ndarray, np.ndarray]:
-    """One fold's black box: its out-of-bag training predictions and its
-    held-out predictions. ``inputs`` defaults to the forked worker's."""
+    """One fold's black box, grown on the assembled rows: its out-of-bag
+    training and held-out predictions. ``inputs`` defaults to the forked worker's."""
     inputs = inputs or _inputs
     raw, _, config, _ = inputs
     y_biased, folds = _split(inputs, rep)
     train_idx, test_idx = folds[fold]
-    train = take_design(raw.replace(y=y_biased), train_idx)
     model = BaggedTrees(config.blackbox_trees, config.blackbox_depth, BLACKBOX_MIN_LEAF,
                         seed=derive_seed(config.master_seed, rep, fold))
-    model.fit(train.uncentered(), train.y)
-    return model.oob_train_predictions(), model.predict(take_design(raw, test_idx).uncentered())
+    model.fit(raw.z[train_idx], y_biased[train_idx])
+    return model.oob_train_predictions(), model.predict(raw.z[test_idx])
 
 
 @contextlib.contextmanager

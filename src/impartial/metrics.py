@@ -139,6 +139,8 @@ def _mean_gap(means: dict[str, float], positive_group: str, negative_group: str)
     for g in (positive_group, negative_group):
         if g not in means:
             raise ContractError(f"unknown group label {g!r}; have {sorted(means)}")
+    if positive_group == negative_group:
+        raise ContractError(f"DS compares two groups; both are {positive_group!r}")
     return means[positive_group] - means[negative_group]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_design
-from impartial.data import Role, assemble, encode, take_design
+from impartial.data import ColumnSpec, Role, Schema, assemble, encode, take_design
 from impartial.errors import ContractError
 from impartial.estimators import Variant, as_all_suspect, fit_total, predict
 from impartial.harness import calders_baseline, fit_calders, gen_wine_like, predict_calders
@@ -87,12 +87,11 @@ def test_propensity_from_the_design_r_matches_its_own_fit():
         own = solve_least_squares(train.z[:, train.index("xwb")], indicator - indicator.mean())
         scale = np.max(np.abs(own.coefficients))
         assert np.max(np.abs(fit.propensity_coefs - own.coefficients)) <= 1e-12 * scale
-        scores = _propensity(fit.covariate_means, own.coefficients,
-                             fit.propensity_intercept, train)
+        scores = _propensity(fit, own.coefficients, fit.propensity_intercept, train)
         edges = np.quantile(scores, np.arange(1, 5) / 5)
         np.testing.assert_array_equal(
-            _bins(fit.bin_edges, _propensity(fit.covariate_means, fit.propensity_coefs,
-                                             fit.propensity_intercept, train)),
+            _bins(fit.bin_edges,
+                  _propensity(fit, fit.propensity_coefs, fit.propensity_intercept, train)),
             _bins(edges, scores),
         )
 
@@ -191,3 +190,32 @@ def test_out_of_sample_prediction(table1_data):
     assert values.shape == (200,)
     assert np.all(np.isfinite(values))
     assert values.min() > -1.0 and values.max() < 2.0
+
+
+def _wine_roles(schema, roles):
+    """``schema`` with the covariates given roles in turn from ``roles``."""
+    covariates = [c for c in schema.columns if c.role is Role.LEGITIMATE]
+    return Schema(tuple(
+        ColumnSpec(c.name, roles[covariates.index(c) % len(roles)]) if c in covariates else c
+        for c in schema.columns
+    ))
+
+
+def test_declared_view_predicts_as_the_all_suspect_view():
+    data, schema = gen_wine_like(n=600, seed=8)
+    design = encode(data, _wine_roles(schema, (Role.LEGITIMATE, Role.SUSPECT)))
+    assert design.width("x") and design.width("w")
+    fit = fit_calders(design)
+    assert (fit.columns, fit.widths) == (design.columns, as_all_suspect(design).widths)
+    assert predict_calders(fit, design).tobytes() == (
+        predict_calders(fit, as_all_suspect(design)).tobytes()
+    )
+
+
+def test_design_of_other_columns_is_refused():
+    data, schema = gen_wine_like(n=400, seed=9)
+    fit = fit_calders(encode(data, schema))
+    other = encode(data, _wine_roles(schema, (Role.LEGITIMATE,) * 9 + (Role.IGNORE,)))
+    assert other.width("x") == 9
+    with pytest.raises(ContractError, match="training columns"):
+        predict_calders(fit, other)

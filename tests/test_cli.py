@@ -511,6 +511,19 @@ class TestGroupFlags:
 
 
 class TestValidate:
+    def test_parser_defaults_are_the_config_defaults(self):
+        from impartial.harness import ExperimentConfig
+
+        args = cli._build_parser().parse_args(["validate"])
+        assert ExperimentConfig() == ExperimentConfig(
+            folds=args.folds,
+            repetitions=args.reps,
+            variants=tuple(cli._VALIDATE_VARIANTS[v] for v in args.variants.split(",")),
+            master_seed=args.seed,
+            blackbox_trees=args.trees,
+            blackbox_depth=args.tree_depth,
+        )
+
     def test_simulate_simple_deterministic(self, tmp_path, capsys):
         argv = [
             "validate",
@@ -652,6 +665,11 @@ def _bad_input_cases():
         pytest.param(["correct", "--predictions", "{tmp}/p12.csv", "--out", "{tmp}/s.csv",
                       *one_group], 1, id="one-group-correct"),
         pytest.param(["validate", *one_group], 1, id="one-group-validate"),
+        pytest.param(["audit", "--variant", "total", "--positive-group", "s+",
+                      "--negative-group", "s+", *loan], 2, id="same-group-audit"),
+        pytest.param(["correct", "--predictions", "{tmp}/p.csv", "--out", "{tmp}/s.csv",
+                      "--positive-group", "s-", "--negative-group", "s-", *loan], 2,
+                     id="same-group-correct"),
     ]
 
 

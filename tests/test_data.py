@@ -382,19 +382,11 @@ class TestSubsets:
 
 
 class TestCentering:
-    """The encoded design removes and restores its own column means."""
+    """The encoded design removes its own column means and re-centers at a fit's."""
 
     @pytest.fixture(scope="class")
     def design(self):
         return encode(*gen_wine_like(n=300, seed=3))
-
-    def test_subset_uncentered_is_the_rows_uncentered(self, design):
-        idx = np.arange(0, 300, 3)
-        raw = design.uncentered()
-        np.testing.assert_allclose(
-            take_design(design, idx).uncentered(), raw[idx], rtol=0,
-            atol=1e-12 * np.abs(raw).max(),
-        )
 
     def test_take_design_leaves_its_source_unchanged(self, design):
         before = design.z.tobytes()

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from impartial.data import encode
+from impartial.data import assemble, encode
 from impartial.errors import ContractError, DataError
 from impartial.estimators import Variant, fit_total, predict
 from impartial.harness import experiment
@@ -292,6 +292,36 @@ class TestBagWorkers:
             assert multiprocessing.active_children() == []
         monkeypatch.delattr(os, "sched_getaffinity")  # as on a host without it
         assert rows[1] == rows[2] == rows[3] == self.rows(small_wine)
+
+    def test_the_black_box_reads_the_assembled_rows(self, small_wine, monkeypatch):
+        # bit for bit the columns as given, not centered and restored
+        seen = []
+
+        class Recording(experiment.BaggedTrees):
+            def fit(self, features, response):
+                seen.append((features.copy(), response.copy()))
+                return super().fit(features, response)
+
+            def predict(self, features):
+                seen.append((features.copy(), None))
+                return super().predict(features)
+
+        _cpus(monkeypatch, 1)  # bags grow inline, in this process
+        monkeypatch.setattr(experiment, "BaggedTrees", Recording)
+        self.rows(small_wine)
+        raw = assemble(*small_wine)
+        inputs = (raw, raw.groups.rows(), self.CONFIG, self.BIAS)
+        want = []
+        for rep in range(self.CONFIG.repetitions):
+            y_biased, folds = experiment._split(inputs, rep)
+            for train, test in folds:
+                want += [(raw.z[train], y_biased[train]), (raw.z[test], None)]
+        assert len(seen) == len(want)
+        for (features, response), (want_features, want_response) in zip(seen, want):
+            assert features.tobytes() == want_features.tobytes()
+            assert (response is None) == (want_response is None)
+            if response is not None:
+                assert response.tobytes() == want_response.tobytes()
 
     def test_a_bag_error_reaches_the_caller_and_no_worker_outlives_it(
         self, small_wine, monkeypatch

@@ -57,6 +57,10 @@ class TestDiscriminationScore:
                 np.zeros(1000), table1_design.s_group_labels, "s?", "s-"
             )
 
+    def test_same_group_refused(self, table1_design):
+        with pytest.raises(ContractError, match="both are 's-'"):
+            discrimination_score(np.zeros(1000), table1_design.s_group_labels, "s-", "s-")
+
     def test_shift_invariance_and_additivity(self):
         rng = np.random.default_rng(50)
         labels = tuple(rng.choice(["a", "b"], size=60))

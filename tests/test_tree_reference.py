@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impartial.data import encode
+from impartial.data import assemble
 from impartial.harness import BaggedTrees, gen_wine_like
 from impartial.linalg import BLOCK_ROWS
 
@@ -206,9 +206,8 @@ def assert_matches_reference(x, y, x_test, **params):
 
 
 def _wine_features(n, seed):
-    data, schema = gen_wine_like(n=n, seed=seed)
-    design = encode(data, schema)
-    return design.uncentered(), design.y
+    raw = assemble(*gen_wine_like(n=n, seed=seed))
+    return raw.z, raw.y
 
 
 class TestKernelMatchesReference:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import build_design
+from impartial.data import assemble, make_dataset, parse_schema
 from impartial.errors import ContractError, DataError
 from impartial.harness import BaggedTrees
 
@@ -133,8 +133,8 @@ class TestBaggedTrees:
 
 
 class TestDesignWrapper:
-    def test_raw_features_uncenters(self, table1_design):
-        feats = table1_design.uncentered()
+    def test_assembled_features_are_the_raw_columns(self, table1_data, table1_schema):
+        feats = assemble(table1_data, table1_schema).z
         assert feats.shape == (1000, 2)
         assert set(np.unique(feats)) == {0.0, 1.0}
 
@@ -143,11 +143,12 @@ class TestDesignWrapper:
         rng = np.random.default_rng(86)
         s = (rng.standard_normal(400) > 0).astype(float)
         y = 2.0 * s + 0.05 * rng.standard_normal(400)
-        design = build_design(
-            y, s=s, x=rng.standard_normal((400, 2)),
-            group_labels=["g1" if v else "g0" for v in s],
-        )
+        data = make_dataset({"y": y, "g": ["g1" if v else "g0" for v in s],
+                             "x0": rng.standard_normal(400), "x1": rng.standard_normal(400)})
+        schema = parse_schema("y = response\ng = sensitive,categorical\n"
+                              "x0 = legitimate\nx1 = legitimate\n")
+        raw = assemble(data, schema)
         model = BaggedTrees(n_trees=10, max_depth=3, seed=4)
-        pred = model.fit(design.uncentered(), design.y).predict(design.uncentered())
+        pred = model.fit(raw.z, raw.y).predict(raw.z)
         gap = pred[s == 1].mean() - pred[s == 0].mean()
         assert gap == pytest.approx(2.0, abs=0.2)
