@@ -8,8 +8,9 @@ categorical column is held as integer codes into its labels
 blocks (sensitive, legitimate, suspect, black-box) are column ranges, with
 one-hot expansion (first level dropped) and interaction products. This
 module is the only one that knows how blocks map to columns: the others
-ask a design for a block or a block combination (``index``), and a role
-change moves block boundaries (``merged``) instead of copying columns.
+ask a design for a block or a block combination (``index``) or for a
+regression on blocks (``BlockLayout.regress``), and a role change moves
+block boundaries (``merged``) instead of copying columns.
 Encoding is two steps: ``assemble`` builds the uncentered matrix and
 ``center`` centers it. This module is also the only one that removes
 column means, once, when a design is encoded or subset; nothing adds them
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, SchemaError
-from .linalg import independent, r_factor
+from .linalg import r_factor, regress
 
 
 class Role(enum.Enum):
@@ -638,7 +639,8 @@ class BlockLayout:
     estimates) are consecutive column ranges of Z with sizes ``widths``;
     any may be empty. ``columns`` labels every column and ``column_means``
     holds the raw means removed by centering. The per-block ``*_labels``
-    and ``*_means`` are read-only views of them.
+    and ``*_means`` are read-only views of them. ``regress`` is a regression
+    on named blocks that decides rank over those blocks, in one call.
     """
 
     columns: tuple[str, ...]
@@ -654,15 +656,12 @@ class BlockLayout:
             return slice(spans[0].start, spans[-1].stop)
         return np.array([j for span in spans for j in span], dtype=int)
 
-    def kept_in(self, r: np.ndarray, n_rows: int, keys: str = BLOCKS) -> np.ndarray:
-        """Which of Z's columns a regression on the blocks ``keys`` keeps:
-        ``linalg.independent`` on those columns of ``r``, the R factor of an
-        ``n_rows``-row matrix that begins with Z, blocks in S, X, W, B
-        order; False outside ``keys``."""
-        keys = "".join(key for key in BLOCKS if key in keys)
-        cols, kept = self.index(keys), np.zeros(len(self.columns), dtype=bool)
-        kept[cols] = independent(r[:, cols], n_rows, [self.width(key) for key in keys])
-        return kept
+    def regress(self, r: np.ndarray, n_rows: int, keys: str, targets):
+        """``linalg.regress`` of the columns ``targets`` on the blocks ``keys``
+        (rows in the order named) of ``r``, the R of an ``n_rows``-row matrix
+        that begins with Z, rank decided over those blocks in S, X, W, B order."""
+        widths = [self.width(key) for key in BLOCKS if key in keys]
+        return regress(r, n_rows, self.index(keys), targets, widths)
 
     def width(self, keys: str) -> int:
         """Number of columns of the named blocks (e.g. ``"wb"``)."""

@@ -14,7 +14,8 @@ that sum back to them exactly:
 - unique_x / unique_w: the orthogonal remainders.
 
 Projections act on the centered blocks without an intercept column; the
-intercept is its own component.
+intercept is its own component. Each projection is one regression that
+decides rank over its own basis (``BlockLayout.regress``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .data import EncodedDesign
 from .errors import ContractError
 from .estimators import TotalModelFit
-from .linalg import r_factor, regress
+from .linalg import r_factor
 
 
 class Mode(enum.Enum):
@@ -129,8 +130,7 @@ def decompose(
     if mode is Mode.FSEO and fit.width("x"):
         raise ContractError("FSEO decomposition requires an empty legitimate block")
 
-    # The training design's own R serves; new rows need their own. Each
-    # projection decides rank over its own basis.
+    # The training design's own R serves; new rows need their own.
     r = design.r if z is design.z else r_factor(z)
     parts = {}
     for block, basis, inside, outside in (
@@ -138,7 +138,7 @@ def decompose(
         ("wb", "xs", "sd_minus_mixed", "unique_w"),
     ):
         beta = fit.coefficients[fit.index(block)]
-        coef = regress(r, fit.index(basis), fit.index(block), fit.kept_in(r, design.n_rows, basis))
+        coef = fit.regress(r, design.n_rows, basis, fit.index(block))[0]
         parts[inside] = z[:, fit.index(basis)] @ (coef @ beta)
         parts[outside] = z[:, fit.index(block)] @ beta - parts[inside]
     return ComponentReport(mode=mode, intercept=np.full(design.n_rows, fit.beta0), **parts)

@@ -4,14 +4,14 @@
 design Z = [S|X|W|B], and the auxiliary regressions the variants need,
 from one R factor of [Z|y] (``EncodedDesign.r``, factored once per design
 and shared by its role views); each regression decides rank over its own
-predictors, blocks in the order S, X, W, B (``BlockLayout.kept_in``; see
-``linalg``). Blocks are column ranges of Z, so every regression and every
-rule slices by column range, and a role change (``as_all_*``,
-``residualize_suspect``) moves block boundaries instead of restacking.
-``predict`` then produces any variant's predictions from that one fit;
-only the exclude-sensitive variant needs a refit, which the fit derives
-from its training R when read. Prediction-time data is always
-re-centered with the training means.
+predictors, blocks in the order S, X, W, B, in the one call that makes it
+(``BlockLayout.regress``; see ``linalg``). Blocks are column ranges of Z,
+so every regression and every rule slices by column range, and a role
+change (``as_all_*``, ``residualize_suspect``) moves block boundaries
+instead of restacking. ``predict`` then produces any variant's
+predictions from that one fit; only the exclude-sensitive variant needs a
+refit, which the fit derives from its training R when read.
+Prediction-time data is always re-centered with the training means.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from .data import BlockLayout, EncodedDesign
 from .errors import ContractError, DataError, VariantError
-from .linalg import regress
 
 
 class Variant(enum.Enum):
@@ -54,8 +53,8 @@ class TotalModelFit(BlockLayout):
     (each S column on X, for the decomposition) and ``marginal_coefs`` (the
     exclude-sensitive refit on [X|W|B]) are derived from it on each read,
     by the ``regress`` call a fit-time computation makes: the same bits.
-    Each decides rank over its own predictors, so a column aliased only
-    with S stays in.
+    Every regression, ``lambda_sx_for_wb`` too, decides rank over its own
+    predictors, so a column aliased only with S stays in the last two.
     """
 
     beta0: float
@@ -70,12 +69,10 @@ class TotalModelFit(BlockLayout):
     beta_w = property(lambda self: self.coefficients[self.index("w")])
     beta_b = property(lambda self: self.coefficients[self.index("b")])
     beta_wb = property(lambda self: self.coefficients[self.index("wb")])
-    lambda_x_for_s = property(lambda self: self._refit("x", self.index("s")))
-    marginal_coefs = property(lambda self: self._refit("xwb", [len(self.columns)])[:, 0])
-
-    def _refit(self, keys: str, targets) -> np.ndarray:
-        """``regress`` of ``targets`` on the blocks ``keys``, on their own rank decision."""
-        return regress(self.r, self.index(keys), targets, self.kept_in(self.r, self.n, keys))
+    lambda_x_for_s = property(lambda self: self.regress(self.r, self.n, "x", self.index("s"))[0])
+    marginal_coefs = property(
+        lambda self: self.regress(self.r, self.n, "xwb", [len(self.columns)])[0][:, 0]
+    )
 
 
 @dataclass(frozen=True)
@@ -86,11 +83,9 @@ class ImpartialPrediction:
 
 def fit_total(design: EncodedDesign) -> TotalModelFit:
     """Fit the joint model and the regression the total rule reads."""
-    n = design.n_rows
+    n, p_total = design.z.shape
     if n < 1:
         raise ContractError("design has no rows")
-    z = design.z
-    p_total = z.shape[1]
     if p_total == 0:
         raise ContractError("all covariate blocks are empty; nothing to fit")
     if n <= p_total + 1:
@@ -99,19 +94,18 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
             stacklevel=2,
         )
 
-    # Every regression reads the design's one R of [Z|y]; the joint rank
-    # decision also serves [W|B] on [S|X], whose predictors lead Z.
-    r, kept = design.r, design.kept_in(design.r, n)
+    # Every regression reads the design's one R of [Z|y].
+    coefficients, kept = design.regress(design.r, n, "sxwb", [p_total])
     return TotalModelFit(
         columns=design.columns,
         column_means=design.column_means,
         widths=design.widths,
         beta0=float(design.y.mean()),
-        coefficients=regress(r, slice(0, p_total), [p_total], kept)[:, 0],
-        lambda_sx_for_wb=regress(r, design.index("sx"), design.index("wb"), kept),
+        coefficients=coefficients[:, 0],
+        lambda_sx_for_wb=design.regress(design.r, n, "sx", design.index("wb"))[0],
         n=n,
         dropped_labels=tuple(c for c, k in zip(design.columns, kept) if not k),
-        r=r,
+        r=design.r,
     )
 
 
@@ -185,7 +179,7 @@ def residualize_suspect(design: EncodedDesign) -> EncodedDesign:
     if design.width("wb") == 0:
         return design
     s, wb = design.index("s"), design.index("wb")
-    lambda_s = regress(design.r, s, wb, design.kept_in(design.r, design.n_rows, "s"))
+    lambda_s = design.regress(design.r, design.n_rows, "s", wb)[0]
     z = design.z.copy()
     z[:, wb] -= design.z[:, s] @ lambda_s
     resid = tuple(f"resid_{name}" for name in design.columns[wb])

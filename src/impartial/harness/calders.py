@@ -26,7 +26,6 @@ from ..estimators import (
     fit_total,
     predict,
 )
-from ..linalg import regress
 from .trees import require_count
 
 log = logging.getLogger(__name__)
@@ -76,8 +75,7 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
     design = as_all_suspect(design)
     # The centered indicator is the S column of the design, so the linear
     # probability fit is a regression among the columns of design.r.
-    kept = design.kept_in(design.r, design.n_rows, "xwb")
-    coefs = regress(design.r, design.index("xwb"), design.index("s"), kept)[:, 0]
+    coefs = design.regress(design.r, design.n_rows, "xwb", design.index("s"))[0][:, 0]
     intercept = float(design.means("s")[0])
     scores = _propensity(design, coefs, intercept, design)
 

@@ -9,15 +9,15 @@ n-row Q is never formed) and reads every regression among its columns
 from that R with ``regress``, which factors only the small R. Per-row
 values are then M[:, P] @ coefficients.
 
-Which predictors a regression uses is decided by ``independent`` on
-R's columns for them: Householder QR with column pivoting (Businger &
-Golub, LAPACK's geqp3 rule), each pivot the largest-norm column left in
-the earliest block that has any (for a design S, then X, W, B), the
-lowest index among norms equal within the rank tolerance. A block's
-remaining columns are aliased once their largest norm is at most
-max(n, p) * machine epsilon * the largest of the p columns' norms, n the
-row count of M, not of R. ``regress`` then needs no pivoting. Aliased
-predictors get coefficient 0 and are reported, never an error.
+Each ``regress`` decides which of its predictors it uses by one rule
+(``independent``): Householder QR with column pivoting (Businger & Golub,
+LAPACK's geqp3 rule) on R's columns for them in ascending order, each
+pivot the largest-norm column left in the earliest block that has any
+(for a design S, then X, W, B), the lowest index among norms equal within
+the rank tolerance. A block's remaining columns are aliased once their
+largest norm is at most max(n, p) * machine epsilon * the largest of the
+p columns' norms, n the row count of M, not of R. Aliased predictors get
+coefficient 0 and are reported, never an error.
 Everything here is deterministic, and no function mutates its inputs.
 """
 
@@ -70,22 +70,6 @@ def _as_matrix(a, name: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise DataError(f"{name} contains non-finite values")
     return m
-
-
-def _as_pair(a, b, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    x, y = _as_matrix(a, names[0]), _as_matrix(b, names[1])
-    if x.shape[0] != y.shape[0]:
-        raise ContractError(f"{names[0]} has {x.shape[0]} rows but {names[1]} has {y.shape[0]}")
-    return x, y
-
-
-def _as_vector(v, name: str) -> np.ndarray:
-    x = np.asarray(v, dtype=float)
-    if x.ndim != 1:
-        raise ContractError(f"{name} must be 1-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError(f"{name} contains non-finite values")
-    return x
 
 
 def r_factor(*blocks) -> np.ndarray:
@@ -146,33 +130,34 @@ def independent(r: np.ndarray, n_rows: int, widths) -> np.ndarray:
     return kept
 
 
-def regress(r: np.ndarray, predictors, targets, kept: np.ndarray) -> np.ndarray:
-    """OLS of the columns ``targets`` on the columns ``predictors`` of the
-    matrix M whose R factor is ``r``, using only the predictors that
-    ``kept`` (indexed by column, from ``independent``) marks.
-
-    ``predictors`` and ``targets`` index columns of ``r`` (a slice or an
-    index array). Returns a (len(predictors), len(targets)) array whose
-    rows for predictors not kept are 0.0.
-    """
+def regress(r: np.ndarray, n_rows: int, predictors, targets, widths=None) -> tuple:
+    """OLS of the columns ``targets`` on the columns ``predictors`` (slices
+    or index arrays) of the ``n_rows``-row matrix M whose R factor is ``r``:
+    the (len(predictors), len(targets)) coefficients, zero rows for the
+    predictors not kept, and the kept mask, both in ``predictors`` order.
+    ``independent`` decides over the predictors in ascending column order,
+    in blocks of ``widths`` (one block when None)."""
     cols = np.arange(r.shape[1])[predictors]
-    use, t = kept[cols], r[:, targets]
-    coef, k = np.zeros((len(cols), t.shape[1])), int(use.sum())
+    order = np.argsort(cols, kind="stable")
+    kept = np.empty(len(cols), dtype=bool)
+    kept[order] = independent(r[:, cols[order]], n_rows, widths or (len(cols),))
+    t = r[:, targets]
+    coef, k = np.zeros((len(cols), t.shape[1])), int(kept.sum())
     if k and t.shape[1]:
-        f = np.linalg.qr(np.hstack([r[:, cols[use]], t]), mode="r")
+        f = np.linalg.qr(np.hstack([r[:, cols[kept]], t]), mode="r")
         # f[:k, :k] is upper triangular, so LU's row pivoting is the identity
         # and this solve is a back substitution.
-        coef[use] = np.linalg.solve(f[:k, :k], f[:k, k:])
-    return coef
+        coef[kept] = np.linalg.solve(f[:k, :k], f[:k, k:])
+    return coef, kept
 
 
-def _solve(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """OLS coefficients of ``targets`` on every column of ``x`` as one block,
-    and the kept mask."""
-    n, p = x.shape
-    r = r_factor(x, targets)
-    kept = independent(r, n, (p,))
-    return regress(r, slice(0, p), slice(p, None), kept), kept
+def _solve(a, b, names: tuple[str, str]) -> tuple:
+    """``a``, ``b`` checked, and ``regress`` of ``b`` on all of ``a`` as one block."""
+    x, y = _as_matrix(a, names[0]), _as_matrix(b, names[1])
+    if x.shape[0] != y.shape[0]:
+        raise ContractError(f"{names[0]} has {x.shape[0]} rows but {names[1]} has {y.shape[0]}")
+    p = x.shape[1]
+    return x, y, *regress(r_factor(x, y), len(x), slice(0, p), slice(p, None))
 
 
 def solve_least_squares(design, response) -> LeastSquaresFit:
@@ -182,9 +167,10 @@ def solve_least_squares(design, response) -> LeastSquaresFit:
     receive coefficient 0 and are reported in ``dropped_columns``, so the
     returned coefficient vector always aligns with the input columns.
     """
-    y = _as_vector(response, "response")
-    x, _ = _as_pair(design, y[:, None], ("design", "response"))
-    coef, kept = _solve(x, y)
+    y = np.asarray(response, dtype=float)
+    if y.ndim != 1:
+        raise ContractError(f"response must be 1-D, got shape {y.shape}")
+    x, _, coef, kept = _solve(design, y[:, None], ("design", "response"))
     coef = coef[:, 0]
     fitted = x @ coef
     return LeastSquaresFit(
@@ -202,7 +188,7 @@ def solve_least_squares_multi(design, responses) -> np.ndarray:
     Returns a (p, k) coefficient matrix; aliased design columns get zero
     rows.
     """
-    return _solve(*_as_pair(design, responses, ("design", "responses")))[0]
+    return _solve(design, responses, ("design", "responses"))[2]
 
 
 def project(basis, target) -> ProjectionPair:
@@ -212,6 +198,6 @@ def project(basis, target) -> ProjectionPair:
     n-by-n hat matrix is never formed. A rank-0 or column-free basis
     projects everything to zero.
     """
-    b, t = _as_pair(basis, target, ("basis", "target"))
-    projected = b @ _solve(b, t)[0]
+    b, t, coef, _ = _solve(basis, target, ("basis", "target"))
+    projected = b @ coef
     return ProjectionPair(projected=projected, orthogonal=t - projected)

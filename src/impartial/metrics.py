@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Categorical, EncodedDesign
 from .errors import ContractError, DataError
-from .linalg import independent, r_factor, regress
+from .linalg import r_factor, regress
 
 VAR_GUARD = 1e-12
 
@@ -187,7 +187,7 @@ def impartiality_conditions(
         squares = np.einsum("ij,ij->j", r, r)
     if not np.all(np.isfinite(squares)):
         raise DataError("values too large to score: a column's sum of squares is not finite")
-    means = regress(r, [0], slice(1, None), np.ones(1, dtype=bool))[0]  # 1 is never aliased
+    means = regress(r, n, [0], slice(1, None))[0][0]  # 1 is never aliased
     c = r[:, 1:] - np.outer(r[:, 0], means)
     var = np.einsum("ij,ij->j", c, c) / n
     cs, cx, cw = slice(0, p_s), slice(p_s, p_s + p_x), slice(p_s + p_x, -2)
@@ -195,9 +195,7 @@ def impartiality_conditions(
     # centered yhat on the centered X columns that vary (a constant column
     # lies in the ones column's span), decided as one block to keep X's span.
     varying = p_s + np.flatnonzero(var[cx] > VAR_GUARD)
-    kept = np.zeros(len(var), dtype=bool)
-    kept[varying] = independent(c[:, varying], n, (varying.size,))
-    c[:, -1] -= c[:, varying] @ regress(c, varying, [-1], kept)[:, 0]
+    c[:, -1] -= c[:, varying] @ regress(c, n, varying, [-1])[0][:, 0]
     var[-1] = c[:, -1] @ c[:, -1] / n
     ok = var > VAR_GUARD
     sds = np.sqrt(np.where(ok, var, 1.0))
@@ -205,7 +203,8 @@ def impartiality_conditions(
     dead = [s_labels[j] if s_labels else str(j) for j in np.flatnonzero(~ok[cs])]
     if dead:
         raise ContractError(f"sensitive column(s) {dead} are constant; Cor(s) is singular")
-    aliased = np.flatnonzero(~independent(c[:, cs] / sds[cs], n, (p_s,)))
+    # A rank check: the regression has no targets, only its kept mask is read.
+    aliased = np.flatnonzero(~regress(c[:, cs] / sds[cs], n, cs, [])[1])
     if aliased.size:
         names = sorted(s_labels[j] if s_labels else str(j) for j in aliased)
         raise ContractError(f"sensitive columns are aliased ({names}); Cor(s) is singular")

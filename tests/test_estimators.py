@@ -5,7 +5,7 @@ import pytest
 
 from conftest import build_design, cell_values, random_design
 from impartial.data import ColumnSpec, Role, Schema, encode, make_dataset, take_design
-from impartial import estimators
+from impartial import data
 from impartial.decomposition import Mode, decompose, decompose_coefficients
 from impartial.errors import ContractError, DataError, VariantError
 from impartial.estimators import (
@@ -130,6 +130,25 @@ def test_regressions_that_leave_s_out_keep_its_alias(c):
     report = decompose(fit, design, Mode.TOTAL)
     close(report.di, solve_least_squares(xwb, s @ fit.beta_s).fitted)
     close(report.di + report.dt, s @ fit.beta_s)
+
+
+def test_lambda_sx_for_wb_decides_rank_over_s_and_x():
+    # The rank limit scales with the largest column decided over. With W
+    # 1e9 times the norm of [S|X], the joint limit is above x1's residual
+    # on [S|x0] (about 1e-6 of x1's norm), and the limit over [S|X] alone
+    # is far below it.
+    rng = np.random.default_rng(43)
+    s = np.arange(40) % 2
+    x0 = rng.standard_normal(40)
+    x1 = 0.5 * (x0 + 1e-6 * rng.standard_normal(40))
+    w = 1e9 * np.linalg.norm([s, x0, x1]) * rng.standard_normal(40) / np.sqrt(40)
+    design = build_design(rng.standard_normal(40), s=s, x=np.column_stack([x0, x1]), w=w)
+    fit = fit_total(design)
+    assert fit.dropped_labels == ("x1",)
+    sx = design.z[:, design.index("sx")]
+    want = solve_least_squares_multi(sx, design.z[:, design.index("wb")])
+    assert np.max(np.abs(fit.lambda_sx_for_wb - want)) <= 1e-8 * np.max(np.abs(want))
+
 
 def exact_ols(columns, y):
     """Slopes of the OLS of ``y`` on [1|columns] in rational arithmetic:
@@ -534,7 +553,7 @@ class TestRegressionCount:
             counter[0] += 1
             return regress(*args)
 
-        monkeypatch.setattr(estimators, "regress", counted)
+        monkeypatch.setattr(data, "regress", counted)
         return counter
 
     @staticmethod
@@ -569,9 +588,8 @@ class TestRegressionCount:
         design = random_design(np.random.default_rng(32), n=300, p_s=2, p_x=3, p_w=0)
         fit = fit_total(design)
         r, n = design.r, design.n_rows
-        lambda_x = regress(r, design.index("x"), design.index("s"), design.kept_in(r, n, "x"))
-        marginal = regress(r, design.index("xwb"), [design.z.shape[1]],
-                           design.kept_in(r, n, "xwb"))[:, 0]
+        lambda_x = design.regress(r, n, "x", design.index("s"))[0]
+        marginal = design.regress(r, n, "xwb", [design.z.shape[1]])[0][:, 0]
         assert fit.lambda_x_for_s.tobytes() == lambda_x.tobytes()
         assert fit.marginal_coefs.tobytes() == marginal.tobytes()
         parts = decompose_coefficients(fit)

@@ -7,7 +7,6 @@ from impartial.errors import ContractError, DataError
 from impartial.harness import simple_example_schema
 from impartial.data import EncodedDesign, center, encode
 from impartial.linalg import (
-    independent,
     project,
     r_factor,
     regress,
@@ -127,28 +126,28 @@ class TestRegress:
         a = rng.standard_normal(1000)
         c = a + 1e-14 * np.linalg.norm(a) * rng.standard_normal(1000) / np.sqrt(1000)
         r = r_factor(np.column_stack([a, c]))
-        kept = independent(r, 1000, (2,))
+        coef, kept = regress(r, 1000, [0, 1], [])
         assert kept.tolist() == [True, False]
-        assert regress(r, [0, 1], [], kept).shape == (2, 0)
+        assert coef.shape == (2, 0)
 
     def test_each_regression_pivots_over_its_predictors(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
         r = r_factor(x, y)
-        kept = independent(r, 40, (3,))
         for predictors in ([0, 1, 2], [2, 0], [1]):
-            coef = regress(r, predictors, [3], kept)
+            coef, kept = regress(r, 40, predictors, [3])
             want = solve_least_squares(x[:, predictors], y)
             np.testing.assert_allclose(coef[:, 0], want.coefficients, rtol=1e-12)
             assert kept.all() and want.dropped_columns == ()
 
     def test_empty_predictors_and_targets(self):
         r = r_factor(np.ones((5, 2)))
-        kept = independent(r, 5, (2,))
+        coef, kept = regress(r, 5, [0, 1], slice(0, 0))
         assert kept.tolist() == [True, False]
-        assert regress(r, slice(0, 0), [0, 1], kept).shape == (0, 2)
-        assert regress(r, [0, 1], slice(0, 0), kept).shape == (2, 0)
+        assert coef.shape == (2, 0)
+        coef, kept = regress(r, 5, slice(0, 0), [0, 1])
+        assert coef.shape == (0, 2) and kept.shape == (0,)
 
 
 class TestProject:

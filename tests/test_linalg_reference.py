@@ -4,10 +4,11 @@
 are the solvers ``impartial.linalg`` used to be: scipy's economic QR with
 column pivoting of the n-row design, an explicit Q and a triangular solve,
 with the same rank rule. The package now factors each matrix once with
-numpy and pivots only on the small R (``linalg.r_factor`` and
-``linalg.independent``). On awkward designs both must keep the same rank and
-drop the same columns, where exact copies of a column count as one: LAPACK
-breaks that tie by rounding, the one-R solver always keeps the first copy.
+numpy and decides rank only on the small R, inside ``linalg.regress``
+(``linalg.r_factor`` and ``linalg.independent``). On awkward designs both
+must keep the same rank and drop the same columns, where exact copies of a
+column count as one: LAPACK breaks that tie by rounding, the one-R solver
+always keeps the first copy.
 
 Coefficients, fitted values, residuals and projections agree to 1e-10
 relative (in 2-norm), or, where it is larger, to 10 times the
@@ -22,7 +23,8 @@ solvers are about 1e-9 from a long-double solution.
 
 The estimators are checked the same way: ``fit_total``, ``decompose`` and
 ``impartiality_score`` with every rank decision and regression routed
-through scipy on the n-row matrix, against the one-R path.
+through scipy on the n-row matrix, against the one-R path: ``regress`` is
+replaced where it is imported and ``linalg.independent`` once.
 ``reference_independent`` decides block by block, in the order S, X, W, B,
 with scipy's pivoted QR of each block less its projection on the columns
 kept before it; on a design with exact aliases across blocks both paths
@@ -34,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impartial import data, decomposition, estimators, metrics
+from impartial import data, decomposition, linalg, metrics
 from impartial.data import ColumnSpec, Role, Schema, encode, make_dataset
 from impartial.decomposition import COMPONENT_NAMES, Mode, decompose
 from impartial.estimators import Variant, fit_total, predict, with_blackbox
@@ -113,12 +115,17 @@ def reference_independent(m, n_rows, widths):
     return kept
 
 
-def reference_regress(m, predictors, targets, kept):
-    """The old solve on the predictors ``kept`` marks; zero rows for the rest."""
+def reference_regress(m, n_rows, predictors, targets, widths=None):
+    """Stand-in for ``regress``: ``linalg.independent`` on the predictors in
+    ascending column order, then the old solve on the ones it keeps; zero
+    rows for the rest."""
     cols = np.arange(m.shape[1])[predictors]
+    order = np.sort(cols)
+    chosen = linalg.independent(m[:, order], n_rows, (len(cols),) if widths is None else widths)
+    kept = np.isin(cols, order[chosen])
     coef = np.zeros((len(cols), m[:, targets].shape[1]))
-    coef[kept[cols]] = reference_solve_multi(m[:, cols[kept[cols]]], m[:, targets])[0]
-    return coef
+    coef[kept] = reference_solve_multi(m[:, cols[kept]], m[:, targets])[0]
+    return coef, kept
 
 
 def copies(x) -> np.ndarray:
@@ -279,9 +286,8 @@ def test_estimators_match_reference(make_design, dropped, monkeypatch):
     got = _estimates(make_design)
     for module in (data, decomposition, metrics):
         monkeypatch.setattr(module, "r_factor", reference_r_factor)
+    monkeypatch.setattr(linalg, "independent", reference_independent)
     for module in (data, metrics):
-        monkeypatch.setattr(module, "independent", reference_independent)
-    for module in (estimators, decomposition, metrics):
         monkeypatch.setattr(module, "regress", reference_regress)
     want = _estimates(make_design)
 
