@@ -8,8 +8,8 @@ squared error, plus the component decomposition summary.
 
 import numpy as np
 
-from impartial.data import Role, encode
-from impartial.decomposition import Mode, decompose, redlining_report
+from impartial.data import RoleView, encode
+from impartial.decomposition import decompose, redlining_report
 from impartial.estimators import Variant, fit_total, predict
 from impartial.harness import gen_simple_example, simple_example_schema
 from impartial.metrics import discrimination_score, rsse
@@ -27,7 +27,7 @@ def cell_map(data, values):
 def main():
     data = gen_simple_example()
     design_x = encode(data, simple_example_schema())
-    design_w = encode(data, simple_example_schema(Role.SUSPECT))
+    design_w = RoleView.SEO(design_x)  # education read as suspect
     fit_x = fit_total(design_x)
     fit_w = fit_total(design_w)
 
@@ -48,10 +48,10 @@ def main():
         print(line + f"{ds:>9.3f}{rsse(values, design_x.y):>9.4g}")
 
     print("\ncomponent magnitudes (mean |per-row contribution|):")
-    feo_report = decompose(fit_x, design_x, Mode.FEO)
+    feo_report = decompose(fit_x, design_x)
     for name, value in feo_report.mean_abs().items():
         print(f"  education-legitimate {name:<16}{value:.6f}")
-    fseo_report = decompose(fit_w, design_w, Mode.FSEO)
+    fseo_report = decompose(fit_w, design_w)
     summary = redlining_report(fseo_report)
     print(f"  education-suspect disparate treatment   {summary.disparate_treatment:.6f}")
     print(f"  education-suspect uninformative redlining {summary.uninformative_redlining:.6f}")

@@ -21,7 +21,7 @@ from impartial.harness import (
     kfold_validate,
 )
 
-VARIANTS = (
+PROTOCOL_VARIANTS = (
     Variant.FULL,
     Variant.FEO,
     Variant.FSEO,
@@ -55,7 +55,7 @@ def main():
     config = ExperimentConfig(
         folds=args.folds,
         repetitions=args.reps,
-        variants=VARIANTS,
+        variants=PROTOCOL_VARIANTS,
         master_seed=args.seed,
         blackbox_trees=args.trees,
         blackbox_depth=args.tree_depth,

@@ -12,6 +12,7 @@ from .data import (
     Dataset,
     EncodedDesign,
     Role,
+    RoleView,
     Schema,
     encode,
     load_csv,
@@ -22,7 +23,6 @@ from .data import (
 from .decomposition import (
     ComponentReport,
     CoefDecomposition,
-    Mode,
     decompose,
     decompose_coefficients,
     redlining_report,
@@ -31,6 +31,7 @@ from .errors import ContractError, DataError, ImpartialError, SchemaError, Varia
 from .estimators import (
     ImpartialPrediction,
     TotalModelFit,
+    VARIANTS,
     Variant,
     correct_blackbox,
     fit_total,
@@ -45,7 +46,6 @@ from .linalg import (
 )
 from .metrics import (
     MetricsReport,
-    ScoreMode,
     discrimination_score,
     impartiality_score,
     rmse,

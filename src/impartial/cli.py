@@ -26,6 +26,7 @@ from .data import (
     Dataset,
     EncodedDesign,
     Role,
+    RoleView,
     Schema,
     csv_records,
     csv_source,
@@ -36,25 +37,22 @@ from .data import (
     write_csv,
     write_rows,
 )
-from .decomposition import COMPONENT_NAMES, Mode, decompose
+from .decomposition import COMPONENT_NAMES, decompose
 from .errors import ContractError, DataError, ImpartialError
-from .estimators import Variant, fit_total, predict, with_blackbox
-from .metrics import MetricsReport, ScoreMode, score_predictions
+from .estimators import VARIANTS, Variant, fit_total, predict, with_blackbox
+from .metrics import MetricsReport, score_predictions
 from .sidecar import load_data
 
-_FIT_VARIANTS = {
-    "full": Variant.FULL,
-    "exclude-s": Variant.EXCLUDE_S,
-    "marginal": Variant.MARGINAL,
-    "feo": Variant.FEO,
-    "fseo": Variant.FSEO,
-    "total": Variant.TOTAL,
-}
-
-_VALIDATE_VARIANTS = {
-    **_FIT_VARIANTS,
-    "calders": Variant.CALDERS_BASELINE,
-    "corrected": Variant.BLACKBOX_CORRECTED,
+# Variants by their command-line names (``VARIANTS``); fit and audit take
+# those that ``predict`` makes from the data alone.
+_VARIANTS = {name: variant for variant, (name, _, _) in VARIANTS.items()}
+_FIT_VARIANTS = sorted(
+    name for name, variant in _VARIANTS.items()
+    if variant not in (Variant.BLACKBOX_CORRECTED, Variant.CALDERS_BASELINE)
+)
+# --mode names: each role view's own, and decompose's older fseo and total.
+_MODES = {view.value: view for view in RoleView} | {
+    "fseo": RoleView.SEO, "total": RoleView.DECLARED,
 }
 
 
@@ -136,10 +134,17 @@ def _write_predictions(path, values, header: str = "prediction") -> None:
 
 
 def _score(args, values, design: EncodedDesign) -> MetricsReport:
-    """``values`` scored in ``--mode``, else under the design's declared roles."""
-    mode = ScoreMode(args.mode or "declared")
-    return score_predictions(values, design, design.y, mode, args.positive_group,
-                             args.negative_group)
+    """``values`` scored under the ``--mode`` view of ``design``'s roles."""
+    return score_predictions(values, design, design.y, _MODES[args.mode],
+                             args.positive_group, args.negative_group)
+
+
+def _trained(args, design: EncodedDesign):
+    """The ``--variant`` view of ``design``, and its fit and predictions."""
+    variant = _VARIANTS[args.variant]
+    design = VARIANTS[variant][2](design)
+    fit = fit_total(design)
+    return design, fit, predict(fit, design, variant).values
 
 
 def _audit_lines(report: MetricsReport, fmt=_fmt) -> list[tuple[str, str]]:
@@ -163,13 +168,9 @@ def _print_audit(report: MetricsReport) -> None:
 
 
 def cmd_fit(args) -> int:
-    design = _load_design(args)
-    variant = _FIT_VARIANTS[args.variant]
-    fit = fit_total(design)
-    pred = predict(fit, design, variant)
-
+    _, fit, values = _trained(args, _load_design(args))
     out = Path(args.out)
-    _write_predictions(out, pred.values)
+    _write_predictions(out, values)
     coef_path = out.with_suffix(".coef.csv")
     with coef_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -191,7 +192,7 @@ def cmd_audit(args) -> int:
     if args.predictions:
         values = _read_predictions(args.predictions, design.n_rows)
     else:
-        values = predict(fit_total(design), design, _FIT_VARIANTS[args.variant]).values
+        design, _, values = _trained(args, design)
     report = _score(args, values, design)
     _print_audit(report)
     if args.out:
@@ -203,9 +204,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    design = _load_design(args)
-    fit = fit_total(design)
-    report = decompose(fit, design, Mode(args.mode or "total"))
+    design = _MODES[args.mode](_load_design(args))
+    report = decompose(fit_total(design), design)
     out = Path(args.out)
     columns = [report.component(name) for name in COMPONENT_NAMES]
     with out.open("w", newline="", encoding="utf-8") as fh:
@@ -216,9 +216,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_correct(args) -> int:
-    design = _load_design(args)
     if not args.predictions:
         raise ContractError("correct needs --predictions")
+    design = _load_design(args)
     # estimators.correct_blackbox. The corrected values are scored on the
     # data's own columns, as an audit of the output file scores them: a
     # view of the augmented Z, so that Z is held once.
@@ -266,12 +266,12 @@ def cmd_validate(args) -> int:
     else:
         data, schema = _load_inputs(args)
     names = [v.strip() for v in args.variants.split(",") if v.strip()]
-    unknown = [v for v in names if v not in _VALIDATE_VARIANTS]
+    unknown = [v for v in names if v not in _VARIANTS]
     if unknown:
         raise ContractError(
-            f"unknown variant(s) {unknown}; choose from {','.join(sorted(_VALIDATE_VARIANTS))}"
+            f"unknown variant(s) {unknown}; choose from {','.join(sorted(_VARIANTS))}"
         )
-    variants = tuple(_VALIDATE_VARIANTS[v] for v in names)
+    variants = tuple(_VARIANTS[v] for v in names)
     config = ExperimentConfig(
         folds=args.folds,
         repetitions=args.reps,
@@ -330,28 +330,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit and write predictions + coefficients")
     add_io(p_fit)
-    p_fit.add_argument(
-        "--variant", choices=sorted(_FIT_VARIANTS), default="full"
-    )
+    p_fit.add_argument("--variant", choices=_FIT_VARIANTS, default="full")
     p_fit.set_defaults(func=cmd_fit)
 
     p_audit = sub.add_parser("audit", help="score predictions for impartiality")
     add_io(p_audit, need_out=False)
     p_audit.add_argument("--predictions", help="CSV of per-row predictions")
-    p_audit.add_argument("--variant", choices=sorted(_FIT_VARIANTS))
-    p_audit.add_argument("--mode", choices=["feo", "seo"])
+    p_audit.add_argument("--variant", choices=_FIT_VARIANTS)
+    p_audit.add_argument("--mode", choices=sorted(_MODES), default="declared")
     add_groups(p_audit)
     p_audit.set_defaults(func=cmd_audit)
 
     p_dec = sub.add_parser("decompose", help="write per-row component columns")
     add_io(p_dec)
-    p_dec.add_argument("--mode", choices=["feo", "fseo", "total"], default="total")
+    p_dec.add_argument("--mode", choices=sorted(_MODES), default="declared")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_cor = sub.add_parser("correct", help="make external predictions impartial")
     add_io(p_cor)
     p_cor.add_argument("--predictions", help="CSV of black-box predictions")
-    p_cor.add_argument("--mode", choices=["feo", "seo"])
+    p_cor.add_argument("--mode", choices=sorted(_MODES), default="declared")
     add_groups(p_cor)
     p_cor.set_defaults(func=cmd_correct)
 
@@ -363,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--variants",
         default="full,feo,fseo,calders,marginal",
-        help="comma list from: " + ",".join(sorted(_VALIDATE_VARIANTS)),
+        help="comma list from: " + ",".join(sorted(_VARIANTS)),
     )
     p_val.add_argument("--folds", type=int, default=5)
     p_val.add_argument("--reps", type=int, default=20)

@@ -9,8 +9,8 @@ blocks (sensitive, legitimate, suspect, black-box) are column ranges, with
 one-hot expansion (first level dropped) and interaction products. This
 module is the only one that knows how blocks map to columns: the others
 ask a design for a block or a block combination (``index``) or for a
-regression on blocks (``BlockLayout.regress``), and a role change moves
-block boundaries (``merged``) instead of copying columns.
+regression on blocks (``BlockLayout.regress``), and a role change (a
+``RoleView``) moves block boundaries (``merged``) instead of copying columns.
 Encoding is two steps: ``assemble`` builds the uncentered matrix and
 ``center`` centers it. This module is also the only one that removes
 column means, once, when a design is encoded or subset; nothing adds them
@@ -698,6 +698,25 @@ class BlockLayout:
         widths = [0 if key in keys else w for key, w in zip(BLOCKS, self.widths)]
         widths[BLOCKS.index(into)] = self.width(keys)
         return self.replace(widths=tuple(widths))
+
+
+class RoleView(enum.Enum):
+    """A reading of a layout's covariate roles, applied as ``view(layout)``.
+
+    DECLARED keeps the roles as declared; FEO reads every legitimate and
+    suspect column as legitimate, SEO every one as suspect. S and B are
+    left alone, and B reads as suspect throughout. A view only moves the
+    X/W boundary (``merged``), so a design's views share its Z and R.
+    """
+
+    DECLARED = "declared"
+    FEO = "feo"
+    SEO = "seo"
+
+    def __call__(self, layout):
+        if self is RoleView.DECLARED:
+            return layout
+        return layout.merged("xw", "x" if self is RoleView.FEO else "w")
 
 
 @dataclass(frozen=True)

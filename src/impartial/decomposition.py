@@ -1,7 +1,8 @@
 """Split fitted values into legally meaningful components.
 
-Each mode decomposes the full-model fitted values into per-row columns
-that sum back to them exactly:
+``decompose`` splits the full-model fitted values into per-row columns
+that sum back to them exactly, under the roles of the design it is given
+(apply a ``RoleView`` for another reading):
 
 - disparate treatment (dt): the sensitive block's contribution orthogonal
   to the conditioning covariates;
@@ -9,8 +10,8 @@ that sum back to them exactly:
   span (informative redlining);
 - permissible statistical discrimination (sd_plus): the legitimate
   contribution explainable by the other blocks;
-- sd_minus_mixed: the suspect contribution explainable by [S] (FSEO mode)
-  or [X,S] (total mode, where legal and illegal shares are entangled);
+- sd_minus_mixed: the suspect contribution explainable by [X,S] (where
+  legal and illegal shares are entangled; by [S] alone when X is empty);
 - unique_x / unique_w: the orthogonal remainders.
 
 Projections act on the centered blocks without an intercept column; the
@@ -20,7 +21,6 @@ decides rank over its own basis (``BlockLayout.regress``).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +29,6 @@ from .data import EncodedDesign
 from .errors import ContractError
 from .estimators import TotalModelFit
 from .linalg import r_factor
-
-
-class Mode(enum.Enum):
-    FEO = "feo"
-    FSEO = "fseo"
-    TOTAL = "total"
 
 
 COMPONENT_NAMES = (
@@ -50,7 +44,6 @@ COMPONENT_NAMES = (
 
 @dataclass(frozen=True)
 class ComponentReport:
-    mode: Mode
     intercept: np.ndarray
     dt: np.ndarray
     di: np.ndarray
@@ -111,25 +104,15 @@ def decompose_coefficients(fit: TotalModelFit) -> CoefDecomposition:
     )
 
 
-def decompose(
-    fit: TotalModelFit, design: EncodedDesign, mode: Mode
-) -> ComponentReport:
-    """Per-row component columns for the requested mode.
+def decompose(fit: TotalModelFit, design: EncodedDesign) -> ComponentReport:
+    """Per-row component columns of the full-model fitted values.
 
-    Every mode splits each block's contribution by projecting it on the
-    other blocks (the black-box block counts as suspect throughout): S on
-    [X|W|B], X on [S|W|B], [W|B] on [X|S]. FEO mode is this total split
-    with empty W and B, FSEO mode the total split with an empty X; each
-    raises ContractError when the design has the block it excludes.
+    Each block's contribution is split by projecting it on the other
+    blocks (the black-box block counts as suspect): S on [X|W|B], X on
+    [S|W|B], [W|B] on [X|S]. An empty block's components are 0, as X's
+    are under the seo view.
     """
-    if not isinstance(mode, Mode):
-        raise ContractError(f"unknown decomposition mode {mode!r}")
     z = design.centered_at(fit)
-    if mode is Mode.FEO and fit.width("wb"):
-        raise ContractError("FEO decomposition requires empty suspect blocks")
-    if mode is Mode.FSEO and fit.width("x"):
-        raise ContractError("FSEO decomposition requires an empty legitimate block")
-
     # The training design's own R serves; new rows need their own.
     r = design.r if z is design.z else r_factor(z)
     parts = {}
@@ -141,20 +124,15 @@ def decompose(
         coef = fit.regress(r, design.n_rows, basis, fit.index(block))[0]
         parts[inside] = z[:, fit.index(basis)] @ (coef @ beta)
         parts[outside] = z[:, fit.index(block)] @ beta - parts[inside]
-    return ComponentReport(mode=mode, intercept=np.full(design.n_rows, fit.beta0), **parts)
+    return ComponentReport(intercept=np.full(design.n_rows, fit.beta0), **parts)
 
 
 def redlining_report(report: ComponentReport) -> RedliningSummary:
-    """Aggregate the discrimination channels of an FSEO/total report.
+    """Aggregate the discrimination channels of a report.
 
     Magnitudes are mean absolute per-row contributions; uninformative
     redlining is the di + sd_minus sum.
     """
-    if report.mode is Mode.FEO:
-        raise ContractError(
-            "redlining report needs the suspect-shared component; "
-            "FEO-mode reports do not define it"
-        )
     di = float(np.mean(np.abs(report.di)))
     sd_minus = float(np.mean(np.abs(report.sd_minus_mixed)))
     return RedliningSummary(

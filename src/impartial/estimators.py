@@ -7,11 +7,12 @@ and shared by its role views); each regression decides rank over its own
 predictors, blocks in the order S, X, W, B, in the one call that makes it
 (``BlockLayout.regress``; see ``linalg``). Blocks are column ranges of Z,
 so every regression and every rule slices by column range, and a role
-change (``as_all_*``, ``residualize_suspect``) moves block boundaries
-instead of restacking. ``predict`` then produces any variant's
-predictions from that one fit; only the exclude-sensitive variant needs a
-refit, which the fit derives from its training R when read.
-Prediction-time data is always re-centered with the training means.
+change (a ``RoleView``, ``residualize_suspect``) moves block boundaries
+instead of restacking. Each variant is a rule under a role view, named in
+one table (``VARIANTS``); ``predict`` applies both to the design it is
+given, from that one fit. Only the exclude-sensitive rule needs a refit,
+which the fit derives from its training R when read. Prediction-time data
+is always re-centered with the training means.
 """
 
 from __future__ import annotations
@@ -22,11 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BlockLayout, EncodedDesign
+from .data import BlockLayout, EncodedDesign, RoleView
 from .errors import ContractError, DataError, VariantError
 
 
 class Variant(enum.Enum):
+    """An estimator variant. FULL, EXCLUDE_S, MARGINAL and TOTAL are also
+    the rules ``predict`` applies; ``VARIANTS`` reads every variant as a
+    rule under a role view."""
+
     FULL = "full"
     EXCLUDE_S = "exclude_s"
     MARGINAL = "marginal"
@@ -35,6 +40,23 @@ class Variant(enum.Enum):
     TOTAL = "total"
     BLACKBOX_CORRECTED = "blackbox_corrected"
     CALDERS_BASELINE = "calders_baseline"
+
+
+# The one table of variants: each one's command-line name, its rule, and
+# the role view of the given design it trains and predicts under. FEO and
+# FSEO are the total rule under a view; BLACKBOX_CORRECTED is the total
+# rule on a design with a B block. The stratified baseline's rule is its
+# own (``harness.calders``), and it reads every covariate as suspect.
+VARIANTS = {
+    Variant.FULL: ("full", Variant.FULL, RoleView.DECLARED),
+    Variant.EXCLUDE_S: ("exclude-s", Variant.EXCLUDE_S, RoleView.DECLARED),
+    Variant.MARGINAL: ("marginal", Variant.MARGINAL, RoleView.DECLARED),
+    Variant.FEO: ("feo", Variant.TOTAL, RoleView.FEO),
+    Variant.FSEO: ("fseo", Variant.TOTAL, RoleView.SEO),
+    Variant.TOTAL: ("total", Variant.TOTAL, RoleView.DECLARED),
+    Variant.BLACKBOX_CORRECTED: ("corrected", Variant.TOTAL, RoleView.DECLARED),
+    Variant.CALDERS_BASELINE: ("calders", Variant.CALDERS_BASELINE, RoleView.SEO),
+}
 
 
 @dataclass(frozen=True)
@@ -114,8 +136,10 @@ def predict(
 ) -> ImpartialPrediction:
     """Predictions for one estimator variant, on training or new rows.
 
-    Variant rules (on the blocks of Z, re-centered at the training means;
-    the design must have the fit's columns and block widths):
+    The variant's view (``VARIANTS``) is applied to ``design``, which must
+    then have the fit's columns and block widths; the fit must have been
+    trained under that view. Rules, on the blocks of Z re-centered at the
+    training means:
 
     - FULL:       beta0 + S bs + X bx + W bw + B bb
     - EXCLUDE_S:  beta0 + [X|W|B] marginal_coefs   (the training refit)
@@ -123,46 +147,37 @@ def predict(
     - TOTAL:      beta0 + X bx + ([W|B] - S Ls) bwb  (Ls = S-rows of the
                   joint [S|X] regression of [W|B]; algebraically equal to
                   replacing [W|B] by its impartial estimate plus unique part)
-    - FEO:        the TOTAL rule with empty W and B, i.e. beta0 + X bx
-    - FSEO:       the TOTAL rule with an empty X, i.e. beta0 + ([W|B] - S Ls) bwb
-    - BLACKBOX_CORRECTED: the TOTAL rule, requires a nonempty B block.
 
-    FEO, FSEO and BLACKBOX_CORRECTED are validated aliases of TOTAL: each
-    raises VariantError when the fit lacks the block shape it names.
+    BLACKBOX_CORRECTED also requires a nonempty B block.
     """
-    if variant is Variant.CALDERS_BASELINE:
+    if variant not in VARIANTS:
+        raise VariantError(f"unknown variant {variant!r}")
+    _, rule, view = VARIANTS[variant]
+    if rule is Variant.CALDERS_BASELINE:
         raise VariantError(
             "calders_baseline predictions are produced by harness.calders_baseline"
         )
-    z = design.centered_at(fit)
-    s, x, wb = z[:, fit.index("s")], z[:, fit.index("x")], z[:, fit.index("wb")]
-
-    if variant is Variant.FEO and fit.width("wb"):
+    if view(fit).widths != fit.widths:
         raise VariantError(
-            "FEO requires empty suspect/black-box blocks; use the total variant"
-        )
-    if variant is Variant.FSEO and fit.width("x"):
-        raise VariantError(
-            "FSEO requires an empty legitimate block; use the total variant"
+            f"{variant.value} predicts under the {view.value} view, which the fit was "
+            "not trained under; fit under that view or use the total variant"
         )
     if variant is Variant.BLACKBOX_CORRECTED and not fit.b_labels:
         raise VariantError(
             "blackbox_corrected requires external predictions in the B block"
         )
+    z = view(design).centered_at(fit)
+    s, x, wb = z[:, fit.index("s")], z[:, fit.index("x")], z[:, fit.index("wb")]
 
-    if variant is Variant.FULL:
+    if rule is Variant.FULL:
         values = fit.beta0 + s @ fit.beta_s + x @ fit.beta_x + wb @ fit.beta_wb
-    elif variant is Variant.EXCLUDE_S:
+    elif rule is Variant.EXCLUDE_S:
         values = fit.beta0 + z[:, fit.index("xwb")] @ fit.marginal_coefs
-    elif variant is Variant.MARGINAL:
+    elif rule is Variant.MARGINAL:
         values = np.full(design.n_rows, fit.beta0)
-    elif variant in (
-        Variant.TOTAL, Variant.FEO, Variant.FSEO, Variant.BLACKBOX_CORRECTED
-    ):
+    else:
         lambda_s = fit.lambda_sx_for_wb[: fit.width("s"), :]
         values = fit.beta0 + x @ fit.beta_x + (wb - s @ lambda_s) @ fit.beta_wb
-    else:
-        raise VariantError(f"unknown variant {variant!r}")
     return ImpartialPrediction(variant=variant, values=values)
 
 
@@ -219,19 +234,3 @@ def correct_blackbox(
     augmented = with_blackbox(design, external_predictions)
     fit = fit_total(augmented)
     return fit, predict(fit, augmented, Variant.BLACKBOX_CORRECTED)
-
-
-def as_all_legitimate(design: EncodedDesign) -> EncodedDesign:
-    """Move every suspect column into the legitimate block (B untouched).
-
-    Only the X/W boundary moves; the result shares ``z`` with ``design``.
-    """
-    return design.merged("xw", "x")
-
-
-def as_all_suspect(design: EncodedDesign) -> EncodedDesign:
-    """Move every legitimate column into the suspect block (B untouched).
-
-    Only the X/W boundary moves; the result shares ``z`` with ``design``.
-    """
-    return design.merged("xw", "w")

@@ -17,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import BlockLayout, Dataset, EncodedDesign, Schema, encode, take_design
+from ..data import BlockLayout, Dataset, EncodedDesign, RoleView, Schema, encode, take_design
 from ..errors import ContractError
-from ..estimators import (
-    ImpartialPrediction,
-    Variant,
-    as_all_suspect,
-    fit_total,
-    predict,
-)
+from ..estimators import ImpartialPrediction, Variant, fit_total, predict
 from .trees import require_count
 
 log = logging.getLogger(__name__)
@@ -72,7 +66,7 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
     """Fit the propensity model and the per-bin equalizing sub-models."""
     _check_design(design)
     require_count("bins", bins, 1)
-    design = as_all_suspect(design)
+    design = RoleView.SEO(design)
     # The centered indicator is the S column of the design, so the linear
     # probability fit is a regression among the columns of design.r.
     coefs = design.regress(design.r, design.n_rows, "xwb", design.index("s"))[0][:, 0]
@@ -119,7 +113,7 @@ def predict_calders(fit: CaldersFit, design: EncodedDesign) -> np.ndarray:
     ``design`` is any role view of the training columns; new rows may
     contain a single sensitive group, only training demands both.
     """
-    design = as_all_suspect(design)
+    design = RoleView.SEO(design)
     scores = _propensity(fit, fit.propensity_coefs, fit.propensity_intercept, design)
     assignment = _bins(fit.bin_edges, scores)
     out = np.zeros(design.n_rows)

@@ -8,18 +8,17 @@ pooled over folds, so each repetition yields one full-length prediction
 vector per variant, scored against both the biased and the raw
 responses; reported metrics are means over repetitions.
 
-Covariate roles are re-assigned per variant to match each estimator's
-worldview: the formal-equality variant treats every non-sensitive
-covariate as legitimate, the substantive-equality ones treat them all as
-suspect; such a re-assignment only moves block boundaries of the design
-matrix. One table (``_ROLES``) holds each variant's training view and the
-score mode (FEO or SEO) of its held-out predictions, which are scored on
-the whole design. The dataset is assembled into that matrix once; every
-fold's training and test designs are row slices of it, re-centered
-within the fold, and the black box reads the assembled rows themselves,
-the data as given. All randomness derives from one master seed via a
-64-bit mix, so results are reproducible bit for bit, whatever the
-number of processes.
+Each variant trains and predicts under its role view (``VARIANTS``), a
+view that only moves block boundaries of the design matrix. The held-out
+predictions are scored on the whole design under the feo view for a
+variant whose view it is, else under the seo view (``_views``); the
+black box is corrected under the seo view too, so that its correction
+removes group structure from every covariate. The dataset is assembled
+into that matrix once; every fold's training and test designs are row
+slices of it, re-centered within the fold, and the black box reads the
+assembled rows themselves, the data as given. All randomness derives
+from one master seed via a 64-bit mix, so results are reproducible bit
+for bit, whatever the number of processes.
 
 Repetitions run in batches of two phases. First a pool of forked
 workers, one per CPU the process may use (``os.sched_getaffinity``) but
@@ -42,17 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import Dataset, Schema, _groups, assemble, center, take_design
+from ..data import Dataset, RoleView, Schema, _groups, assemble, center, take_design
 from ..errors import ContractError, DataError
-from ..estimators import (
-    Variant,
-    as_all_legitimate,
-    as_all_suspect,
-    fit_total,
-    predict,
-    with_blackbox,
-)
-from ..metrics import ScoreMode, discrimination_score, group_pair, impartiality_score, rmse
+from ..estimators import VARIANTS, Variant, fit_total, predict, with_blackbox
+from ..metrics import discrimination_score, group_pair, impartiality_score, rmse
 from .calders import fit_calders, predict_calders
 from .trees import BaggedTrees, require_count
 
@@ -119,6 +111,9 @@ class ExperimentConfig:
             require_count(name, getattr(self, name), 1)
         if not self.variants:
             raise ContractError("no variants configured")
+        unknown = [v for v in self.variants if not isinstance(v, Variant)]
+        if unknown:
+            raise ContractError(f"variant(s) {unknown} are not Variant members")
         repeated = sorted({v.value for v in self.variants if self.variants.count(v) > 1})
         if repeated:
             raise ContractError(f"variant(s) {repeated} configured more than once")
@@ -193,14 +188,12 @@ def _biased_response(
     return shifted
 
 
-# Per variant, the role view of the declared design it is trained and
-# predicted under, and the mode its held-out predictions are scored in.
-_ROLES = dict.fromkeys(Variant, (lambda design: design, ScoreMode.SEO)) | {
-    Variant.FEO: (as_all_legitimate, ScoreMode.FEO),
-    Variant.FSEO: (as_all_suspect, ScoreMode.SEO),
-    Variant.CALDERS_BASELINE: (as_all_suspect, ScoreMode.SEO),
-    Variant.BLACKBOX_CORRECTED: (as_all_suspect, ScoreMode.SEO),
-}
+def _views(variant: Variant) -> tuple[RoleView, RoleView]:
+    """The views ``variant`` trains and is scored under: its own and, unless
+    that is feo, seo. The black box's correction trains under its score view."""
+    view = VARIANTS[variant][2]
+    scored = view if view is RoleView.FEO else RoleView.SEO
+    return (scored if variant is Variant.BLACKBOX_CORRECTED else view), scored
 
 
 def _split(inputs, rep: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -291,19 +284,18 @@ def _run_repetition(
 
         fits: dict = {}  # one total fit per role view, shared by its variants
         for variant in config.variants:
-            view = _ROLES[variant][0]
-            test = view(enc_test)
+            view = _views(variant)[0]
+            train, test = view(enc_train), view(enc_test)
             if variant is Variant.CALDERS_BASELINE:
-                cfit = fit_calders(view(enc_train), bins=CALDERS_BINS)
-                values = predict_calders(cfit, test)
+                values = predict_calders(fit_calders(train, bins=CALDERS_BINS), test)
             elif variant is Variant.BLACKBOX_CORRECTED:
                 bb_train, bb_test = bag(rep, fold)
-                fit = fit_total(with_blackbox(view(enc_train), bb_train))
+                fit = fit_total(with_blackbox(train, bb_train))
                 values = predict(fit, with_blackbox(test, bb_test), variant).values
                 bb_pooled[test_idx] = bb_test
             else:
                 if view not in fits:
-                    fits[view] = fit_total(view(enc_train))
+                    fits[view] = fit_total(train)
                 values = predict(fits[view], test, variant).values
             pooled[variant.value][test_idx] = values
 
@@ -321,8 +313,8 @@ def kfold_validate(
     Per repetition and variant, the pooled held-out predictions are scored
     with: RMSE against the biased responses, RMSE against the raw
     responses, the group gap DS (a response-free quantity), and the
-    impartiality score in the variant's own mode against the biased
-    (training-distribution) responses.
+    impartiality score in the variant's score view (``_views``) against the
+    biased (training-distribution) responses.
     """
     if config.folds > data.n_rows:
         raise ContractError(
@@ -358,7 +350,7 @@ def kfold_validate(
                 entry["rmse_biased"] += rmse(values, y_biased)
                 entry["rmse_raw"] += rmse(values, y_raw)
                 entry["ds"] += discrimination_score(values, enc_full.groups, pos_group, neg_group)
-                entry["is"] += impartiality_score(values, design, y_biased, _ROLES[variant][1])
+                entry["is"] += impartiality_score(values, design, y_biased, _views(variant)[1])
     count = config.repetitions
     means = {
         vname: {m: s / count for m, s in metric_sums.items()}

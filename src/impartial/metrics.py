@@ -6,36 +6,22 @@ correlations with the legitimate and suspect blocks (each measured
 against what the residual's correlation with the sensitive block would
 explain), and the sensitive correlation of the prediction component not
 explained by the legitimate block. Their absolute violations, summed and
-divided by 1 + #covariates, give the score.
+divided by 1 + #covariates, give the score. The conditions read the roles
+of the design they are given, the black-box block as suspect; a
+``RoleView`` gives another reading.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Categorical, EncodedDesign
+from .data import Categorical, EncodedDesign, RoleView
 from .errors import ContractError, DataError
 from .linalg import r_factor, regress
 
 VAR_GUARD = 1e-12
-
-
-class ScoreMode(enum.Enum):
-    """Which roles the impartiality conditions read.
-
-    DECLARED reads the design's own roles, with the black-box block
-    suspect. FEO treats every non-sensitive covariate as legitimate (the
-    suspect condition is vacuous); SEO treats every non-sensitive
-    covariate as suspect (the legitimate condition is vacuous and the
-    projection in the last condition degrades to the prediction mean).
-    """
-
-    FEO = "feo"
-    SEO = "seo"
-    DECLARED = "declared"
 
 
 @dataclass(frozen=True)
@@ -62,7 +48,7 @@ class MetricsReport:
     rsse: float
     ds: float
     is_score: float
-    is_mode: ScoreMode
+    is_mode: RoleView
     per_group_means: dict[str, float]
     n: int
 
@@ -222,18 +208,18 @@ def impartiality_conditions(
 
 
 def impartiality_score(
-    predictions, design: EncodedDesign, residual_target, mode: ScoreMode
+    predictions, design: EncodedDesign, residual_target, view: RoleView
 ) -> float:
-    """Normalized sum of absolute impartiality-condition violations.
+    """Normalized sum of absolute impartiality-condition violations, under
+    the ``view`` of the design's roles.
 
     Always >= 0; exactly 0 only when every condition holds. The
     normalizer is 1 + (number of covariate columns), counting sensitive,
     legitimate, suspect, and black-box columns alike.
     """
-    if not isinstance(mode, ScoreMode):
-        raise ContractError(f"unknown impartiality mode {mode!r}")
-    if mode is not ScoreMode.DECLARED:
-        design = design.merged("xwb", "x" if mode is ScoreMode.FEO else "w")
+    if not isinstance(view, RoleView):
+        raise ContractError(f"unknown impartiality mode {view!r}")
+    design = view(design)
     gaps = impartiality_conditions(
         predictions, residual_target, design.s, design.x, design.block("wb"), design.s_labels
     )
@@ -244,11 +230,12 @@ def score_predictions(
     predictions,
     design: EncodedDesign,
     truth,
-    mode: ScoreMode,
+    view: RoleView,
     positive_group: str | None = None,
     negative_group: str | None = None,
 ) -> MetricsReport:
-    """Bundle RMSE/RSSE, the group gap, and the impartiality score.
+    """Bundle RMSE/RSSE, the group gap, and the impartiality score under
+    ``view``.
 
     The group pair is completed by ``group_pair`` from the groups in
     first-appearance order; a name that is not a group is a ContractError.
@@ -256,13 +243,13 @@ def score_predictions(
     values = np.asarray(getattr(predictions, "values", predictions), dtype=float)
     means = group_means(values, design.groups)
     positive_group, negative_group = group_pair(list(means), positive_group, negative_group)
-    is_score = impartiality_score(values, design, truth, mode)  # refuses overflowing values
+    is_score = impartiality_score(values, design, truth, view)  # refuses overflowing values
     return MetricsReport(
         rmse=rmse(values, truth),
         rsse=rsse(values, truth),
         ds=_mean_gap(means, positive_group, negative_group),
         is_score=is_score,
-        is_mode=mode,
+        is_mode=view,
         per_group_means=means,
         n=values.shape[0],
     )

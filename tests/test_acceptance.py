@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import build_design, cell_values, random_design
-from impartial.data import Role, encode
-from impartial.decomposition import Mode, decompose, decompose_coefficients
+from impartial.data import Role, RoleView, encode
+from impartial.decomposition import decompose, decompose_coefficients
 from impartial.estimators import (
     Variant,
     correct_blackbox,
@@ -35,7 +35,6 @@ from impartial.harness import (
 )
 from impartial.linalg import project
 from impartial.metrics import (
-    ScoreMode,
     discrimination_score,
     impartiality_conditions,
     impartiality_score,
@@ -133,7 +132,7 @@ def test_criterion_2_algebraic_identities():
         p_s, p_x, p_w = rng.integers(1, 4), rng.integers(1, 5), rng.integers(1, 4)
         design = random_design(rng, n=200, p_s=p_s, p_x=p_x, p_w=p_w)
         fit = fit_total(design)
-        report = decompose(fit, design, Mode.TOTAL)
+        report = decompose(fit, design)
         full = predict(fit, design, Variant.FULL).values
         scale = max(1.0, np.abs(full).max())
         assert np.abs(report.rowwise_sum() - full).max() <= 1e-8 * scale
@@ -163,20 +162,20 @@ def test_criterion_3_construction_guarantees():
     design_x = build_design(y, s=s, x=x, group_labels=labels)
     fit_x = fit_total(design_x)
     feo = predict(fit_x, design_x, Variant.FEO).values
-    assert impartiality_score(feo, design_x, y, ScoreMode.FEO) <= 1e-8
+    assert impartiality_score(feo, design_x, y, RoleView.FEO) <= 1e-8
 
     # substantive-equality scoring: every covariate suspect
     design_w = build_design(y, s=s, w=x, group_labels=labels)
     fit_w = fit_total(design_w)
     fseo = predict(fit_w, design_w, Variant.FSEO).values
-    assert impartiality_score(fseo, design_w, y, ScoreMode.SEO) <= 1e-8
+    assert impartiality_score(fseo, design_w, y, RoleView.SEO) <= 1e-8
     total = predict(fit_w, design_w, Variant.TOTAL).values
-    assert impartiality_score(total, design_w, y, ScoreMode.SEO) <= 1e-8
+    assert impartiality_score(total, design_w, y, RoleView.SEO) <= 1e-8
 
     external = y + rng.standard_normal(500)
     fit_b, corrected = correct_blackbox(design_w, external)
     scored = impartiality_score(
-        corrected.values, with_blackbox(design_w, external), y, ScoreMode.SEO
+        corrected.values, with_blackbox(design_w, external), y, RoleView.SEO
     )
     assert scored <= 1e-8
 
@@ -310,8 +309,8 @@ def test_criterion_8_noise_robustness():
     design = build_design(y, s=s, x=x, group_labels=["g1" if v else "g0" for v in s])
     fit = fit_total(design)
     pred = predict(fit, design, Variant.FEO).values
-    base = impartiality_score(pred, design, y, ScoreMode.FEO)
+    base = impartiality_score(pred, design, y, RoleView.FEO)
     noisy = pred + 0.1 * pred.std() * rng.standard_normal(n)
-    moved = impartiality_score(noisy, design, y, ScoreMode.FEO)
+    moved = impartiality_score(noisy, design, y, RoleView.FEO)
     assert abs(moved - base) < 0.01
     passline(8, f"independent noise moves IS by {abs(moved - base):.5f} (< .01)")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import build_design
-from impartial.data import ColumnSpec, Role, Schema, assemble, encode, take_design
+from impartial.data import ColumnSpec, Role, RoleView, Schema, assemble, encode, take_design
 from impartial.errors import ContractError
-from impartial.estimators import Variant, as_all_suspect, fit_total, predict
+from impartial.estimators import Variant, fit_total, predict
 from impartial.harness import calders_baseline, fit_calders, gen_wine_like, predict_calders
 from impartial.harness import simple_example_schema
 from impartial.harness.calders import _bins, _propensity
@@ -81,7 +81,7 @@ def test_propensity_from_the_design_r_matches_its_own_fit():
     raw = assemble(*gen_wine_like(n=2000, seed=5))
     order = np.random.default_rng(5).permutation(raw.n_rows)
     for test_rows in np.array_split(order, 5):
-        train = as_all_suspect(take_design(raw, np.setdiff1d(order, test_rows)))
+        train = RoleView.SEO(take_design(raw, np.setdiff1d(order, test_rows)))
         fit = fit_calders(train)
         indicator = train.s[:, 0] + train.s_means[0]
         own = solve_least_squares(train.z[:, train.index("xwb")], indicator - indicator.mean())
@@ -173,7 +173,7 @@ def test_requires_binary_sensitive():
 @pytest.mark.parametrize("value", [2.5, True, "3", None, 0, -1])
 def test_bins_validated(table1_design, value):
     with pytest.raises(ContractError, match="bins"):
-        fit_calders(as_all_suspect(table1_design), bins=value)
+        fit_calders(RoleView.SEO(table1_design), bins=value)
 
 
 def test_out_of_sample_prediction(table1_data):
@@ -206,9 +206,9 @@ def test_declared_view_predicts_as_the_all_suspect_view():
     design = encode(data, _wine_roles(schema, (Role.LEGITIMATE, Role.SUSPECT)))
     assert design.width("x") and design.width("w")
     fit = fit_calders(design)
-    assert (fit.columns, fit.widths) == (design.columns, as_all_suspect(design).widths)
+    assert (fit.columns, fit.widths) == (design.columns, RoleView.SEO(design).widths)
     assert predict_calders(fit, design).tobytes() == (
-        predict_calders(fit, as_all_suspect(design)).tobytes()
+        predict_calders(fit, RoleView.SEO(design)).tobytes()
     )
 
 

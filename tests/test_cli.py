@@ -20,9 +20,9 @@ from impartial import cli, sidecar
 from impartial.cli import main
 from impartial.data import load_csv, load_schema, make_dataset, parse_schema, write_csv
 from impartial.errors import DataError
-from impartial.metrics import MetricsReport, ScoreMode
+from impartial.metrics import MetricsReport
 from impartial.harness import default_dag_spec, gen_dag, gen_simple_example, simple_example_schema
-from impartial.data import format_schema, Role
+from impartial.data import ColumnSpec, Schema, format_schema, Role, RoleView
 
 
 @pytest.fixture()
@@ -129,20 +129,6 @@ class TestFit:
         values = read_prediction_column(out)
         assert np.allclose(values, 0.335)
 
-    def test_feo_with_suspect_exits_2(self, loan_suspect_files, tmp_path, capsys):
-        data_path, schema_path = loan_suspect_files
-        code = main(
-            [
-                "fit",
-                "--data", str(data_path),
-                "--schema", str(schema_path),
-                "--variant", "feo",
-                "--out", str(tmp_path / "pred.csv"),
-            ]
-        )
-        assert code == 2
-        assert "total" in capsys.readouterr().err
-
     def test_missing_data_exits_1(self, loan_files, tmp_path, capsys):
         _, schema_path = loan_files
         code = main(
@@ -200,7 +186,7 @@ class TestAudit:
     def test_row_count_prints_as_an_integer(self, capsys):
         # .6g used to print n 1.23457e+06 while --out and the footer held 1234567
         report = MetricsReport(
-            rmse=0.5, rsse=1234.5678, ds=-0.25, is_score=1e-17, is_mode=ScoreMode.SEO,
+            rmse=0.5, rsse=1234.5678, ds=-0.25, is_score=1e-17, is_mode=RoleView.SEO,
             per_group_means={"a": 0.125}, n=1_234_567,
         )
         cli._print_audit(report)
@@ -358,18 +344,63 @@ class TestDecompose:
         assert sums == {0.1, 0.2, 0.4, 0.5}
         assert "sd_minus_mixed" in rows[0]
 
-    def test_mode_mismatch_exits_2(self, loan_files, tmp_path):
-        data_path, schema_path = loan_files
-        code = main(
-            [
-                "decompose",
-                "--data", str(data_path),
-                "--schema", str(schema_path),
-                "--mode", "fseo",
-                "--out", str(tmp_path / "c.csv"),
-            ]
-        )
-        assert code == 2
+
+class TestRoleViews:
+    """A view reads the data as a schema with the roles re-declared: feo
+    every suspect column legitimate, seo every legitimate one suspect."""
+
+    @pytest.fixture(scope="class")
+    def dag(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("views")
+        data = tmp / "dag.csv"
+        assert main(["simulate", "dag", "--n", "3000", "--px", "6", "--pw", "4", "--seed", "11",
+                     "--out", str(data)]) == 0
+        schema = load_schema(data.with_suffix(".schema"))
+        for view, old, new in (("feo", Role.SUSPECT, Role.LEGITIMATE),
+                               ("seo", Role.LEGITIMATE, Role.SUSPECT)):
+            specs = tuple(ColumnSpec(c.name, new if c.role is old else c.role, c.categorical)
+                          for c in schema.columns)
+            (tmp / f"{view}.schema").write_text(format_schema(Schema(specs)), encoding="utf-8")
+        return tmp
+
+    @staticmethod
+    def run(dag, command, schema, flags, capsys):
+        """stdout and output file bytes of one command on the dag data."""
+        out = dag / f"{command}_{schema}_{'_'.join(flags)}.csv"
+        argv = [command, *flags, "--data", str(dag / "dag.csv"),
+                "--schema", str(dag / f"{schema}.schema")]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)] * (command != "audit")) == 0
+        if command == "audit":
+            return capsys.readouterr().out
+        files = [out, out.with_suffix(".coef.csv")] if command == "fit" else [out]
+        return [f.read_bytes() for f in files]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--variant"), ("audit", "--variant"), ("decompose", "--mode"),
+    ])
+    @pytest.mark.parametrize("name, view", [("feo", "feo"), ("fseo", "seo")])
+    def test_view_is_the_redeclared_schema(self, dag, capsys, command, flag, name, view):
+        if flag == "--mode":
+            name = view
+        got = self.run(dag, command, "dag", [flag, name], capsys)
+        want = self.run(dag, command, view, [flag, "total" if flag == "--variant" else "declared"],
+                        capsys)
+        assert got == want
+
+    @pytest.mark.parametrize("command", ["audit", "decompose"])
+    @pytest.mark.parametrize("old, new", [("fseo", "seo"), ("total", "declared")])
+    def test_old_mode_names_read_as_the_new(self, dag, capsys, command, old, new):
+        variant = ["--variant", "full"] * (command == "audit")
+        assert (self.run(dag, command, "dag", [*variant, "--mode", old], capsys)
+                == self.run(dag, command, "dag", [*variant, "--mode", new], capsys))
+
+    def test_audit_scores_under_the_variant_view(self, dag, capsys):
+        # the feo predictions scored under their own roles, as --mode feo does
+        own = self.run(dag, "audit", "dag", ["--variant", "feo"], capsys)
+        scored = self.run(dag, "audit", "dag", ["--variant", "feo", "--mode", "feo"], capsys)
+        assert own.replace("declared", "feo") == scored
+        assert float(dict(ln.split() for ln in own.splitlines())["is"]) <= 1e-12
 
 
 class TestCorrect:
@@ -518,7 +549,7 @@ class TestValidate:
         assert ExperimentConfig() == ExperimentConfig(
             folds=args.folds,
             repetitions=args.reps,
-            variants=tuple(cli._VALIDATE_VARIANTS[v] for v in args.variants.split(",")),
+            variants=tuple(cli._VARIANTS[v] for v in args.variants.split(",")),
             master_seed=args.seed,
             blackbox_trees=args.trees,
             blackbox_depth=args.tree_depth,
@@ -651,6 +682,9 @@ def _bad_input_cases():
                        id=f"{name}-n0") for name in ("dag", "wine")),
         pytest.param(["audit", "--variant", "total", "--predictions", "{tmp}/p.csv", *loan], 2,
                      id="variant-and-predictions"),
+        # the flags are checked before the data is read, as audit checks them
+        pytest.param(["correct", "--out", "{tmp}/s.csv", "--data", "{tmp}/missing.csv",
+                      "--schema", "{schema}"], 2, id="correct-without-predictions"),
         *(pytest.param(["validate", "--simulate", "simple", flag, "/nonexistent.csv"], 2,
                        id=f"simulate-and{flag[1:]}") for flag in ("--data", "--schema")),
         pytest.param(["validate", "--simulate", "simple", "--variants", "bogus"], 2,

@@ -28,7 +28,7 @@ from impartial.data import (
     parse_schema,
     write_csv,
 )
-from impartial.decomposition import COMPONENT_NAMES, Mode, decompose
+from impartial.decomposition import COMPONENT_NAMES, decompose
 from impartial.errors import DataError
 from impartial.estimators import Variant, correct_blackbox, fit_total, predict
 from impartial.harness import gen_dag, default_dag_spec
@@ -459,7 +459,7 @@ class TestCliFiles:
                      "--schema", str(schema_path), "--out", str(out)]) == 0
         design = encode(load_csv(data_path, schema), schema)
         ref_write_decomposition(tmp_path / "ref.csv", decompose(
-            fit_total(design), design, Mode.TOTAL), design.n_rows)
+            fit_total(design), design), design.n_rows)
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_fit_matches_csv_writer(self, tmp_path, quoting_files, chunk_rows):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import build_design, random_design
-from impartial.data import Role, encode
+from impartial.data import Role, RoleView, encode
 from impartial.decomposition import (
     COMPONENT_NAMES,
-    Mode,
     decompose,
     decompose_coefficients,
     redlining_report,
@@ -75,13 +74,13 @@ class TestDecompose:
         rng = np.random.default_rng(43)
         design = orthogonal_design(rng, p_w=0)
         fit = fit_total(design)
-        report = decompose(fit, design, Mode.FEO)
+        report = decompose(fit, design)
         np.testing.assert_allclose(report.di, 0.0, atol=1e-10)
         np.testing.assert_allclose(report.dt, design.s @ fit.beta_s, atol=1e-10)
 
     def test_feo_sum_identity_on_loan_table(self, table1_design):
         fit = fit_total(table1_design)
-        report = decompose(fit, table1_design, Mode.FEO)
+        report = decompose(fit, table1_design)
         full = predict(fit, table1_design, Variant.FULL).values
         np.testing.assert_allclose(report.rowwise_sum(), full, rtol=1e-8)
         # cells recover the full-model values
@@ -90,7 +89,7 @@ class TestDecompose:
     def test_fseo_sum_identity(self, table1_data):
         design = encode(table1_data, simple_example_schema(Role.SUSPECT))
         fit = fit_total(design)
-        report = decompose(fit, design, Mode.FSEO)
+        report = decompose(fit, design)
         full = predict(fit, design, Variant.FULL).values
         np.testing.assert_allclose(report.rowwise_sum(), full, rtol=1e-8)
         assert np.all(report.sd_plus == 0.0)
@@ -101,7 +100,7 @@ class TestDecompose:
         for _ in range(5):
             design = random_design(rng, n=200, p_s=2, p_x=3, p_w=2)
             fit = fit_total(design)
-            report = decompose(fit, design, Mode.TOTAL)
+            report = decompose(fit, design)
             full = predict(fit, design, Variant.FULL).values
             np.testing.assert_allclose(
                 report.rowwise_sum(), full, rtol=1e-8, atol=1e-10
@@ -111,7 +110,7 @@ class TestDecompose:
         rng = np.random.default_rng(45)
         design = random_design(rng, n=150, p_s=2, p_x=3, p_w=0)
         fit = fit_total(design)
-        report = decompose(fit, design, Mode.FEO)
+        report = decompose(fit, design)
         di = report.di.reshape(-1, 1)
         back = project(design.x, di).projected[:, 0]
         np.testing.assert_allclose(back, report.di, rtol=1e-8, atol=1e-10)
@@ -123,7 +122,7 @@ class TestDecompose:
         rng = np.random.default_rng(46)
         design = orthogonal_design(rng)
         fit = fit_total(design)
-        report = decompose(fit, design, Mode.TOTAL)
+        report = decompose(fit, design)
         np.testing.assert_allclose(report.di, 0.0, atol=1e-10)
         np.testing.assert_allclose(report.sd_plus, 0.0, atol=1e-10)
         np.testing.assert_allclose(report.sd_minus_mixed, 0.0, atol=1e-10)
@@ -135,28 +134,19 @@ class TestDecompose:
 
     def test_component_name_listing(self, table1_design):
         fit = fit_total(table1_design)
-        report = decompose(fit, table1_design, Mode.FEO)
+        report = decompose(fit, table1_design)
         for name in COMPONENT_NAMES:
             assert report.component(name).shape == (1000,)
 
-    @pytest.mark.parametrize("mode, p_x, p_w", [(Mode.FEO, 2, 0), (Mode.FSEO, 0, 2)])
-    def test_feo_fseo_are_total_with_empty_blocks(self, mode, p_x, p_w):
+    @pytest.mark.parametrize("view, p_x, p_w", [(RoleView.FEO, 2, 0), (RoleView.SEO, 0, 2)])
+    def test_feo_fseo_are_total_with_empty_blocks(self, view, p_x, p_w):
+        # a design whose roles already are the view's: the view is its own
         rng = np.random.default_rng(48)
         design = random_design(rng, n=100, p_s=2, p_x=p_x, p_w=p_w)
-        fit = fit_total(design)
-        alias = decompose(fit, design, mode)
-        total = decompose(fit, design, Mode.TOTAL)
+        alias = decompose(fit_total(view(design)), view(design))
+        total = decompose(fit_total(design), design)
         for name in COMPONENT_NAMES:
             assert alias.component(name).tobytes() == total.component(name).tobytes()
-
-    def test_mode_block_compatibility(self, table1_design):
-        fit = fit_total(table1_design)
-        with pytest.raises(ContractError, match="legitimate"):
-            decompose(fit, table1_design, Mode.FSEO)
-        rng = np.random.default_rng(47)
-        mixed = random_design(rng, n=100, p_s=1, p_x=2, p_w=2)
-        with pytest.raises(ContractError, match="suspect"):
-            decompose(fit_total(mixed), mixed, Mode.FEO)
 
 
 class TestRedliningReport:
@@ -164,25 +154,25 @@ class TestRedliningReport:
         rng = np.random.default_rng(48)
         design = orthogonal_design(rng, p_x=0)
         fit = fit_total(design)
-        report = decompose(fit, design, Mode.FSEO)
+        report = decompose(fit, design)
         summary = redlining_report(report)
         assert summary.uninformative_redlining == pytest.approx(0.0, abs=1e-10)
 
     def test_loan_table_fseo_nonzero(self, table1_data):
         design = encode(table1_data, simple_example_schema(Role.SUSPECT))
         fit = fit_total(design)
-        summary = redlining_report(decompose(fit, design, Mode.FSEO))
+        summary = redlining_report(decompose(fit, design))
         assert summary.informative_redlining > 0.01
         assert summary.suspect_shared > 0.01
         assert summary.uninformative_redlining == pytest.approx(
             summary.informative_redlining + summary.suspect_shared
         )
 
-    def test_feo_mode_rejected(self, table1_design):
-        fit = fit_total(table1_design)
-        report = decompose(fit, table1_design, Mode.FEO)
-        with pytest.raises(ContractError, match="FEO"):
-            redlining_report(report)
+    def test_no_suspect_block_shares_nothing(self, table1_design):
+        # under the feo roles of the loan table every redlining is informative
+        summary = redlining_report(decompose(fit_total(table1_design), table1_design))
+        assert summary.suspect_shared == 0.0
+        assert summary.uninformative_redlining == summary.informative_redlining > 0.01
 
     def test_bias_loads_on_disparate_treatment(self):
         # the raw direct group effect is negative, so the injected shift must
@@ -192,13 +182,13 @@ class TestRedliningReport:
         raw_design = encode(data, schema)
         raw_fit = fit_total(raw_design)
         raw_dt = redlining_report(
-            decompose(raw_fit, raw_design, Mode.FSEO)
+            decompose(raw_fit, raw_design)
         ).disparate_treatment
 
         biased = inject_bias(data, schema, BiasSpec("white", 0.7, 2.0), seed=9)
         b_design = encode(biased, schema)
         b_fit = fit_total(b_design)
         biased_dt = redlining_report(
-            decompose(b_fit, b_design, Mode.FSEO)
+            decompose(b_fit, b_design)
         ).disparate_treatment
         assert biased_dt > raw_dt

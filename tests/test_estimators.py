@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import build_design, cell_values, random_design
-from impartial.data import ColumnSpec, Role, Schema, encode, make_dataset, take_design
+from impartial.data import ColumnSpec, Role, RoleView, Schema, encode, make_dataset, take_design
 from impartial import data
-from impartial.decomposition import Mode, decompose, decompose_coefficients
+from impartial.decomposition import decompose, decompose_coefficients
 from impartial.errors import ContractError, DataError, VariantError
 from impartial.estimators import (
+    VARIANTS,
     Variant,
-    as_all_legitimate,
-    as_all_suspect,
     correct_blackbox,
     fit_total,
     predict,
@@ -127,7 +126,7 @@ def test_regressions_that_leave_s_out_keep_its_alias(c):
     close(fit.lambda_x_for_s, solve_least_squares_multi(x, s))
     close(predict(fit, design, Variant.EXCLUDE_S).values,
           fit.beta0 + xwb @ solve_least_squares(xwb, y).coefficients)
-    report = decompose(fit, design, Mode.TOTAL)
+    report = decompose(fit, design)
     close(report.di, solve_least_squares(xwb, s @ fit.beta_s).fitted)
     close(report.di + report.dt, s @ fit.beta_s)
 
@@ -264,6 +263,23 @@ class TestPredictVariants:
         alias = predict(fit, design, variant).values
         total = predict(fit, design, Variant.TOTAL).values
         assert alias.tobytes() == total.tobytes()
+
+    def test_predict_applies_the_view(self):
+        # FEO and FSEO predict on the declared rows from a fit under their view
+        rng = np.random.default_rng(17)
+        design = random_design(rng, n=100, p_s=1, p_x=2, p_w=2)
+        for variant in (Variant.FEO, Variant.FSEO):
+            view = VARIANTS[variant][2]
+            fit = fit_total(view(design))
+            got = predict(fit, design, variant).values
+            assert got.tobytes() == predict(fit, view(design), Variant.TOTAL).values.tobytes()
+
+    def test_one_table_names_every_variant(self):
+        names = [name for name, _, _ in VARIANTS.values()]
+        assert set(VARIANTS) == set(Variant) and len(set(names)) == len(names)
+        rules = {rule for _, rule, _ in VARIANTS.values()}
+        assert rules == {Variant.FULL, Variant.EXCLUDE_S, Variant.MARGINAL, Variant.TOTAL,
+                         Variant.CALDERS_BASELINE}
 
     def test_total_matches_stepwise_construction(self):
         rng = np.random.default_rng(15)
@@ -463,7 +479,7 @@ class TestRoleReassignment:
     def test_as_all_legitimate_moves_w(self):
         rng = np.random.default_rng(26)
         design = random_design(rng, n=60, p_s=1, p_x=2, p_w=2)
-        moved = as_all_legitimate(design)
+        moved = RoleView.FEO(design)
         assert moved.w.shape[1] == 0
         assert moved.x.shape[1] == 4
         assert moved.x_labels == design.x_labels + design.w_labels
@@ -471,7 +487,7 @@ class TestRoleReassignment:
     def test_as_all_suspect_moves_x(self):
         rng = np.random.default_rng(27)
         design = random_design(rng, n=60, p_s=1, p_x=2, p_w=2)
-        moved = as_all_suspect(design)
+        moved = RoleView.SEO(design)
         assert moved.x.shape[1] == 0
         assert moved.w.shape[1] == 4
 
@@ -508,7 +524,8 @@ class TestRoleReassignment:
             assert design.block(key).shape == (n, design.width(key))
             assert len(design.labels(key)) == len(design.means(key)) == design.width(key)
 
-    @pytest.mark.parametrize("move", [as_all_legitimate, as_all_suspect])
+    @pytest.mark.parametrize("move", [RoleView.FEO, RoleView.SEO],
+                             ids=["as_all_legitimate", "as_all_suspect"])
     def test_role_views_share_z(self, move):
         rng = np.random.default_rng(31)
         design = random_design(rng, n=60, p_s=1, p_x=2, p_w=2)
@@ -521,12 +538,12 @@ class TestRoleReassignment:
         rng = np.random.default_rng(32)
         design = random_design(rng, n=60, p_s=1, p_x=2, p_w=2)
         fit = fit_total(design)
-        moved = as_all_suspect(design)
+        moved = RoleView.SEO(design)
         assert moved.columns == fit.columns
         with pytest.raises(ContractError, match="training columns"):
             predict(fit, moved, Variant.FULL)
         with pytest.raises(ContractError, match="training columns"):
-            decompose(fit, moved, Mode.TOTAL)
+            decompose(fit, moved)
 
 
 class TestCoefficientIdentity:
@@ -564,8 +581,8 @@ class TestRegressionCount:
         design = self.design()
         views = [
             (design, (Variant.FULL, Variant.TOTAL, Variant.MARGINAL)),
-            (as_all_legitimate(design), (Variant.FEO, Variant.FULL)),
-            (as_all_suspect(design), (Variant.FSEO, Variant.TOTAL)),
+            (RoleView.FEO(design), (Variant.FEO, Variant.FULL)),
+            (RoleView.SEO(design), (Variant.FSEO, Variant.TOTAL)),
         ]
         for view, variants in views:
             calls[0] = 0

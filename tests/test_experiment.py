@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,8 @@ class TestKfoldValidate:
             ExperimentConfig(variants=())
         with pytest.raises(ContractError, match=r"\['full'\] configured more than once"):
             ExperimentConfig(variants=(Variant.FULL, Variant.FEO, Variant.FULL))
+        with pytest.raises(ContractError, match=r"\['full'\] are not Variant members"):
+            ExperimentConfig(variants=("full",))
 
     @pytest.mark.parametrize(
         "field",
@@ -207,6 +211,29 @@ class TestKfoldValidate:
 
     def test_numpy_integer_counts_accepted(self):
         assert ExperimentConfig(blackbox_trees=np.int64(3)).blackbox_trees == 3
+
+
+@pytest.mark.parametrize("seed", [11, 7777])
+def test_protocol_matches_the_benchmark_reference(seed):
+    # the benchmark's protocol_blackbox config against its stored tables
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    want = json.loads(path.read_text())["protocol_blackbox"][str(seed)]
+    config = ExperimentConfig(
+        folds=5,
+        repetitions=2,
+        variants=(Variant.FULL, Variant.FEO, Variant.FSEO, Variant.CALDERS_BASELINE,
+                  Variant.MARGINAL, Variant.BLACKBOX_CORRECTED),
+        master_seed=seed,
+        blackbox_trees=20,
+        blackbox_depth=6,
+    )
+    data, schema = gen_wine_like(n=6497, seed=seed)
+    got = kfold_validate(data, schema, config, BiasSpec("white", 0.7, 1.0)).values
+    assert sorted(got) == sorted(want)
+    for variant, metrics in want.items():
+        assert sorted(got[variant]) == sorted(metrics)
+        for metric, value in metrics.items():
+            assert got[variant][metric] == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
 class TestEverySettingReachesResult:

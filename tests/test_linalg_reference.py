@@ -37,12 +37,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impartial import data, decomposition, linalg, metrics
-from impartial.data import ColumnSpec, Role, Schema, encode, make_dataset
-from impartial.decomposition import COMPONENT_NAMES, Mode, decompose
+from impartial.data import ColumnSpec, Role, RoleView, Schema, encode, make_dataset
+from impartial.decomposition import COMPONENT_NAMES, decompose
 from impartial.estimators import Variant, fit_total, predict, with_blackbox
 from impartial.harness import default_dag_spec, gen_dag, gen_wine_like
 from impartial.linalg import project, solve_least_squares, solve_least_squares_multi
-from impartial.metrics import ScoreMode, impartiality_score
+from impartial.metrics import impartiality_score
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
@@ -259,7 +259,7 @@ def _estimates(make_design):
     design = make_design()
     fit = fit_total(design)
     full = predict(fit, design, Variant.FULL).values
-    report = decompose(fit, design, Mode.TOTAL)
+    report = decompose(fit, design)
     noisy = full + np.random.default_rng(0).standard_normal(design.n_rows)
     augmented = with_blackbox(design, noisy)
     corrected_fit = fit_total(augmented)
@@ -273,9 +273,9 @@ def _estimates(make_design):
         "dropped": fit.dropped_labels + corrected_fit.dropped_labels,
         "components": np.column_stack([report.component(c) for c in COMPONENT_NAMES]),
         "fitted": full,
-        "is_seo": impartiality_score(noisy, design, design.y, ScoreMode.SEO),
-        "is_feo": impartiality_score(noisy, design, design.y, ScoreMode.FEO),
-        "is_corrected": impartiality_score(corrected, augmented, design.y, ScoreMode.SEO),
+        "is_seo": impartiality_score(noisy, design, design.y, RoleView.SEO),
+        "is_feo": impartiality_score(noisy, design, design.y, RoleView.FEO),
+        "is_corrected": impartiality_score(corrected, augmented, design.y, RoleView.SEO),
     }
 
 

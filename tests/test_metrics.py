@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_design, cell_values, random_design
-from impartial.data import Role, encode
+from impartial.data import Role, RoleView, encode
 from impartial.errors import ContractError, DataError
 from impartial.estimators import Variant, correct_blackbox, fit_total, predict
 from impartial.harness import simple_example_schema
 from impartial.metrics import (
-    ScoreMode,
     discrimination_score,
     group_means,
     impartiality_conditions,
@@ -106,18 +105,18 @@ class TestErrorMetrics:
 class TestImpartialityScore:
     def test_feo_variant_scores_zero_in_sample(self, table1_design, table1_fit):
         pred = predict(table1_fit, table1_design, Variant.FEO).values
-        score = impartiality_score(pred, table1_design, table1_design.y, ScoreMode.FEO)
+        score = impartiality_score(pred, table1_design, table1_design.y, RoleView.FEO)
         assert score == pytest.approx(0.0, abs=1e-8)
 
     def test_fseo_variant_scores_zero_in_sample(self, suspect_design):
         fit = fit_total(suspect_design)
         pred = predict(fit, suspect_design, Variant.FSEO).values
-        score = impartiality_score(pred, suspect_design, suspect_design.y, ScoreMode.SEO)
+        score = impartiality_score(pred, suspect_design, suspect_design.y, RoleView.SEO)
         assert score == pytest.approx(0.0, abs=1e-8)
 
     def test_full_model_scores_positive(self, table1_design, table1_fit):
         pred = predict(table1_fit, table1_design, Variant.FULL).values
-        score = impartiality_score(pred, table1_design, table1_design.y, ScoreMode.SEO)
+        score = impartiality_score(pred, table1_design, table1_design.y, RoleView.SEO)
         assert score > 0.01
 
     def test_unknown_mode_rejected(self, table1_design, table1_fit):
@@ -134,14 +133,14 @@ class TestImpartialityScore:
         target = table1_design.y.copy()
         (pred if which == "predictions" else target)[3] = bad
         with pytest.raises(DataError, match=which):
-            impartiality_score(pred, table1_design, target, ScoreMode.SEO)
+            impartiality_score(pred, table1_design, target, RoleView.SEO)
 
     def test_nonnegative_on_arbitrary_predictions(self):
         rng = np.random.default_rng(52)
         design = random_design(rng, n=80, p_s=2, p_x=2, p_w=1)
         for _ in range(5):
             pred = rng.standard_normal(80)
-            for mode in ScoreMode:
+            for mode in RoleView:
                 assert impartiality_score(pred, design, design.y, mode) >= 0.0
 
     def test_independent_noise_barely_moves_score(self):
@@ -155,16 +154,16 @@ class TestImpartialityScore:
         )
         fit = fit_total(design)
         pred = predict(fit, design, Variant.FEO).values
-        base = impartiality_score(pred, design, design.y, ScoreMode.FEO)
+        base = impartiality_score(pred, design, design.y, RoleView.FEO)
         noisy = pred + 0.1 * rng.standard_normal(n)
-        moved = impartiality_score(noisy, design, design.y, ScoreMode.FEO)
+        moved = impartiality_score(noisy, design, design.y, RoleView.FEO)
         assert abs(moved - base) < 0.01
 
     def test_empty_sensitive_block_rejected(self):
         rng = np.random.default_rng(54)
         design = build_design(rng.standard_normal(30), x=rng.standard_normal((30, 2)))
         with pytest.raises(ContractError, match="sensitive"):
-            impartiality_score(np.zeros(30), design, design.y, ScoreMode.FEO)
+            impartiality_score(np.zeros(30), design, design.y, RoleView.FEO)
 
     def test_aliased_sensitive_columns_named(self):
         rng = np.random.default_rng(55)
@@ -172,14 +171,14 @@ class TestImpartialityScore:
         s = np.column_stack([base, 2.0 * base])
         design = build_design(rng.standard_normal(40), s=s, x=rng.standard_normal((40, 1)))
         with pytest.raises(ContractError, match="s1"):
-            impartiality_score(np.zeros(40), design, design.y, ScoreMode.FEO)
+            impartiality_score(np.zeros(40), design, design.y, RoleView.FEO)
 
     def test_constant_sensitive_column_named(self):
         rng = np.random.default_rng(56)
         s = np.column_stack([rng.standard_normal(40), np.full(40, 2.0)])
         design = build_design(rng.standard_normal(40), s=s)
         with pytest.raises(ContractError, match="constant"):
-            impartiality_score(np.zeros(40), design, design.y, ScoreMode.SEO)
+            impartiality_score(np.zeros(40), design, design.y, RoleView.SEO)
 
     def test_zero_variance_covariate_contributes_nothing(self):
         rng = np.random.default_rng(57)
@@ -187,7 +186,7 @@ class TestImpartialityScore:
         x = np.column_stack([rng.standard_normal(50), np.zeros(50)])
         design = build_design(rng.standard_normal(50), s=s, x=x)
         score = impartiality_score(
-            rng.standard_normal(50), design, design.y, ScoreMode.FEO
+            rng.standard_normal(50), design, design.y, RoleView.FEO
         )
         assert np.isfinite(score)
 
@@ -204,7 +203,7 @@ class TestImpartialityScore:
         from impartial.estimators import with_blackbox
 
         scored = impartiality_score(
-            pred.values, with_blackbox(design, external), y, ScoreMode.SEO
+            pred.values, with_blackbox(design, external), y, RoleView.SEO
         )
         assert scored == pytest.approx(0.0, abs=1e-8)
 
@@ -242,7 +241,7 @@ class TestScorePredictions:
     def test_bundle_on_loan_table(self, table1_design, table1_fit):
         pred = predict(table1_fit, table1_design, Variant.FEO)
         report = score_predictions(
-            pred, table1_design, table1_design.y, ScoreMode.FEO
+            pred, table1_design, table1_design.y, RoleView.FEO
         )
         assert report.n == 1000
         assert report.ds == pytest.approx(-0.145, abs=0.005)
@@ -259,7 +258,7 @@ class TestScorePredictions:
     def test_unknown_group_named(self, table1_design, table1_fit):
         pred = predict(table1_fit, table1_design, Variant.FEO)
         with pytest.raises(ContractError, match="unknown group label 's\\?'"):
-            score_predictions(pred, table1_design, table1_design.y, ScoreMode.FEO,
+            score_predictions(pred, table1_design, table1_design.y, RoleView.FEO,
                               positive_group="s?", negative_group="s-")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -267,7 +266,7 @@ class TestScorePredictions:
         pred = predict(table1_fit, table1_design, Variant.FULL).values.copy()
         pred[0] = bad
         with pytest.raises(DataError, match="predictions"):
-            score_predictions(pred, table1_design, table1_design.y, ScoreMode.SEO)
+            score_predictions(pred, table1_design, table1_design.y, RoleView.SEO)
 
     def test_group_inference_requires_two_levels(self):
         rng = np.random.default_rng(61)
@@ -277,7 +276,7 @@ class TestScorePredictions:
             group_labels=["a"] * 10 + ["b"] * 10 + ["c"] * 10,
         )
         with pytest.raises(ContractError, match="named"):
-            score_predictions(np.zeros(30), design, design.y, ScoreMode.SEO)
+            score_predictions(np.zeros(30), design, design.y, RoleView.SEO)
 
 
 @settings(max_examples=40, deadline=None)

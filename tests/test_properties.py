@@ -45,12 +45,10 @@ from hypothesis import strategies as st
 
 import impartial
 from impartial import linalg
-from impartial.data import ColumnSpec, Role, Schema, encode, make_dataset, take_design
-from impartial.decomposition import COMPONENT_NAMES, Mode, decompose
+from impartial.data import ColumnSpec, Role, RoleView, Schema, encode, make_dataset, take_design
+from impartial.decomposition import COMPONENT_NAMES, decompose
 from impartial.estimators import (
     Variant,
-    as_all_legitimate,
-    as_all_suspect,
     correct_blackbox,
     fit_total,
     predict,
@@ -60,7 +58,7 @@ from impartial.estimators import (
 from impartial.harness import BiasSpec, ExperimentConfig, default_dag_spec, gen_dag, kfold_validate
 from impartial.harness.experiment import METRIC_NAMES
 from impartial.linalg import RECONSTRUCTION_RTOL
-from impartial.metrics import ScoreMode, impartiality_score
+from impartial.metrics import impartiality_score
 
 R = RECONSTRUCTION_RTOL
 
@@ -121,33 +119,33 @@ def fitted(design):
 def test_total_decomposition_sums_to_fitted_values(case):
     design, _ = case
     fit, full = fitted(design)
-    assert_close(decompose(fit, design, Mode.TOTAL).rowwise_sum(), full)
+    assert_close(decompose(fit, design).rowwise_sum(), full)
 
 
 @_SETTINGS
 @given(case=awkward_designs())
 def test_impartial_predictions_score_zero_in_sample(case):
     design, _ = case
-    legitimate, suspect = as_all_legitimate(design), as_all_suspect(design)
+    legitimate, suspect = RoleView.FEO(design), RoleView.SEO(design)
     y = design.y
     feo = predict(fitted(legitimate)[0], legitimate, Variant.FEO).values
-    assert impartiality_score(feo, legitimate, y, ScoreMode.FEO) <= R
+    assert impartiality_score(feo, legitimate, y, RoleView.FEO) <= R
     fseo = predict(fitted(suspect)[0], suspect, Variant.FSEO).values
-    assert impartiality_score(fseo, suspect, y, ScoreMode.SEO) <= R
+    assert impartiality_score(fseo, suspect, y, RoleView.SEO) <= R
     external = y + np.random.default_rng(design.n_rows).standard_normal(design.n_rows)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, corrected = correct_blackbox(suspect, external)
     assert impartiality_score(
-        corrected.values, with_blackbox(suspect, external), y, ScoreMode.SEO
+        corrected.values, with_blackbox(suspect, external), y, RoleView.SEO
     ) <= R
     # under the declared roles, with X and W both present as drawn
     total = predict(fitted(design)[0], design, Variant.TOTAL).values
-    assert impartiality_score(total, design, y, ScoreMode.DECLARED) <= R
+    assert impartiality_score(total, design, y, RoleView.DECLARED) <= R
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, corrected = correct_blackbox(design, external)
-    assert impartiality_score(corrected.values, design, y, ScoreMode.DECLARED) <= R
+    assert impartiality_score(corrected.values, design, y, RoleView.DECLARED) <= R
 
 
 @_SETTINGS
@@ -171,10 +169,10 @@ def every_variant(design):
     """Each predict variant's predictions on its own training view, and the
     joint fit's dropped labels."""
     external = design.y + np.random.default_rng(design.n_rows).standard_normal(design.n_rows)
-    suspect = as_all_suspect(design)
+    suspect = RoleView.SEO(design)
     views = {
         Variant.FULL: design, Variant.EXCLUDE_S: design, Variant.MARGINAL: design,
-        Variant.TOTAL: design, Variant.FEO: as_all_legitimate(design),
+        Variant.TOTAL: design, Variant.FEO: RoleView.FEO(design),
         Variant.FSEO: suspect, Variant.BLACKBOX_CORRECTED: with_blackbox(suspect, external),
     }
     out = {v: predict(fitted(view)[0], view, v).values for v, view in views.items()}
@@ -231,10 +229,10 @@ def test_near_collinear_design_is_exact_to_its_condition_number(seed, source):
     kappa = np.linalg.cond(design.z)
     kappa_eps = kappa * np.finfo(float).eps
     fit, full = fitted(design)
-    assert_close(decompose(fit, design, Mode.TOTAL).rowwise_sum(), full)
-    legitimate = as_all_legitimate(design)
+    assert_close(decompose(fit, design).rowwise_sum(), full)
+    legitimate = RoleView.FEO(design)
     feo = predict(fitted(legitimate)[0], legitimate, Variant.FEO).values
-    assert impartiality_score(feo, legitimate, design.y, ScoreMode.FEO) <= 0.5 * kappa_eps
+    assert impartiality_score(feo, legitimate, design.y, RoleView.FEO) <= 0.5 * kappa_eps
     # A least-squares solution moves by up to kappa*eps*(|beta| + kappa*|r|/|Z|)
     # (Wedin): with a nonzero residual r the kappa**2 term dominates, so the
     # error relative to |beta| alone grows without bound as |beta| shrinks.
@@ -286,16 +284,16 @@ def test_tiny_folds_give_finite_tables(folds, extra, seed, p_x):
 _ESTIMATES = """
 import sys
 import numpy as np
-from impartial.data import encode
-from impartial.decomposition import COMPONENT_NAMES, Mode, decompose
+from impartial.data import RoleView, encode
+from impartial.decomposition import COMPONENT_NAMES, decompose
 from impartial.estimators import Variant, fit_total, predict
 from impartial.harness import default_dag_spec, gen_dag
-from impartial.metrics import ScoreMode, impartiality_score
+from impartial.metrics import impartiality_score
 
 design = encode(*gen_dag(default_dag_spec(n=100_000, p_x_observed=6, p_w=4, seed=11)))
 fit = fit_total(design)
 full = predict(fit, design, Variant.FULL).values
-report = decompose(fit, design, Mode.TOTAL)
+report = decompose(fit, design)
 np.savez(
     sys.argv[1],
     coefficients=fit.coefficients,
@@ -303,7 +301,7 @@ np.savez(
     full=full,
     total=predict(fit, design, Variant.TOTAL).values,
     components=np.column_stack([report.component(name) for name in COMPONENT_NAMES]),
-    scores=[impartiality_score(full, design, design.y, mode) for mode in ScoreMode],
+    scores=[impartiality_score(full, design, design.y, mode) for mode in RoleView],
 )
 """
 
@@ -337,10 +335,10 @@ def all_estimates(data, schema) -> dict:
     design = encode(data, schema)
     fit = fit_total(design)
     external = design.y + np.random.default_rng(5).standard_normal(design.n_rows)
-    suspect = as_all_suspect(design)
+    suspect = RoleView.SEO(design)
     views = {
         Variant.FULL: design, Variant.EXCLUDE_S: design, Variant.MARGINAL: design,
-        Variant.TOTAL: design, Variant.FEO: as_all_legitimate(design),
+        Variant.TOTAL: design, Variant.FEO: RoleView.FEO(design),
         Variant.FSEO: suspect, Variant.BLACKBOX_CORRECTED: with_blackbox(suspect, external),
     }
     out = {
@@ -351,10 +349,10 @@ def all_estimates(data, schema) -> dict:
         out[variant.value] = predict(fit_total(view), view, variant).values
     new_rows = take_design(design, np.arange(0, design.n_rows, 3))
     for name, rows in (("decompose", design), ("decompose_new_rows", new_rows)):
-        report = decompose(fit, rows, Mode.TOTAL)
+        report = decompose(fit, rows)
         out[name] = np.column_stack([report.component(c) for c in COMPONENT_NAMES])
     full = out[Variant.FULL.value]
-    out["scores"] = np.array([impartiality_score(full, design, design.y, m) for m in ScoreMode])
+    out["scores"] = np.array([impartiality_score(full, design, design.y, m) for m in RoleView])
     return out
 
 
