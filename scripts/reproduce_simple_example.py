@@ -26,32 +26,30 @@ def cell_map(data, values):
 
 def main():
     data = gen_simple_example()
-    design_x = encode(data, simple_example_schema())
-    design_w = RoleView.SEO(design_x)  # education read as suspect
-    fit_x = fit_total(design_x)
-    fit_w = fit_total(design_w)
+    design = encode(data, simple_example_schema())
+    fit = fit_total(design)  # one fit; every variant reads it under its view
 
     rows = (
-        ("Full", predict(fit_x, design_x, Variant.FULL).values),
-        ("Exclude-s", predict(fit_x, design_x, Variant.EXCLUDE_S).values),
-        ("FEO", predict(fit_x, design_x, Variant.FEO).values),
-        ("SEO", predict(fit_w, design_w, Variant.FSEO).values),
-        ("Marginal", predict(fit_x, design_x, Variant.MARGINAL).values),
+        ("Full", predict(fit, design, Variant.FULL).values),
+        ("Exclude-s", predict(fit, design, Variant.EXCLUDE_S).values),
+        ("FEO", predict(fit, design, Variant.FEO).values),
+        ("SEO", predict(fit, design, Variant.FSEO).values),
+        ("Marginal", predict(fit, design, Variant.MARGINAL).values),
     )
 
     header = f"{'estimator':<12}" + "".join(f"{e}/{g:<4}".rjust(12) for e, g in CELLS)
     print(header + f"{'DS':>9}{'RSSE':>9}")
     for name, values in rows:
         cells = cell_map(data, values)
-        ds = discrimination_score(values, design_x.s_group_labels, "s+", "s-")
+        ds = discrimination_score(values, design.s_group_labels, "s+", "s-")
         line = f"{name:<12}" + "".join(f"{cells[c]:.4g}".rjust(12) for c in CELLS)
-        print(line + f"{ds:>9.3f}{rsse(values, design_x.y):>9.4g}")
+        print(line + f"{ds:>9.3f}{rsse(values, design.y):>9.4g}")
 
     print("\ncomponent magnitudes (mean |per-row contribution|):")
-    feo_report = decompose(fit_x, design_x)
+    feo_report = decompose(fit, design)
     for name, value in feo_report.mean_abs().items():
         print(f"  education-legitimate {name:<16}{value:.6f}")
-    fseo_report = decompose(fit_w, design_w)
+    fseo_report = decompose(RoleView.SEO(fit), RoleView.SEO(design))  # education suspect
     summary = redlining_report(fseo_report)
     print(f"  education-suspect disparate treatment   {summary.disparate_treatment:.6f}")
     print(f"  education-suspect uninformative redlining {summary.uninformative_redlining:.6f}")

@@ -175,7 +175,7 @@ def cmd_fit(args) -> int:
     with coef_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "column", "value"])
-        writer.writerow(["intercept", "", _fmt(fit.beta0)])
+        writer.writerow(["intercept", "", _fmt(fit.beta0 - fit.column_means @ fit.coefficients)])
         for block, label, beta in zip(fit.column_blocks, fit.columns, fit.coefficients):
             writer.writerow([block, label, _fmt(beta)])
         writer.writerows(["# dropped", label] for label in fit.dropped_labels)

@@ -692,12 +692,13 @@ class BlockLayout:
 
     def merged(self, keys: str, into: str):
         """Copy in which the adjacent blocks ``keys`` form the one block
-        ``into``: a role change moves block boundaries and copies no data."""
+        ``into``: a role change moves block boundaries and copies no data.
+        When no boundary moves, the layout itself (a fit keeps its reads)."""
         if keys not in BLOCKS or into not in keys:
             raise ContractError(f"cannot merge blocks {keys!r} into {into!r}")
         widths = [0 if key in keys else w for key, w in zip(BLOCKS, self.widths)]
         widths[BLOCKS.index(into)] = self.width(keys)
-        return self.replace(widths=tuple(widths))
+        return self if tuple(widths) == self.widths else self.replace(widths=tuple(widths))
 
 
 class RoleView(enum.Enum):
@@ -706,7 +707,7 @@ class RoleView(enum.Enum):
     DECLARED keeps the roles as declared; FEO reads every legitimate and
     suspect column as legitimate, SEO every one as suspect. S and B are
     left alone, and B reads as suspect throughout. A view only moves the
-    X/W boundary (``merged``), so a design's views share its Z and R.
+    X/W boundary (``merged``): a design's views share its Z and R, a fit's its R.
     """
 
     DECLARED = "declared"

@@ -1,23 +1,23 @@
 """Estimator variants derived from a single joint regression fit.
 
-``fit_total`` reads the joint fit of the response on the whole centered
-design Z = [S|X|W|B], and the auxiliary regressions the variants need,
-from one R factor of [Z|y] (``EncodedDesign.r``, factored once per design
-and shared by its role views); each regression decides rank over its own
-predictors, blocks in the order S, X, W, B, in the one call that makes it
-(``BlockLayout.regress``; see ``linalg``). Blocks are column ranges of Z,
-so every regression and every rule slices by column range, and a role
-change (a ``RoleView``, ``residualize_suspect``) moves block boundaries
-instead of restacking. Each variant is a rule under a role view, named in
-one table (``VARIANTS``); ``predict`` applies both to the design it is
-given, from that one fit. Only the exclude-sensitive rule needs a refit,
-which the fit derives from its training R when read. Prediction-time data
-is always re-centered with the training means.
+``fit_total`` keeps a design's statistic, including its one R factor of
+[Z|y] (``EncodedDesign.r``, factored once per design and shared by its
+role views), from which each regression the variants need is read once,
+when first read; each decides rank over its own predictors, blocks in
+the order S, X, W, B (``BlockLayout.regress``; see ``linalg``). Blocks
+are column ranges of Z = [S|X|W|B], so every regression and every rule
+slices by column range, and a role change (a ``RoleView``,
+``residualize_suspect``) moves block boundaries instead of restacking.
+Each variant is a rule under a role view, named in one table
+(``VARIANTS``); ``predict`` applies the view to the fit and the design,
+and a view of a fit is the fit of that view. Prediction-time data is
+always re-centered with the training means.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -61,38 +61,44 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class TotalModelFit(BlockLayout):
-    """Coefficients of the joint fit plus the auxiliary regressions.
+    """The training design's statistic, and the regressions read from it.
 
-    The fit keeps the training design's layout (columns, means, block
-    widths) once; ``coefficients`` is the joint coefficient vector over
-    Z = [S|X|W|B], and ``beta_s`` ... ``beta_b`` (with ``beta_wb``, the
-    suspect and black-box blocks fitted jointly) are read-only slices of
-    it. ``lambda_sx_for_wb`` regresses each [W|B] column on [S|X] (rows: S
-    columns first, then X). ``dropped_labels`` names the columns the joint
-    fit dropped as aliased (their coefficients are 0.0).
-
-    ``r`` is the training design's read-only R of [Z|y]. ``lambda_x_for_s``
-    (each S column on X, for the decomposition) and ``marginal_coefs`` (the
-    exclude-sensitive refit on [X|W|B]) are derived from it on each read,
-    by the ``regress`` call a fit-time computation makes: the same bits.
-    Every regression, ``lambda_sx_for_wb`` too, decides rank over its own
-    predictors, so a column aliased only with S stays in the last two.
+    A fit stores the training design's layout (columns, means, block
+    widths), the response mean ``beta0``, the row count ``n`` and ``r``,
+    its read-only R of [Z|y]. Each regression is derived from ``r``
+    under the fit's own widths, once, when first read: ``coefficients``,
+    the joint fit over Z = [S|X|W|B] (``beta_s`` ... ``beta_wb`` are its
+    slices; ``dropped_labels`` names its aliased columns, whose
+    coefficients are 0.0), ``lambda_sx_for_wb`` ([W|B] on [S|X], S rows
+    first), ``lambda_x_for_s`` (S on X) and ``marginal_coefs`` (the
+    exclude-sensitive refit on [X|W|B]). Each decides rank over its own
+    predictors, so a column aliased only with S stays in the last two,
+    and a role view of a fit derives the bits of the viewed design's fit.
     """
 
     beta0: float
-    coefficients: np.ndarray
-    lambda_sx_for_wb: np.ndarray
     n: int
-    dropped_labels: tuple[str, ...]
     r: np.ndarray
 
+    @functools.cached_property
+    def _joint(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        coefficients, kept = self.regress(self.r, self.n, "sxwb", [len(self.columns)])
+        return coefficients[:, 0], tuple(c for c, k in zip(self.columns, kept) if not k)
+
+    coefficients = property(lambda self: self._joint[0])
+    dropped_labels = property(lambda self: self._joint[1])
     beta_s = property(lambda self: self.coefficients[self.index("s")])
     beta_x = property(lambda self: self.coefficients[self.index("x")])
     beta_w = property(lambda self: self.coefficients[self.index("w")])
     beta_b = property(lambda self: self.coefficients[self.index("b")])
     beta_wb = property(lambda self: self.coefficients[self.index("wb")])
-    lambda_x_for_s = property(lambda self: self.regress(self.r, self.n, "x", self.index("s"))[0])
-    marginal_coefs = property(
+    lambda_sx_for_wb = functools.cached_property(
+        lambda self: self.regress(self.r, self.n, "sx", self.index("wb"))[0]
+    )
+    lambda_x_for_s = functools.cached_property(
+        lambda self: self.regress(self.r, self.n, "x", self.index("s"))[0]
+    )
+    marginal_coefs = functools.cached_property(
         lambda self: self.regress(self.r, self.n, "xwb", [len(self.columns)])[0][:, 0]
     )
 
@@ -104,7 +110,7 @@ class ImpartialPrediction:
 
 
 def fit_total(design: EncodedDesign) -> TotalModelFit:
-    """Fit the joint model and the regression the total rule reads."""
+    """The joint fit of ``design``: its statistic, regressions derived when read."""
     n, p_total = design.z.shape
     if n < 1:
         raise ContractError("design has no rows")
@@ -115,18 +121,12 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
             f"only {n} rows for {p_total} covariate columns; fit may be rank-deficient",
             stacklevel=2,
         )
-
-    # Every regression reads the design's one R of [Z|y].
-    coefficients, kept = design.regress(design.r, n, "sxwb", [p_total])
     return TotalModelFit(
         columns=design.columns,
         column_means=design.column_means,
         widths=design.widths,
         beta0=float(design.y.mean()),
-        coefficients=coefficients[:, 0],
-        lambda_sx_for_wb=design.regress(design.r, n, "sx", design.index("wb"))[0],
         n=n,
-        dropped_labels=tuple(c for c, k in zip(design.columns, kept) if not k),
         r=design.r,
     )
 
@@ -136,10 +136,10 @@ def predict(
 ) -> ImpartialPrediction:
     """Predictions for one estimator variant, on training or new rows.
 
-    The variant's view (``VARIANTS``) is applied to ``design``, which must
-    then have the fit's columns and block widths; the fit must have been
-    trained under that view. Rules, on the blocks of Z re-centered at the
-    training means:
+    The variant's view (``VARIANTS``) is applied to ``fit`` and to
+    ``design``, which must then have the fit's columns and block widths;
+    a view of a fit is the fit of that view. Rules, on the blocks of Z
+    re-centered at the training means:
 
     - FULL:       beta0 + S bs + X bx + W bw + B bb
     - EXCLUDE_S:  beta0 + [X|W|B] marginal_coefs   (the training refit)
@@ -157,11 +157,7 @@ def predict(
         raise VariantError(
             "calders_baseline predictions are produced by harness.calders_baseline"
         )
-    if view(fit).widths != fit.widths:
-        raise VariantError(
-            f"{variant.value} predicts under the {view.value} view, which the fit was "
-            "not trained under; fit under that view or use the total variant"
-        )
+    fit = view(fit)
     if variant is Variant.BLACKBOX_CORRECTED and not fit.b_labels:
         raise VariantError(
             "blackbox_corrected requires external predictions in the B block"

@@ -8,17 +8,19 @@ pooled over folds, so each repetition yields one full-length prediction
 vector per variant, scored against both the biased and the raw
 responses; reported metrics are means over repetitions.
 
-Each variant trains and predicts under its role view (``VARIANTS``), a
-view that only moves block boundaries of the design matrix. The held-out
-predictions are scored on the whole design under the feo view for a
-variant whose view it is, else under the seo view (``_views``); the
-black box is corrected under the seo view too, so that its correction
-removes group structure from every covariate. The dataset is assembled
-into that matrix once; every fold's training and test designs are row
-slices of it, re-centered within the fold, and the black box reads the
-assembled rows themselves, the data as given. All randomness derives
-from one master seed via a 64-bit mix, so results are reproducible bit
-for bit, whatever the number of processes.
+Each fold's training rows are fitted once (``fit_total``), and each
+least-squares variant predicts from that fit under its role view
+(``VARIANTS``), which only moves block boundaries of the design matrix;
+the black box's correction and the stratified baseline fit their own.
+Held-out predictions are scored on the whole design under the feo view
+for a variant whose view it is, else under the seo view
+(``_score_view``), which the black box is corrected under too, so that
+its correction removes group structure from every covariate. The dataset
+is assembled into that matrix once; every fold's training and test
+designs are row slices of it, re-centered within the fold, and the black
+box reads the assembled rows themselves, the data as given. All
+randomness derives from one master seed via a 64-bit mix, so results are
+reproducible bit for bit, whatever the number of processes.
 
 Repetitions run in batches of two phases. First a pool of forked
 workers, one per CPU the process may use (``os.sched_getaffinity``) but
@@ -188,12 +190,11 @@ def _biased_response(
     return shifted
 
 
-def _views(variant: Variant) -> tuple[RoleView, RoleView]:
-    """The views ``variant`` trains and is scored under: its own and, unless
-    that is feo, seo. The black box's correction trains under its score view."""
+def _score_view(variant: Variant) -> RoleView:
+    """The view ``variant`` is scored under: its own if that is feo, else
+    seo. The black box's correction trains under it too."""
     view = VARIANTS[variant][2]
-    scored = view if view is RoleView.FEO else RoleView.SEO
-    return (scored if variant is Variant.BLACKBOX_CORRECTED else view), scored
+    return view if view is RoleView.FEO else RoleView.SEO
 
 
 def _split(inputs, rep: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -282,21 +283,18 @@ def _run_repetition(
         enc_train = take_design(raw_biased, train_idx)
         enc_test = take_design(raw, test_idx)
 
-        fits: dict = {}  # one total fit per role view, shared by its variants
+        fit = None  # the one total fit of the fold, read under each variant's view
         for variant in config.variants:
-            view = _views(variant)[0]
-            train, test = view(enc_train), view(enc_test)
             if variant is Variant.CALDERS_BASELINE:
-                values = predict_calders(fit_calders(train, bins=CALDERS_BINS), test)
+                values = predict_calders(fit_calders(enc_train, bins=CALDERS_BINS), enc_test)
             elif variant is Variant.BLACKBOX_CORRECTED:
-                bb_train, bb_test = bag(rep, fold)
-                fit = fit_total(with_blackbox(train, bb_train))
-                values = predict(fit, with_blackbox(test, bb_test), variant).values
+                view, (bb_train, bb_test) = _score_view(variant), bag(rep, fold)
+                corrected = fit_total(with_blackbox(view(enc_train), bb_train))
+                values = predict(corrected, with_blackbox(view(enc_test), bb_test), variant).values
                 bb_pooled[test_idx] = bb_test
             else:
-                if view not in fits:
-                    fits[view] = fit_total(train)
-                values = predict(fits[view], test, variant).values
+                fit = fit or fit_total(enc_train)
+                values = predict(fit, enc_test, variant).values
             pooled[variant.value][test_idx] = values
 
     return y_biased, pooled, bb_pooled
@@ -313,8 +311,8 @@ def kfold_validate(
     Per repetition and variant, the pooled held-out predictions are scored
     with: RMSE against the biased responses, RMSE against the raw
     responses, the group gap DS (a response-free quantity), and the
-    impartiality score in the variant's score view (``_views``) against the
-    biased (training-distribution) responses.
+    impartiality score in the variant's score view (``_score_view``)
+    against the biased (training-distribution) responses.
     """
     if config.folds > data.n_rows:
         raise ContractError(
@@ -350,7 +348,7 @@ def kfold_validate(
                 entry["rmse_biased"] += rmse(values, y_biased)
                 entry["rmse_raw"] += rmse(values, y_raw)
                 entry["ds"] += discrimination_score(values, enc_full.groups, pos_group, neg_group)
-                entry["is"] += impartiality_score(values, design, y_biased, _views(variant)[1])
+                entry["is"] += impartiality_score(values, design, y_biased, _score_view(variant))
     count = config.repetitions
     means = {
         vname: {m: s / count for m, s in metric_sums.items()}

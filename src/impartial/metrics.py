@@ -98,8 +98,10 @@ def group_pair(
     Names given are kept. With two groups, a lone name is paired with the
     other group, and with no name the pair is (second, first).
     """
-    if len(labels) == 1:
-        raise DataError(f"DS needs two sensitive groups; the data has only {labels[0]!r}")
+    if len(labels) == 1:  # "" is the one group when no column is sensitive
+        only = (f"the data has only {labels[0]!r}" if labels[0]
+                else "the schema declares no sensitive column")
+        raise DataError(f"DS needs two sensitive groups; {only}")
     if positive_group is None or negative_group is None:
         if len(labels) != 2:
             raise ContractError(
@@ -145,11 +147,13 @@ def impartiality_conditions(
     columns contribute zero (their correlations are defined as 0); a
     constant or aliased sensitive block is an error.
 
-    ``x`` and ``w`` must be centered, as every caller in the package
-    passes them (the columns of an encoded design). An uncentered column
-    whose mean is L times its spread loses about log10(L) digits, since
-    the QR of [1|X] rounds relative to the uncentered column norms: a
-    median of 5e-11 relative at L = 1e6.
+    ``s``, ``x`` and ``w`` must be centered, as every caller in the
+    package passes them (the columns of an encoded design). The
+    residual-mean gap reads S's own mean, so raw 0/1 indicators make it
+    read far from 0 for an impartial prediction. An uncentered X or W
+    column whose mean is L times its spread loses about log10(L) digits,
+    since the QR of [1|X] rounds relative to the uncentered column norms:
+    a median of 5e-11 relative at L = 1e6.
 
     Every condition is a function of one R factor of [1|S|X|W|u|yhat]
     (u the residual): removing the ones column's share leaves c, the R of

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from impartial.data import EncodedDesign, encode
+from impartial.data import EncodedDesign, RoleView, encode
+from impartial.estimators import VARIANTS, Variant, fit_total, predict
 from impartial.harness import gen_simple_example, simple_example_schema
 
 # The check to run before changing the CSV writer: its property tests at
@@ -89,3 +90,26 @@ def cell_values(data, values) -> dict:
             assert abs(out[key] - values[i]) < 1e-9
         out[key] = float(values[i])
     return out
+
+
+def assert_view_of_fit_is_fit_of_view(design):
+    """Under every view of ``design``, each variant ``predict`` makes from
+    one fit gives the bits of a fit under the variant's own view, and the
+    view of the fit derives the regressions of the fit of the view."""
+    variants = [v for v, (_, rule, _) in VARIANTS.items() if rule is not Variant.CALDERS_BASELINE]
+    for base in RoleView:
+        d = base(design)
+        fit = fit_total(d)
+        for variant in variants:
+            if variant is Variant.BLACKBOX_CORRECTED and not d.b_labels:
+                continue
+            view = VARIANTS[variant][2]
+            got = predict(fit, d, variant).values
+            want = predict(fit_total(view(d)), view(d), variant).values
+            assert got.tobytes() == want.tobytes(), (base, variant)
+        for view in RoleView:
+            viewed, refit = view(fit), fit_total(view(d))
+            assert viewed.widths == refit.widths
+            assert viewed.dropped_labels == refit.dropped_labels
+            for name in ("coefficients", "lambda_sx_for_wb", "lambda_x_for_s", "marginal_coefs"):
+                assert getattr(viewed, name).tobytes() == getattr(refit, name).tobytes(), name

@@ -18,7 +18,14 @@ import impartial
 
 from impartial import cli, sidecar
 from impartial.cli import main
-from impartial.data import load_csv, load_schema, make_dataset, parse_schema, write_csv
+from impartial.data import (
+    assemble,
+    load_csv,
+    load_schema,
+    make_dataset,
+    parse_schema,
+    write_csv,
+)
 from impartial.errors import DataError
 from impartial.metrics import MetricsReport
 from impartial.harness import default_dag_spec, gen_dag, gen_simple_example, simple_example_schema
@@ -110,6 +117,24 @@ class TestFit:
         assert main(["fit", "--data", str(data_path), "--schema", str(schema_path),
                      "--out", str(out)]) == 0
         assert "#" not in (tmp_path / "pred.coef.csv").read_text()
+
+    @pytest.mark.parametrize("name", ["loan", "dag"])
+    def test_coef_table_gives_full_on_the_data_columns(self, loan_files, tmp_path, name):
+        data_path, schema_path = loan_files
+        if name == "dag":
+            data_path = tmp_path / "dag.csv"
+            assert main(["simulate", "dag", "--seed", "3", "--out", str(data_path)]) == 0
+            schema_path = data_path.with_suffix(".schema")
+        out = tmp_path / "full.csv"
+        assert main(["fit", "--variant", "full", "--data", str(data_path), "--schema",
+                     str(schema_path), "--out", str(out)]) == 0
+        with open(out.with_suffix(".coef.csv"), newline="", encoding="utf-8") as fh:
+            coef = {label: float(value) for _, label, value in list(csv.reader(fh))[1:]}
+        schema = load_schema(schema_path)
+        assembled = assemble(load_csv(data_path, schema), schema)
+        got = coef.pop("") + assembled.z @ np.array([coef[c] for c in assembled.columns])
+        want = read_prediction_column(out)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_marginal_constant(self, loan_files, tmp_path):
         data_path, schema_path = loan_files
@@ -493,6 +518,26 @@ class TestCorrect:
         lines = dict(ln.split(None, 1) for ln in corrected.splitlines())
         if not mode:
             assert lines["is_mode"] == "declared" and float(lines["is"]) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["audit", "correct", "validate"])
+def test_schema_without_sensitive_column_is_named(loan_files, tmp_path, capsys, command):
+    data_path, _ = loan_files
+    schema_path = tmp_path / "none.schema"
+    schema_path.write_text("default = response\nedu = legitimate,categorical\ngroup = ignore\n",
+                           encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("prediction\n" + "0.5\n" * 1000, encoding="utf-8")
+    flags = {
+        "audit": ["--variant", "total"],
+        "correct": ["--predictions", str(preds), "--out", str(tmp_path / "c.csv")],
+        "validate": ["--reps", "1"],
+    }[command]
+    code = main([command, "--data", str(data_path), "--schema", str(schema_path), *flags])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: DS needs two sensitive groups; the schema declares no sensitive column\n"
+    )
 
 
 class TestGroupFlags:

@@ -3,7 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import build_design, cell_values, random_design
+from conftest import (
+    assert_view_of_fit_is_fit_of_view,
+    build_design,
+    cell_values,
+    random_design,
+)
 from impartial.data import ColumnSpec, Role, RoleView, Schema, encode, make_dataset, take_design
 from impartial import data
 from impartial.decomposition import decompose, decompose_coefficients
@@ -218,14 +223,12 @@ class TestPredictVariants:
         assert np.all(pred.values == pred.values[0])
         assert pred.values[0] == pytest.approx(0.335)
 
-    def test_feo_rejects_suspect_blocks(self, suspect_design):
-        fit = fit_total(suspect_design)
-        with pytest.raises(VariantError, match="total"):
-            predict(fit, suspect_design, Variant.FEO)
-
-    def test_fseo_rejects_legitimate_blocks(self, table1_fit, table1_design):
-        with pytest.raises(VariantError, match="total"):
-            predict(table1_fit, table1_design, Variant.FSEO)
+    @pytest.mark.parametrize("role", [Role.LEGITIMATE, Role.SUSPECT])
+    def test_view_of_a_fit_is_the_fit_of_the_view(self, table1_data, role):
+        design = encode(table1_data, simple_example_schema(role))
+        external = design.y + np.random.default_rng(18).standard_normal(design.n_rows)
+        assert_view_of_fit_is_fit_of_view(design)
+        assert_view_of_fit_is_fit_of_view(with_blackbox(design, external))
 
     def test_calders_not_via_predict(self, table1_fit, table1_design):
         with pytest.raises(VariantError, match="harness"):
@@ -559,8 +562,8 @@ class TestCoefficientIdentity:
 
 
 class TestRegressionCount:
-    """``fit_total`` runs the two regressions predictions read; the other
-    two are derived from the training R each time they are read."""
+    """``fit_total`` runs no regression; each is derived from the training
+    R once per fit, when first read."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -594,12 +597,19 @@ class TestRegressionCount:
     def test_each_read_derives_one_regression(self, calls):
         design = self.design()
         fit = fit_total(design)
-        calls[0] = 0
-        for expected, read in enumerate(
-            [lambda: fit.lambda_x_for_s, lambda: fit.marginal_coefs] * 2, start=1
-        ):
-            read()
-            assert calls[0] == expected
+        assert calls[0] == 0
+        # coefficients and dropped_labels come from the one joint regression
+        reads = ["coefficients", "dropped_labels", "lambda_sx_for_wb", "lambda_x_for_s",
+                 "marginal_coefs"]
+        for name, expected in zip(reads * 2, [1, 1, 2, 3, 4] + [4] * 5):
+            getattr(fit, name)
+            assert calls[0] == expected, name
+        # a view that moves a boundary is a fit of its own, which derives its
+        # own; a view that moves none is the fit itself
+        seo = RoleView.SEO(fit)
+        seo.coefficients
+        assert calls[0] == 5
+        assert RoleView.DECLARED(fit) is fit and RoleView.SEO(seo) is seo
 
     def test_derived_regressions_carry_the_fit_time_bits(self):
         design = random_design(np.random.default_rng(32), n=300, p_s=2, p_x=3, p_w=0)

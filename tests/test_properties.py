@@ -8,6 +8,8 @@ one, at ``RECONSTRUCTION_RTOL``:
 - the total decomposition sums to the full model's fitted values;
 - FEO, FSEO and black-box-corrected predictions score IS = 0 in-sample,
   and total and corrected ones under the declared roles too;
+- a role view of a fit predicts, and derives every regression, with the
+  bits of the fit of that view;
 - refitting after ``residualize_suspect`` gives the same fitted values,
   and the same suspect coefficients when no column is aliased or
   near-collinear.
@@ -44,6 +46,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import impartial
+from conftest import assert_view_of_fit_is_fit_of_view
 from impartial import linalg
 from impartial.data import ColumnSpec, Role, RoleView, Schema, encode, make_dataset, take_design
 from impartial.decomposition import COMPONENT_NAMES, decompose
@@ -120,6 +123,18 @@ def test_total_decomposition_sums_to_fitted_values(case):
     design, _ = case
     fit, full = fitted(design)
     assert_close(decompose(fit, design).rowwise_sum(), full)
+
+
+@_SETTINGS
+@given(case=awkward_designs(), with_b=st.booleans())
+def test_view_of_a_fit_is_the_fit_of_the_view(case, with_b):
+    design, _ = case
+    if with_b:
+        design = with_blackbox(design, design.y + np.random.default_rng(3).standard_normal(
+            design.n_rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the n close to p warning
+        assert_view_of_fit_is_fit_of_view(design)
 
 
 @_SETTINGS
