@@ -38,12 +38,6 @@ from .estimators import (
     predict,
     residualize_suspect,
 )
-from .linalg import (
-    LeastSquaresFit,
-    ProjectionPair,
-    project,
-    solve_least_squares,
-)
 from .metrics import (
     MetricsReport,
     discrimination_score,

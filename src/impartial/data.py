@@ -8,9 +8,10 @@ categorical column is held as integer codes into its labels
 blocks (sensitive, legitimate, suspect, black-box) are column ranges, with
 one-hot expansion (first level dropped) and interaction products. This
 module is the only one that knows how blocks map to columns: the others
-ask a design for a block or a block combination (``index``) or for a
-regression on blocks (``BlockLayout.regress``), and a role change (a
-``RoleView``) moves block boundaries (``merged``) instead of copying columns.
+ask a design for a block or a block combination (``index``), and a
+role change (a ``RoleView``) moves block boundaries (``merged``) instead
+of copying columns. A design holds rows, not a factorization: the R that
+every regression reads belongs to a fit (``estimators.fit_total``).
 Encoding is two steps: ``assemble`` builds the uncentered matrix and
 ``center`` centers it. This module is also the only one that removes
 column means, once, when a design is encoded or subset; nothing adds them
@@ -40,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, SchemaError
-from .linalg import r_factor, regress
 
 
 class Role(enum.Enum):
@@ -639,8 +639,7 @@ class BlockLayout:
     estimates) are consecutive column ranges of Z with sizes ``widths``;
     any may be empty. ``columns`` labels every column and ``column_means``
     holds the raw means removed by centering. The per-block ``*_labels``
-    and ``*_means`` are read-only views of them. ``regress`` is a regression
-    on named blocks that decides rank over those blocks, in one call.
+    and ``*_means`` are read-only views of them.
     """
 
     columns: tuple[str, ...]
@@ -655,13 +654,6 @@ class BlockLayout:
         if keys in BLOCKS:
             return slice(spans[0].start, spans[-1].stop)
         return np.array([j for span in spans for j in span], dtype=int)
-
-    def regress(self, r: np.ndarray, n_rows: int, keys: str, targets):
-        """``linalg.regress`` of the columns ``targets`` on the blocks ``keys``
-        (rows in the order named) of ``r``, the R of an ``n_rows``-row matrix
-        that begins with Z, rank decided over those blocks in S, X, W, B order."""
-        widths = [self.width(key) for key in BLOCKS if key in keys]
-        return regress(r, n_rows, self.index(keys), targets, widths)
 
     def width(self, keys: str) -> int:
         """Number of columns of the named blocks (e.g. ``"wb"``)."""
@@ -693,7 +685,7 @@ class BlockLayout:
     def merged(self, keys: str, into: str):
         """Copy in which the adjacent blocks ``keys`` form the one block
         ``into``: a role change moves block boundaries and copies no data.
-        When no boundary moves, the layout itself (a fit keeps its reads)."""
+        When no boundary moves, the layout itself."""
         if keys not in BLOCKS or into not in keys:
             raise ContractError(f"cannot merge blocks {keys!r} into {into!r}")
         widths = [0 if key in keys else w for key, w in zip(BLOCKS, self.widths)]
@@ -707,7 +699,8 @@ class RoleView(enum.Enum):
     DECLARED keeps the roles as declared; FEO reads every legitimate and
     suspect column as legitimate, SEO every one as suspect. S and B are
     left alone, and B reads as suspect throughout. A view only moves the
-    X/W boundary (``merged``): a design's views share its Z and R, a fit's its R.
+    X/W boundary (``merged``): a design's views share its Z, a fit's its R
+    and the regressions read from it.
     """
 
     DECLARED = "declared"
@@ -727,30 +720,12 @@ class EncodedDesign(BlockLayout):
     ``s``, ``x``, ``w`` and ``b`` are read-only column views of ``z``.
     ``groups`` is every row's sensitive group, as codes into a table of
     group labels (see ``_groups``), for group metrics; ``s_group_labels``
-    reads it as per-row labels. ``r`` is the R factor of [Z | centered y],
-    factored on first use and shared by every role view of the design;
-    ``z`` and ``y`` are never changed in place.
+    reads it as per-row labels. ``z`` and ``y`` are never changed in place.
     """
 
     y: np.ndarray
     z: np.ndarray
     groups: Categorical
-    _r: list = dataclasses.field(default_factory=list, compare=False, repr=False)
-
-    def replace(self, **changes):
-        """Copy with fields changed; a role change keeps the R factor, a
-        new ``z`` or ``y`` drops it."""
-        if "z" in changes or "y" in changes:
-            changes["_r"] = []
-        return dataclasses.replace(self, **changes)
-
-    @property
-    def r(self) -> np.ndarray:
-        if not self._r:
-            r = r_factor(self.z, self.y - self.y.mean())
-            r.flags.writeable = False
-            self._r.append(r)
-        return self._r[0]
 
     s = property(lambda self: self.block("s"))
     x = property(lambda self: self.block("x"))

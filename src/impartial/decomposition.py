@@ -15,8 +15,10 @@ that sum back to them exactly, under the roles of the design it is given
 - unique_x / unique_w: the orthogonal remainders.
 
 Projections act on the centered blocks without an intercept column; the
-intercept is its own component. Each projection is one regression that
-decides rank over its own basis (``BlockLayout.regress``).
+intercept is its own component. Each projection is one regression read
+from the fit (``TotalModelFit.regress``), which decides rank over its own
+basis; the fit's projections apply to any rows, as its coefficients do,
+so the components of a row do not depend on which rows come with it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 from .data import EncodedDesign
 from .errors import ContractError
 from .estimators import TotalModelFit
-from .linalg import r_factor
 
 
 COMPONENT_NAMES = (
@@ -109,19 +110,19 @@ def decompose(fit: TotalModelFit, design: EncodedDesign) -> ComponentReport:
 
     Each block's contribution is split by projecting it on the other
     blocks (the black-box block counts as suspect): S on [X|W|B], X on
-    [S|W|B], [W|B] on [X|S]. An empty block's components are 0, as X's
-    are under the seo view.
+    [S|W|B], [W|B] on [X|S], each projection the fit's own regression on
+    its training rows, applied to ``design``'s rows re-centered at the
+    training means. An empty block's components are 0, as X's are under
+    the seo view.
     """
     z = design.centered_at(fit)
-    # The training design's own R serves; new rows need their own.
-    r = design.r if z is design.z else r_factor(z)
     parts = {}
     for block, basis, inside, outside in (
         ("s", "xwb", "di", "dt"), ("x", "swb", "sd_plus", "unique_x"),
         ("wb", "xs", "sd_minus_mixed", "unique_w"),
     ):
         beta = fit.coefficients[fit.index(block)]
-        coef = fit.regress(r, design.n_rows, basis, fit.index(block))[0]
+        coef = fit.regress(basis, block)[0]
         parts[inside] = z[:, fit.index(basis)] @ (coef @ beta)
         parts[outside] = z[:, fit.index(block)] @ beta - parts[inside]
     return ComponentReport(intercept=np.full(design.n_rows, fit.beta0), **parts)

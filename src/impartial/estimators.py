@@ -1,30 +1,29 @@
 """Estimator variants derived from a single joint regression fit.
 
-``fit_total`` keeps a design's statistic, including its one R factor of
-[Z|y] (``EncodedDesign.r``, factored once per design and shared by its
-role views), from which each regression the variants need is read once,
-when first read; each decides rank over its own predictors, blocks in
-the order S, X, W, B (``BlockLayout.regress``; see ``linalg``). Blocks
-are column ranges of Z = [S|X|W|B], so every regression and every rule
-slices by column range, and a role change (a ``RoleView``,
+A design holds rows, a fit holds R: ``fit_total`` factors the training
+design's [Z|y] once, and every regression a variant or a decomposition
+needs is read from that R once (``TotalModelFit.regress``), deciding rank
+over its own predictors, blocks in the order S, X, W, B (see ``linalg``).
+Blocks are column ranges of Z = [S|X|W|B], so every regression and every
+rule slices by column range, and a role change (a ``RoleView``,
 ``residualize_suspect``) moves block boundaries instead of restacking.
 Each variant is a rule under a role view, named in one table
 (``VARIANTS``); ``predict`` applies the view to the fit and the design,
-and a view of a fit is the fit of that view. Prediction-time data is
-always re-centered with the training means.
+and a view of a fit is the fit of that view, sharing its reads.
+Prediction-time data is always re-centered with the training means.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BlockLayout, EncodedDesign, RoleView
+from .data import BLOCKS, BlockLayout, EncodedDesign, RoleView
 from .errors import ContractError, DataError, VariantError
+from .linalg import r_factor, regress
 
 
 class Variant(enum.Enum):
@@ -65,42 +64,62 @@ class TotalModelFit(BlockLayout):
 
     A fit stores the training design's layout (columns, means, block
     widths), the response mean ``beta0``, the row count ``n`` and ``r``,
-    its read-only R of [Z|y]. Each regression is derived from ``r``
-    under the fit's own widths, once, when first read: ``coefficients``,
-    the joint fit over Z = [S|X|W|B] (``beta_s`` ... ``beta_wb`` are its
-    slices; ``dropped_labels`` names its aliased columns, whose
-    coefficients are 0.0), ``lambda_sx_for_wb`` ([W|B] on [S|X], S rows
-    first), ``lambda_x_for_s`` (S on X) and ``marginal_coefs`` (the
-    exclude-sensitive refit on [X|W|B]). Each decides rank over its own
-    predictors, so a column aliased only with S stays in the last two,
-    and a role view of a fit derives the bits of the viewed design's fit.
+    its read-only R of [Z|y]. Every regression is read from ``r`` by
+    ``regress``, once: ``coefficients``, the joint fit over Z = [S|X|W|B]
+    (``beta_s`` ... ``beta_wb`` are its slices; ``dropped_labels`` names
+    its aliased columns, whose coefficients are 0.0), ``lambda_sx_for_wb``
+    ([W|B] on [S|X], S rows first), ``lambda_x_for_s`` (S on X) and
+    ``marginal_coefs`` (the exclude-sensitive refit on [X|W|B]). Each
+    decides rank over its own predictors, so a column aliased only with S
+    stays in the last two, and a role view of a fit derives the bits of
+    the viewed design's fit. A view is a ``replace`` of the widths, which
+    shares ``reads``, so no regression is run twice on one R.
     """
 
     beta0: float
     n: int
     r: np.ndarray
+    reads: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @functools.cached_property
-    def _joint(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        coefficients, kept = self.regress(self.r, self.n, "sxwb", [len(self.columns)])
-        return coefficients[:, 0], tuple(c for c, k in zip(self.columns, kept) if not k)
+    def regress(self, keys: str, targets: str) -> tuple[np.ndarray, np.ndarray]:
+        """``linalg.regress`` of the blocks ``targets`` ("y" for the
+        response) on the blocks ``keys`` (rows in the order named), rank
+        decided over those blocks in S, X, W, B order: the read-only
+        coefficients and kept mask, run on the first call under these
+        widths and kept in ``reads``."""
+        key = (keys, targets, self.widths)
+        if key not in self.reads:
+            columns = [len(self.columns)] if targets == "y" else self.index(targets)
+            widths = [self.width(k) for k in BLOCKS if k in keys]
+            result = regress(self.r, self.n, self.index(keys), columns, widths)
+            for a in result:
+                a.flags.writeable = False
+            self.reads[key] = result
+        return self.reads[key]
 
-    coefficients = property(lambda self: self._joint[0])
-    dropped_labels = property(lambda self: self._joint[1])
+    @classmethod
+    def of(cls, design: EncodedDesign) -> "TotalModelFit":
+        """``design``'s statistic, without ``fit_total``'s checks, which
+        only the joint fit needs."""
+        beta0 = float(design.y.mean())
+        r = r_factor(design.z, design.y - beta0)
+        r.flags.writeable = False
+        return cls(columns=design.columns, column_means=design.column_means,
+                   widths=design.widths, beta0=beta0, n=design.n_rows, r=r)
+
+    _joint = property(lambda self: self.regress("sxwb", "y"))
+    coefficients = property(lambda self: self._joint[0][:, 0])
+    dropped_labels = property(
+        lambda self: tuple(c for c, k in zip(self.columns, self._joint[1]) if not k)
+    )
     beta_s = property(lambda self: self.coefficients[self.index("s")])
     beta_x = property(lambda self: self.coefficients[self.index("x")])
     beta_w = property(lambda self: self.coefficients[self.index("w")])
     beta_b = property(lambda self: self.coefficients[self.index("b")])
     beta_wb = property(lambda self: self.coefficients[self.index("wb")])
-    lambda_sx_for_wb = functools.cached_property(
-        lambda self: self.regress(self.r, self.n, "sx", self.index("wb"))[0]
-    )
-    lambda_x_for_s = functools.cached_property(
-        lambda self: self.regress(self.r, self.n, "x", self.index("s"))[0]
-    )
-    marginal_coefs = functools.cached_property(
-        lambda self: self.regress(self.r, self.n, "xwb", [len(self.columns)])[0][:, 0]
-    )
+    lambda_sx_for_wb = property(lambda self: self.regress("sx", "wb")[0])
+    lambda_x_for_s = property(lambda self: self.regress("x", "s")[0])
+    marginal_coefs = property(lambda self: self.regress("xwb", "y")[0][:, 0])
 
 
 @dataclass(frozen=True)
@@ -110,7 +129,7 @@ class ImpartialPrediction:
 
 
 def fit_total(design: EncodedDesign) -> TotalModelFit:
-    """The joint fit of ``design``: its statistic, regressions derived when read."""
+    """The joint fit of ``design``: its statistic, regressions read from it."""
     n, p_total = design.z.shape
     if n < 1:
         raise ContractError("design has no rows")
@@ -121,14 +140,7 @@ def fit_total(design: EncodedDesign) -> TotalModelFit:
             f"only {n} rows for {p_total} covariate columns; fit may be rank-deficient",
             stacklevel=2,
         )
-    return TotalModelFit(
-        columns=design.columns,
-        column_means=design.column_means,
-        widths=design.widths,
-        beta0=float(design.y.mean()),
-        n=n,
-        r=design.r,
-    )
+    return TotalModelFit.of(design)
 
 
 def predict(
@@ -190,7 +202,7 @@ def residualize_suspect(design: EncodedDesign) -> EncodedDesign:
     if design.width("wb") == 0:
         return design
     s, wb = design.index("s"), design.index("wb")
-    lambda_s = design.regress(design.r, design.n_rows, "s", wb)[0]
+    lambda_s = TotalModelFit.of(design).regress("s", "wb")[0]
     z = design.z.copy()
     z[:, wb] -= design.z[:, s] @ lambda_s
     resid = tuple(f"resid_{name}" for name in design.columns[wb])

@@ -5,9 +5,9 @@ from every non-sensitive covariate; rows are cut into propensity
 quantile bins; within each bin a full substantive-equality fit is run
 with every covariate treated as suspect. Bins whose training rows
 contain a single sensitive class cannot equalize anything and fall back
-to the bin's mean response (logged). The fit is the all-suspect layout
-of its training design, whose means re-center new rows
-(``EncodedDesign.centered_at``).
+to the bin's mean response (logged). The propensity, as each bin's fit,
+is read from a ``TotalModelFit`` of its rows. The fit is the all-suspect
+layout of its training design, whose means re-center new rows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from ..data import BlockLayout, Dataset, EncodedDesign, RoleView, Schema, encode, take_design
 from ..errors import ContractError
-from ..estimators import ImpartialPrediction, Variant, fit_total, predict
+from ..estimators import ImpartialPrediction, TotalModelFit, Variant, fit_total, predict
 from .trees import require_count
 
 log = logging.getLogger(__name__)
@@ -68,8 +68,8 @@ def fit_calders(design: EncodedDesign, bins: int = 5) -> CaldersFit:
     require_count("bins", bins, 1)
     design = RoleView.SEO(design)
     # The centered indicator is the S column of the design, so the linear
-    # probability fit is a regression among the columns of design.r.
-    coefs = design.regress(design.r, design.n_rows, "xwb", design.index("s"))[0][:, 0]
+    # probability fit is a regression among the design's columns.
+    coefs = TotalModelFit.of(design).regress("xwb", "s")[0][:, 0]
     intercept = float(design.means("s")[0])
     scores = _propensity(design, coefs, intercept, design)
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,6 +12,14 @@ from impartial.harness import gen_simple_example, simple_example_schema
 # 100 times the default number of examples, e.g.
 # pytest tests/test_csv_io.py -k TestCellBytes --hypothesis-profile=formatter
 settings.register_profile("formatter", max_examples=100 * settings.default.max_examples)
+
+
+def modules_holding(fn) -> list:
+    """Every loaded ``impartial`` module whose global ``fn.__name__`` is
+    ``fn``: the places a patch of ``fn`` must reach to reach every caller."""
+    return [m for name, m in sorted(sys.modules.items())
+            if (name == "impartial" or name.startswith("impartial."))
+            and getattr(m, fn.__name__, None) is fn]
 
 
 def build_design(y, s=None, x=None, w=None, b=None, group_labels=None) -> EncodedDesign:

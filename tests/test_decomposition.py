@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import build_design, random_design
-from impartial.data import Role, RoleView, encode
+from impartial.data import Role, RoleView, encode, take_design
 from impartial.decomposition import (
     COMPONENT_NAMES,
     decompose,
@@ -13,6 +13,8 @@ from impartial.errors import ContractError
 from impartial.estimators import Variant, fit_total, predict
 from impartial.harness import (
     BiasSpec,
+    default_dag_spec,
+    gen_dag,
     gen_wine_like,
     inject_bias,
     simple_example_schema,
@@ -147,6 +149,19 @@ class TestDecompose:
         total = decompose(fit_total(design), design)
         for name in COMPONENT_NAMES:
             assert alias.component(name).tobytes() == total.component(name).tobytes()
+
+    def test_new_rows_read_the_training_projections(self):
+        # the fit's projections apply to any rows, as its coefficients do:
+        # a row's components are its components among the training rows
+        design = encode(*gen_dag(default_dag_spec(n=3000, p_x_observed=6, p_w=4, seed=29)))
+        fit = fit_total(design)
+        rows = np.arange(0, design.n_rows, 3)
+        train = decompose(fit, design)
+        new = decompose(fit, take_design(design, rows))
+        scale = np.max(np.abs(train.rowwise_sum()))
+        for name in COMPONENT_NAMES:
+            gap = np.max(np.abs(new.component(name) - train.component(name)[rows]))
+            assert gap <= 1e-12 * scale, name
 
 
 class TestRedliningReport:

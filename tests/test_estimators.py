@@ -7,10 +7,11 @@ from conftest import (
     assert_view_of_fit_is_fit_of_view,
     build_design,
     cell_values,
+    modules_holding,
     random_design,
 )
 from impartial.data import ColumnSpec, Role, RoleView, Schema, encode, make_dataset, take_design
-from impartial import data
+from impartial import estimators, metrics
 from impartial.decomposition import decompose, decompose_coefficients
 from impartial.errors import ContractError, DataError, VariantError
 from impartial.estimators import (
@@ -22,8 +23,8 @@ from impartial.estimators import (
     residualize_suspect,
     with_blackbox,
 )
-from impartial.harness import simple_example_schema
-from impartial.linalg import regress, solve_least_squares, solve_least_squares_multi
+from impartial.harness import gen_wine_like, simple_example_schema
+from impartial.linalg import r_factor, regress, solve_least_squares, solve_least_squares_multi
 
 ALL_PREDICTABLE = (
     Variant.FULL,
@@ -573,7 +574,10 @@ class TestRegressionCount:
             counter[0] += 1
             return regress(*args)
 
-        monkeypatch.setattr(data, "regress", counted)
+        modules = modules_holding(regress)
+        assert {estimators, metrics} <= set(modules)
+        for module in modules:
+            monkeypatch.setattr(module, "regress", counted)
         return counter
 
     @staticmethod
@@ -611,12 +615,21 @@ class TestRegressionCount:
         assert calls[0] == 5
         assert RoleView.DECLARED(fit) is fit and RoleView.SEO(seo) is seo
 
+    def test_a_view_of_a_fit_shares_its_reads(self, calls):
+        # the seo view of a declared fit reads its two regressions once,
+        # however often it is applied
+        design = encode(*gen_wine_like(seed=3))
+        fit = fit_total(design)
+        for _ in range(3):
+            predict(fit, design, Variant.FSEO)
+        assert calls[0] == 2
+
     def test_derived_regressions_carry_the_fit_time_bits(self):
         design = random_design(np.random.default_rng(32), n=300, p_s=2, p_x=3, p_w=0)
         fit = fit_total(design)
-        r, n = design.r, design.n_rows
-        lambda_x = design.regress(r, n, "x", design.index("s"))[0]
-        marginal = design.regress(r, n, "xwb", [design.z.shape[1]])[0][:, 0]
+        r, n = r_factor(design.z, design.y - design.y.mean()), design.n_rows
+        lambda_x = regress(r, n, design.index("x"), design.index("s"), [3])[0]
+        marginal = regress(r, n, design.index("xwb"), [design.z.shape[1]], [3, 0, 0])[0][:, 0]
         assert fit.lambda_x_for_s.tobytes() == lambda_x.tobytes()
         assert fit.marginal_coefs.tobytes() == marginal.tobytes()
         parts = decompose_coefficients(fit)

@@ -36,7 +36,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impartial import data, decomposition, linalg, metrics
+from conftest import modules_holding
+from impartial import estimators, linalg, metrics
 from impartial.data import ColumnSpec, Role, RoleView, Schema, encode, make_dataset
 from impartial.decomposition import COMPONENT_NAMES, decompose
 from impartial.estimators import Variant, fit_total, predict, with_blackbox
@@ -284,11 +285,12 @@ def _estimates(make_design):
 ], ids=["wine", "dag_px6_pw4", "aliased"])
 def test_estimators_match_reference(make_design, dropped, monkeypatch):
     got = _estimates(make_design)
-    for module in (data, decomposition, metrics):
-        monkeypatch.setattr(module, "r_factor", reference_r_factor)
+    for fn, stand_in in ((linalg.r_factor, reference_r_factor), (linalg.regress, reference_regress)):
+        modules = modules_holding(fn)
+        assert {estimators, metrics} <= set(modules), fn.__name__
+        for module in modules:
+            monkeypatch.setattr(module, fn.__name__, stand_in)
     monkeypatch.setattr(linalg, "independent", reference_independent)
-    for module in (data, metrics):
-        monkeypatch.setattr(module, "regress", reference_regress)
     want = _estimates(make_design)
 
     assert got["dropped"] == want["dropped"] == dropped
